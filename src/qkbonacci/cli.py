@@ -14,7 +14,7 @@ import sys
 import time
 
 from .errors import QkError
-from .lawcheck import Grid, run_laws
+from .lawcheck import _SELECTORS, Grid, run_laws
 from .numerics import dominant_root, reconstruct_detailed
 from .sequences import (
     SequenceParams,
@@ -197,8 +197,7 @@ def _build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="run the law checker")
     verify.add_argument(
         "--law",
-        choices=("identities", "lemma1", "lemma2", "error-bound", "growth",
-                 "reconstruction", "all"),
+        choices=tuple(_SELECTORS),
         default="all",
     )
     verify.add_argument("--q", type=int, action="append",

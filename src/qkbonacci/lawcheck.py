@@ -14,20 +14,22 @@ from fractions import Fraction
 
 from .errors import DomainError, RegimeError, ReconstructionError, RootSolveError
 from .numerics import (
+    DyadicInterval,
     asymptote_c,
-    binet_dominant,
     dominant_root,
     dominant_term_sweep,
+    error_term,
     g_eval,
     quadratic_roots,
     reconstruction_sweep,
 )
+from .numerics.binet import _rungs
 from .sequences import (
     CompanionKind,
     SequenceParams,
+    _theorem3_sum,
     companion_table,
     series_coefficients,
-    term_definition,
     term_table,
 )
 
@@ -57,7 +59,6 @@ LAW_IDS = (
     "reconstruction",
 )
 
-ESCALATION_CAP_FACTOR = 16
 RECONSTRUCTION_N_CAP = 60
 RECONSTRUCTION_MIN_BITS = 256
 
@@ -148,11 +149,39 @@ def _report(law_id, grid, witnesses, bits_used, strict=True) -> LawReport:
     return LawReport(law_id, grid, _verdict(witnesses), witnesses, bits_used, strict)
 
 
-def _ladder(bits: int):
-    rungs = [bits]
-    while rungs[-1] < ESCALATION_CAP_FACTOR * bits:
-        rungs.append(min(2 * rungs[-1], ESCALATION_CAP_FACTOR * bits))
-    return rungs
+def _order(a, b) -> int:
+    """+1 when a < b is certified, -1 when a > b is certified, else 0.
+
+    At least one side is a DyadicInterval; the other may be an exact
+    number."""
+    if not isinstance(a, DyadicInterval):
+        return -_order(b, a)
+    if a.strictly_below(b):
+        return 1
+    return -1 if a.strictly_above(b) else 0
+
+
+def _chain(checks, q, k, n, work, fails, unsettled) -> None:
+    """Certify each (label, a, b) in checks as a < b; a certified
+    a > b goes to fails and an unseparated pair to unsettled."""
+    for label, a, b in checks:
+        order = _order(a, b)
+        if order < 0:
+            fails.append(Witness(q, k, n, "fail", f"{label} certified false"))
+        elif order == 0:
+            unsettled.append(Witness(
+                q, k, n, "inconclusive", f"{label} not separated at {work} bits"))
+
+
+def _climb(bits: int, attempt):
+    """Call attempt(work) up the precision ladder until none of the
+    witness lists it returns is inconclusive; returns the last lists and
+    the bits they were found at."""
+    for work in _rungs(bits):
+        found = attempt(work)
+        if all(w.kind == "fail" for witnesses in found for w in witnesses):
+            break
+    return found, work
 
 
 def _require_identities_grid(grid: Grid) -> None:
@@ -205,12 +234,7 @@ def check_identities(grid: Grid) -> list[LawReport]:
             u = companion_table(q, CompanionKind.U, grid.n_max)
             v = companion_table(q, CompanionKind.V, max(1, grid.n_max - k - 1))
             for n in range(1, grid.n_max + 1):
-                if n <= k + 1:
-                    expected = u[n - 1]
-                else:
-                    expected = u[n - 1] - sum(
-                        v[j - 1] * f(n - k - j) for j in range(1, n - k)
-                    )
+                expected = _theorem3_sum(u, v, table, k, n)
                 if f(n) != expected:
                     companion_witnesses.append(Witness(
                         q, k, n, "fail",
@@ -254,19 +278,18 @@ def check_root_laws(grid: Grid, bits: int) -> list[LawReport]:
             ks = list(grid.k_values)
             for i, k1 in enumerate(ks):
                 for k2 in ks[i + 1:]:
-                    if gammas[k1].strictly_below(gammas[k2]):
-                        continue
-                    if gammas[k1].strictly_above(gammas[k2]):
+                    order = _order(gammas[k1], gammas[k2])
+                    if order < 0:
                         fails.append(Witness(
                             q, k2, None, "fail",
                             f"gamma_{k2} certified below gamma_{k1}",
                         ))
-                    else:
+                    elif order == 0:
                         unsettled.append(Witness(
                             q, k2, None, "inconclusive",
                             f"gamma_{k1} vs gamma_{k2} not separated at {work} bits",
                         ))
-        return fails, unsettled
+        return (fails + unsettled,)
 
     def sandwich(work):
         fails, unsettled = [], []
@@ -274,26 +297,13 @@ def check_root_laws(grid: Grid, bits: int) -> list[LawReport]:
             alpha = quadratic_roots(q, work).alpha
             for k in grid.k_values:
                 gamma = dominant_root(SequenceParams(q, k), work).interval
-                lower = alpha * Fraction(q**k - 1, q**k)
-                checks = [
-                    ("bracket q < gamma", gamma.strictly_above(q),
-                     gamma.strictly_below(q)),
-                    ("bracket gamma < q+1", gamma.strictly_below(q + 1),
-                     gamma.strictly_above(q + 1)),
-                    ("alpha(1 - q^-k) < gamma", lower.strictly_below(gamma),
-                     lower.strictly_above(gamma)),
-                    ("gamma < alpha", gamma.strictly_below(alpha),
-                     gamma.strictly_above(alpha)),
-                ]
-                for label, ok, definitely_wrong in checks:
-                    if ok:
-                        continue
-                    kind = "fail" if definitely_wrong else "inconclusive"
-                    note = ("certified false" if definitely_wrong
-                            else f"not separated at {work} bits")
-                    bucket = fails if definitely_wrong else unsettled
-                    bucket.append(Witness(q, k, None, kind, f"{label} {note}"))
-        return fails, unsettled
+                _chain((
+                    ("bracket q < gamma", q, gamma),
+                    ("bracket gamma < q+1", gamma, q + 1),
+                    ("alpha(1 - q^-k) < gamma", alpha * Fraction(q**k - 1, q**k), gamma),
+                    ("gamma < alpha", gamma, alpha),
+                ), q, k, None, work, fails, unsettled)
+        return (fails + unsettled,)
 
     def weight(work):
         fails, unsettled = [], []
@@ -302,37 +312,20 @@ def check_root_laws(grid: Grid, bits: int) -> list[LawReport]:
                 params = SequenceParams(q, k)
                 gamma = dominant_root(params, work).interval
                 gval = g_eval(params, gamma)
-                c = asymptote_c(params, work)
-                checks = [
-                    ("1/(q+1) < g(gamma)", gval.strictly_above(Fraction(1, q + 1)),
-                     gval.strictly_below(Fraction(1, q + 1))),
-                    ("g(gamma) < 1/q", gval.strictly_below(Fraction(1, q)),
-                     gval.strictly_above(Fraction(1, q))),
-                    ("c < gamma", c.strictly_below(gamma), c.strictly_above(gamma)),
-                ]
-                for label, ok, definitely_wrong in checks:
-                    if ok:
-                        continue
-                    kind = "fail" if definitely_wrong else "inconclusive"
-                    note = ("certified false" if definitely_wrong
-                            else f"not separated at {work} bits")
-                    bucket = fails if definitely_wrong else unsettled
-                    bucket.append(Witness(q, k, None, kind, f"{label} {note}"))
-        return fails, unsettled
+                _chain((
+                    ("1/(q+1) < g(gamma)", Fraction(1, q + 1), gval),
+                    ("g(gamma) < 1/q", gval, Fraction(1, q)),
+                    ("c < gamma", asymptote_c(params, work), gamma),
+                ), q, k, None, work, fails, unsettled)
+        return (fails + unsettled,)
 
     for law_id, compare in (
         ("lemma1-monotone", monotone),
         ("lemma1-sandwich", sandwich),
         ("lemma2-sandwich", weight),
     ):
-        fails, unsettled = [], []
-        used = bits
-        for work in _ladder(bits):
-            used = work
-            fails, unsettled = compare(work)
-            if not unsettled:
-                break
-        reports.append(_report(law_id, grid, list(fails) + list(unsettled), used))
+        (witnesses,), used = _climb(bits, compare)
+        reports.append(_report(law_id, grid, witnesses, used))
     return reports
 
 
@@ -345,9 +338,8 @@ def check_term_bounds(grid: Grid, bits: int) -> list[LawReport]:
     gamma^(n-2) < gamma^(n-1)(q-1)/q < F_n < gamma^(n-1)(q+2)/q < gamma^n
     for n in [1, n_max], certified against exact integers."""
     _require_certified_regime(grid)
-    error_witnesses = []
-    growth_witnesses = []
-    error_bits = growth_bits = bits
+    error_witnesses, growth_witnesses = [], []
+    used = bits
     error_strict = True
 
     for q, k in grid.cells:
@@ -358,8 +350,9 @@ def check_term_bounds(grid: Grid, bits: int) -> list[LawReport]:
             return table[n - params.min_index]
 
         bound = Fraction(1, q)
-        cell_error = cell_growth = None
-        for work in _ladder(bits):
+
+        def attempt(work):
+            nonlocal error_strict
             _, _, powers, terms = dominant_term_sweep(params, grid.n_max, work)
             err_pending, err_fail = [], []
             for n in range(params.min_index, grid.n_max + 1):
@@ -384,39 +377,22 @@ def check_term_bounds(grid: Grid, bits: int) -> list[LawReport]:
             for n in range(1, grid.n_max + 1):
                 low = powers[n - 1] * Fraction(q - 1, q)
                 high = powers[n - 1] * Fraction(q + 2, q)
-                checks = [
-                    ("gamma^(n-2) < gamma^(n-1)(q-1)/q",
-                     powers[n - 2].strictly_below(low),
-                     powers[n - 2].strictly_above(low)),
-                    ("gamma^(n-1)(q-1)/q < F_n",
-                     low.strictly_below(f(n)), low.strictly_above(f(n))),
-                    ("F_n < gamma^(n-1)(q+2)/q",
-                     high.strictly_above(f(n)), high.strictly_below(f(n))),
-                    ("gamma^(n-1)(q+2)/q < gamma^n",
-                     high.strictly_below(powers[n]), high.strictly_above(powers[n])),
-                ]
-                for label, ok, definitely_wrong in checks:
-                    if ok:
-                        continue
-                    if definitely_wrong:
-                        grow_fail.append(Witness(
-                            q, k, n, "fail", f"{label} certified false"))
-                    else:
-                        grow_pending.append(Witness(
-                            q, k, n, "inconclusive",
-                            f"{label} not separated at {work} bits"))
-            cell_error = err_fail + err_pending
-            cell_growth = grow_fail + grow_pending
-            error_bits = max(error_bits, work)
-            growth_bits = max(growth_bits, work)
-            if not err_pending and not grow_pending:
-                break
-        error_witnesses.extend(cell_error)
-        growth_witnesses.extend(cell_growth)
+                _chain((
+                    ("gamma^(n-2) < gamma^(n-1)(q-1)/q", powers[n - 2], low),
+                    ("gamma^(n-1)(q-1)/q < F_n", low, f(n)),
+                    ("F_n < gamma^(n-1)(q+2)/q", f(n), high),
+                    ("gamma^(n-1)(q+2)/q < gamma^n", high, powers[n]),
+                ), q, k, n, work, grow_fail, grow_pending)
+            return err_fail + err_pending, grow_fail + grow_pending
+
+        (cell_error, cell_growth), work = _climb(bits, attempt)
+        error_witnesses += cell_error
+        growth_witnesses += cell_growth
+        used = max(used, work)
 
     return [
-        _report("error-bound", grid, error_witnesses, error_bits, error_strict),
-        _report("growth-bounds", grid, growth_witnesses, growth_bits),
+        _report("error-bound", grid, error_witnesses, used, error_strict),
+        _report("growth-bounds", grid, growth_witnesses, used),
     ]
 
 
@@ -488,8 +464,8 @@ def error_decay_probe(
     failures = []
     for q, k in grid.cells:
         params = SequenceParams(q, k)
-        dom = binet_dominant(params, n_probe, bits)
-        e = (-dom.interval) + term_definition(params, n_probe)
+        err = error_term(params, n_probe, bits)
+        e = err.interval
         if -threshold < e.lo and e.hi < threshold:
             continue
         if e.lo >= threshold or e.hi <= -threshold:
@@ -501,7 +477,7 @@ def error_decay_probe(
         else:
             failures.append(Witness(
                 q, k, n_probe, "inconclusive",
-                f"E_{n_probe} enclosure too wide at {dom.bits_used} bits",
+                f"E_{n_probe} enclosure too wide at {err.bits_used} bits",
             ))
     return DecayProbe(grid, bits, n_probe, threshold, _sorted_witnesses(failures))
 
@@ -510,43 +486,35 @@ def error_decay_probe(
 # dispatcher
 # ----------------------------------------------------------------------
 
-_SELECTORS = (
-    "identities",
-    "lemma1",
-    "lemma2",
-    "error-bound",
-    "growth",
-    "reconstruction",
-    "all",
-)
+# CLI selector -> the law ids it reports
+_SELECTORS = {
+    "identities": ("identity-theorem2", "identity-theorem3", "series-oracle"),
+    "lemma1": ("lemma1-monotone", "lemma1-sandwich"),
+    "lemma2": ("lemma2-sandwich",),
+    "error-bound": ("error-bound",),
+    "growth": ("growth-bounds",),
+    "reconstruction": ("reconstruction",),
+    "all": LAW_IDS,
+}
 
 
 def run_laws(selection: str, grid: Grid, bits: int) -> list[LawReport]:
     """All reports for a CLI selector, in canonical law order."""
     if selection not in _SELECTORS:
         raise DomainError(f"unknown law selector {selection!r}")
+    wanted = set(_SELECTORS[selection])
+    # each checker with the slice of LAW_IDS it reports
+    checkers = (
+        (LAW_IDS[0:3], lambda: check_identities(
+            Grid(grid.q_values, grid.k_values, min(grid.n_max, 500)))),
+        (LAW_IDS[3:6], lambda: check_root_laws(grid, bits)),
+        (LAW_IDS[6:8], lambda: check_term_bounds(grid, bits)),
+        (LAW_IDS[8:9], lambda: check_reconstruction(
+            Grid(grid.q_values, grid.k_values, min(grid.n_max, RECONSTRUCTION_N_CAP)),
+            max(bits, RECONSTRUCTION_MIN_BITS))),
+    )
     reports: list[LawReport] = []
-    if selection in ("identities", "all"):
-        reports += check_identities(Grid(grid.q_values, grid.k_values,
-                                         min(grid.n_max, 500)))
-    if selection in ("lemma1", "lemma2", "all"):
-        root_reports = check_root_laws(grid, bits)
-        if selection == "lemma1":
-            root_reports = [r for r in root_reports if r.law_id.startswith("lemma1")]
-        elif selection == "lemma2":
-            root_reports = [r for r in root_reports if r.law_id == "lemma2-sandwich"]
-        reports += root_reports
-    if selection in ("error-bound", "growth", "all"):
-        bound_reports = check_term_bounds(grid, bits)
-        if selection == "error-bound":
-            bound_reports = [r for r in bound_reports if r.law_id == "error-bound"]
-        elif selection == "growth":
-            bound_reports = [r for r in bound_reports if r.law_id == "growth-bounds"]
-        reports += bound_reports
-    if selection in ("reconstruction", "all"):
-        recon_grid = Grid(grid.q_values, grid.k_values,
-                          min(grid.n_max, RECONSTRUCTION_N_CAP))
-        reports += check_reconstruction(
-            recon_grid, max(bits, RECONSTRUCTION_MIN_BITS)
-        )
-    return reports
+    for law_ids, check in checkers:
+        if wanted.intersection(law_ids):
+            reports += check()
+    return [r for r in reports if r.law_id in wanted]

@@ -1,7 +1,7 @@
 """Certified real and complex numerics for the characteristic polynomial."""
 
 from .dyadic import DyadicInterval
-from .polynomials import AuxPoly, CharPoly, eval_poly
+from .polynomials import AuxPoly, CharPoly
 from .roots import (
     QuadraticRoots,
     RootEnclosure,
@@ -30,7 +30,6 @@ __all__ = [
     "DyadicInterval",
     "AuxPoly",
     "CharPoly",
-    "eval_poly",
     "QuadraticRoots",
     "RootEnclosure",
     "RootSet",

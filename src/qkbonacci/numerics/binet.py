@@ -38,9 +38,18 @@ __all__ = [
     "reconstruction_sweep",
 ]
 
-# output-width target for the dominant term, and the escalation cap
+# output-width target for the dominant term, and the cap of the precision
+# ladder that it and the law checker climb
 WIDTH_TARGET_BITS = 32
 ESCALATION_CAP_FACTOR = 16
+
+
+def _rungs(bits: int) -> list[int]:
+    """The precision ladder: bits, doubling, up to the 16x cap."""
+    rungs = [bits]
+    while rungs[-1] < ESCALATION_CAP_FACTOR * bits:
+        rungs.append(min(2 * rungs[-1], ESCALATION_CAP_FACTOR * bits))
+    return rungs
 
 
 def _g_denominator(params: SequenceParams, x: Fraction) -> Fraction:
@@ -120,17 +129,12 @@ def binet_dominant(params: SequenceParams, n: int, bits: int) -> DominantTerm:
     if params.q < 3:
         raise RegimeError(f"binet_dominant requires q >= 3, got q={params.q}")
     _check_index(params, n)
-    cap = ESCALATION_CAP_FACTOR * bits
-    target = Fraction(1, 1 << WIDTH_TARGET_BITS)
-    work = bits
-    while True:
+    for work in _rungs(bits):
         enclosure = dominant_root(params, work)
         term = g_eval(params, enclosure.interval) * (enclosure.interval**n)
-        if term.width <= target:
+        if (term.hi_num - term.lo_num) << WIDTH_TARGET_BITS <= 1 << term.bits:
             return DominantTerm(term, work, False)
-        if work >= cap:
-            return DominantTerm(term, work, True)
-        work = min(2 * work, cap)
+    return DominantTerm(term, work, True)
 
 
 @dataclass(frozen=True)
@@ -217,13 +221,6 @@ def _cpow(z, exponent, bits):
     return result
 
 
-def _guard_check(total, work):
-    quarter = 1 << (work - 2)
-    value = _round_shift(total[0], work)
-    residual = abs(total[0] - (value << work))
-    return value, residual, abs(total[1]), quarter
-
-
 def reconstruct_detailed(params: SequenceParams, n: int, bits: int) -> Reconstruction:
     """Sum g(root) * root^n over all k roots and round to an integer.
 
@@ -232,25 +229,14 @@ def reconstruct_detailed(params: SequenceParams, n: int, bits: int) -> Reconstru
     ReconstructionError instead of returning a dubious value.  Valid for
     every q >= 1: the expansion only needs the roots to be simple.
     """
-    _check_index(params, n)
-    roots = all_roots(params, bits)
-    work = roots.secondary[0].bits if roots.secondary else bits + 64
-    mid = roots.dominant.interval.midpoint
-    dom = ((mid.numerator << work) // mid.denominator, 0)
-    total = (0, 0)
-    for z in [dom] + [(s.re_num, s.im_num) for s in roots.secondary]:
-        contribution = _cmul(_g_fixed(params, z, work), _cpow(z, n, work), work)
-        total = (total[0] + contribution[0], total[1] + contribution[1])
-    value, residual, imag, quarter = _guard_check(total, work)
-    if residual >= quarter or imag >= quarter:
+    ((_, rec, residual, imag),) = reconstruction_sweep(params, n, n, bits)
+    if rec is None:
         raise ReconstructionError(
             f"rounding guard failed at (q={params.q}, k={params.k}, n={n}): "
-            f"residual={residual / (1 << work):.3g}, imag={imag / (1 << work):.3g}; "
+            f"residual={float(residual):.3g}, imag={float(imag):.3g}; "
             "increase the working precision"
         )
-    return Reconstruction(
-        value, Fraction(residual, 1 << work), Fraction(imag, 1 << work)
-    )
+    return rec
 
 
 def binet_reconstruct(params: SequenceParams, n: int, bits: int = 256) -> int:
@@ -281,14 +267,13 @@ def reconstruction_sweep(params: SequenceParams, n_lo: int, n_hi: int, bits: int
         for w, p in zip(weights, powers):
             c = _cmul(w, p, work)
             total = (total[0] + c[0], total[1] + c[1])
-        value, residual, imag, quarter = _guard_check(total, work)
-        if residual >= quarter or imag >= quarter:
-            yield n, None, Fraction(residual, 1 << work), Fraction(imag, 1 << work)
+        value = _round_shift(total[0], work)
+        residual, imag = abs(total[0] - (value << work)), abs(total[1])
+        guard = (Fraction(residual, 1 << work), Fraction(imag, 1 << work))
+        if max(residual, imag) >= 1 << (work - 2):
+            yield n, None, *guard
         else:
-            rec = Reconstruction(
-                value, Fraction(residual, 1 << work), Fraction(imag, 1 << work)
-            )
-            yield n, rec, rec.residual, rec.imag_magnitude
+            yield n, Reconstruction(value, *guard), *guard
         n += 1
         if n > n_hi:
             return

@@ -14,6 +14,7 @@ Intervals are immutable and safe to share between threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import MAX_EMAX, ROUND_CEILING, ROUND_FLOOR, Context, Decimal, localcontext
 from fractions import Fraction
 from math import isqrt
 
@@ -37,6 +38,26 @@ def _floor_scaled(value: Fraction, bits: int) -> int:
 
 def _ceil_scaled(value: Fraction, bits: int) -> int:
     return -(((-value.numerator) << bits) // value.denominator)
+
+
+def _scaled_diff(num: int, bits: int, value) -> int:
+    """An integer with the sign of num * 2^-bits - value, for an exact
+    number value; cross-multiplied, so no Fraction is built for an int
+    or a Fraction."""
+    if not isinstance(value, (int, Fraction)):
+        value = Fraction(value)
+    return num * value.denominator - (value.numerator << bits)
+
+
+def _float_text(value: Fraction, rounding: str) -> str:
+    """``%.17g`` text of the nearest float; past the float range, 17
+    significant digits rounded in the given direction, which a decimal
+    context with an unbounded exponent computes without overflow."""
+    try:
+        return f"{float(value):.17g}"
+    except OverflowError:
+        with localcontext(Context(prec=17, rounding=rounding, Emax=MAX_EMAX)):
+            return f"{Decimal(value.numerator) / value.denominator:.17g}"
 
 
 def _directed_decimal(value: Fraction, digits: int, round_up: bool) -> str:
@@ -93,7 +114,7 @@ class DyadicInterval:
         return cls(s, s if s * s == m else s + 1, bits)
 
     # ------------------------------------------------------------------
-    # views
+    # views (for output; the comparisons read the integer mantissas)
     # ------------------------------------------------------------------
     @property
     def lo(self) -> Fraction:
@@ -112,19 +133,21 @@ class DyadicInterval:
         return Fraction(self.lo_num + self.hi_num, 1 << (self.bits + 1))
 
     def contains(self, value) -> bool:
-        value = Fraction(value)
-        return self.lo <= value <= self.hi
+        return (_scaled_diff(self.lo_num, self.bits, value) <= 0
+                <= _scaled_diff(self.hi_num, self.bits, value))
 
     def strictly_below(self, other) -> bool:
         """Certified ``self < other`` (interval or exact number)."""
         if isinstance(other, DyadicInterval):
-            return self.hi < other.lo
-        return self.hi < Fraction(other)
+            _, b, c, _, _ = self._aligned(other)
+            return b < c
+        return _scaled_diff(self.hi_num, self.bits, other) < 0
 
     def strictly_above(self, other) -> bool:
         if isinstance(other, DyadicInterval):
-            return self.lo > other.hi
-        return self.lo > Fraction(other)
+            a, _, _, d, _ = self._aligned(other)
+            return a > d
+        return _scaled_diff(self.lo_num, self.bits, other) > 0
 
     def is_positive(self) -> bool:
         return self.lo_num > 0
@@ -134,8 +157,8 @@ class DyadicInterval:
 
     def __repr__(self):
         return (
-            f"DyadicInterval({float(self.lo):.17g}, {float(self.hi):.17g}, "
-            f"bits={self.bits})"
+            f"DyadicInterval({_float_text(self.lo, ROUND_FLOOR)}, "
+            f"{_float_text(self.hi, ROUND_CEILING)}, bits={self.bits})"
         )
 
     def decimal_bounds(self, digits: int) -> tuple[str, str]:

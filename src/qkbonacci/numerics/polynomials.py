@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from ..sequences import SequenceParams
 
-__all__ = ["CharPoly", "AuxPoly", "eval_poly"]
+__all__ = ["CharPoly", "AuxPoly"]
 
 
 @dataclass(frozen=True)
@@ -70,8 +70,3 @@ class AuxPoly(_IntPoly):
         coeffs[k] = -(q + 1)
         coeffs[k + 1] = 1
         return cls(params, tuple(coeffs))
-
-
-def eval_poly(poly: _IntPoly, point) -> Fraction:
-    """Exact rational evaluation; used for sign certificates."""
-    return poly.eval(point)

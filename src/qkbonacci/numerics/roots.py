@@ -87,9 +87,6 @@ class SecondaryRoot:
             1 << (2 * self.bits),
         )
 
-    def as_complex(self) -> complex:
-        return complex(self.real, self.imag)
-
     def distance_bound(self, degree: int) -> Fraction:
         """Distance from this approximation to some true root.
 

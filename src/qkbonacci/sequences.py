@@ -228,8 +228,13 @@ def theorem3_term(params: SequenceParams, n: int) -> int:
         return u[n - 1]
     m = n - k - 1
     v = companion_table(q, CompanionKind.V, m)
-    f = term_table(params, m)  # F_{2-k}..F_m; F_j sits at j + k - 2
-    return u[n - 1] - sum(v[j - 1] * f[(n - k - j) + k - 2] for j in range(1, m + 1))
+    return _theorem3_sum(u, v, term_table(params, m), k, n)
+
+
+def _theorem3_sum(u, v, table, k: int, n: int) -> int:
+    """U_n - sum_{j=1}^{n-k-1} V_j * F_{n-k-j}, from U_1.., V_1.. and a
+    term table F_{2-k}.. reaching F_{n-k-1}; F_j sits at j + k - 2."""
+    return u[n - 1] - sum(v[j - 1] * table[n - j - 2] for j in range(1, n - k))
 
 
 def series_coefficients(params: SequenceParams, count: int) -> list[int]:

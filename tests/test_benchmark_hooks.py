@@ -1,0 +1,63 @@
+"""The names the benchmark's layer tracer and request menus reach into.
+
+`perfbench/spans.py` patches `DyadicInterval` and `_IntPoly` methods by
+name and `perfbench/workloads.py` calls package functions by name, so a
+rename or deletion there passes every other test but stops
+`perfbench/run.py --trace 1` with a KeyError.  The files are only read.
+"""
+import importlib
+import importlib.util
+import random
+import sys
+from pathlib import Path
+
+import pytest
+
+from qkbonacci import numerics, sequences
+from qkbonacci.numerics.dyadic import DyadicInterval
+from qkbonacci.numerics.polynomials import _IntPoly
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses look their module up by name
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="module")
+def spans():
+    return _load("spans")
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    return _load("workloads")
+
+
+def test_patched_dyadic_methods_exist(spans):
+    for attr in spans.DYADIC_OPS + spans.DYADIC_COMPARES + spans.DYADIC_VIEWS:
+        assert attr in DyadicInterval.__dict__, attr
+
+
+def test_patched_polynomial_methods_exist(spans):
+    for attr in ("sign_at_dyadic", "eval"):
+        assert attr in _IntPoly.__dict__, attr
+
+
+def test_layer_modules_import(spans):
+    for module_name in spans.LAYERS:
+        importlib.import_module(module_name)
+
+
+def test_routes_and_certify_kinds_exist(workloads):
+    for name in workloads.ROUTES.values():
+        assert callable(getattr(sequences, name)), name
+    kinds = {req.kind for req in workloads.certify_menu(random.Random(1))}
+    for kind in kinds:
+        assert callable(getattr(numerics, kind)), kind

@@ -1,10 +1,11 @@
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qkbonacci import DyadicInterval
+from qkbonacci import DyadicInterval, SequenceParams, binet_dominant
 
 
 rationals = st.fractions(
@@ -14,6 +15,27 @@ rationals = st.fractions(
 
 def interval_around(value: Fraction, bits: int = 48) -> DyadicInterval:
     return DyadicInterval.from_fraction(value, bits)
+
+
+# small mantissas at mixed scales, so that endpoints of different
+# intervals and numbers often coincide exactly
+dyadics = st.builds(
+    lambda lo, width, bits: DyadicInterval(lo, lo + width, bits),
+    st.integers(-(1 << 12), 1 << 12), st.integers(0, 1 << 6), st.integers(1, 12),
+)
+exact_numbers = st.one_of(
+    st.integers(-20, 20),
+    st.builds(lambda num, scale: Fraction(num, 1 << scale),
+              st.integers(-(1 << 12), 1 << 12), st.integers(0, 14)),
+    st.fractions(min_value=-20, max_value=20, max_denominator=1000),
+)
+
+
+@st.composite
+def interval_and_number(draw):
+    x = draw(dyadics)
+    value = draw(st.one_of(exact_numbers, st.sampled_from((x.lo, x.hi))))
+    return x, value
 
 
 class TestConstruction:
@@ -46,6 +68,20 @@ class TestComparisons:
         assert b.strictly_above(a)
         assert not a.strictly_below(Fraction(3, 2))
         assert a.strictly_below(Fraction(5, 2))
+
+    @given(x=dyadics, y=dyadics)
+    @settings(max_examples=300, deadline=None)
+    def test_interval_comparisons_match_fraction_views(self, x, y):
+        assert x.strictly_below(y) == (x.hi < y.lo)
+        assert x.strictly_above(y) == (x.lo > y.hi)
+
+    @given(case=interval_and_number())
+    @settings(max_examples=300, deadline=None)
+    def test_number_comparisons_match_fraction_views(self, case):
+        x, value = case
+        assert x.strictly_below(value) == (x.hi < value)
+        assert x.strictly_above(value) == (x.lo > value)
+        assert x.contains(value) == (x.lo <= value <= x.hi)
 
     def test_contains(self):
         x = DyadicInterval.from_bounds(Fraction(-1), Fraction(1), 8)
@@ -150,3 +186,21 @@ class TestDecimal:
         lo, hi = x.decimal_bounds(4)
         assert lo == "-0.3334"
         assert hi == "-0.3333"
+
+
+class TestRepr:
+    def test_float_range_text(self):
+        x = DyadicInterval.from_fraction(Fraction(1, 3), 8)
+        assert repr(x) == "DyadicInterval(0.33203125, 0.3359375, bits=8)"
+
+    def test_beyond_float_range(self):
+        # g(gamma) * gamma^900 is about 2.7e466, past the largest float
+        dominant = binet_dominant(SequenceParams(3, 2), 900, 64)
+        assert "DyadicInterval(2.71765002217695" in repr(dominant)
+        term = dominant.interval
+        lo_text, hi_text, _ = repr(term)[len("DyadicInterval("):].split(", ")
+        assert lo_text.endswith("e+466") and hi_text.endswith("e+466")
+        # the endpoints are rounded outward
+        assert Fraction(Decimal(lo_text)) <= term.lo
+        assert Fraction(Decimal(hi_text)) >= term.hi
+        assert repr(-term) == f"DyadicInterval(-{hi_text}, -{lo_text}, bits={term.bits})"

@@ -113,6 +113,29 @@ class TestRootLaws:
         with pytest.raises(RegimeError):
             check_root_laws(Grid((2, 3), (2,), 10), 64)
 
+    def test_unseparated_witness_text(self):
+        # at q = 10, gamma_39, gamma_40 and alpha lie within about 7e-40
+        # of each other, finer than the 8-bit request's 128-bit cap
+        reports = check_root_laws(Grid((10,), (39, 40), 10), 8)
+        by_id = {r.law_id: r for r in reports}
+        monotone = by_id["lemma1-monotone"]
+        assert (monotone.verdict, monotone.bits_used) == ("inconclusive", 128)
+        assert [w.detail for w in monotone.witnesses] == [
+            "gamma_39 vs gamma_40 not separated at 128 bits",
+        ]
+        sandwich = by_id["lemma1-sandwich"]
+        assert (sandwich.verdict, sandwich.bits_used) == ("inconclusive", 128)
+        assert [w.detail for w in sandwich.witnesses] == [
+            "gamma < alpha not separated at 128 bits",
+            "alpha(1 - q^-k) < gamma not separated at 128 bits",
+            "gamma < alpha not separated at 128 bits",
+        ]
+        assert [(w.k, w.kind) for w in sandwich.witnesses] == [
+            (39, "inconclusive"), (40, "inconclusive"), (40, "inconclusive"),
+        ]
+        weight = by_id["lemma2-sandwich"]
+        assert (weight.verdict, weight.bits_used) == ("pass", 16)
+
 
 class TestTermBounds:
     def test_small_grid_passes(self):
@@ -138,6 +161,10 @@ class TestTermBounds:
         assert by_id["error-bound"].verdict == "inconclusive"
         assert all(w.kind == "inconclusive" for w in by_id["error-bound"].witnesses)
         assert by_id["error-bound"].bits_used == 128
+        # each cell escalates both laws together, so the growth chain
+        # reports the bits the error bound climbed to
+        assert by_id["growth-bounds"].verdict == "pass"
+        assert by_id["growth-bounds"].bits_used == 128
 
 
 class TestReconstructionLaw:

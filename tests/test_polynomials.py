@@ -3,7 +3,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qkbonacci import AuxPoly, CharPoly, SequenceParams, eval_poly
+from qkbonacci import AuxPoly, CharPoly, SequenceParams
 
 
 def poly_times_t_minus_1(coefficients):
@@ -35,27 +35,27 @@ class TestEvaluation:
     def test_spec_values(self):
         phi = CharPoly.of(SequenceParams(3, 2))
         aux = AuxPoly.of(SequenceParams(3, 2))
-        assert eval_poly(phi, 3) == -1
-        assert eval_poly(aux, 1) == 0
-        assert eval_poly(phi, 4) == 3
+        assert phi.eval(3) == -1
+        assert aux.eval(1) == 0
+        assert phi.eval(4) == 3
 
     def test_phi_at_q_is_negative_geometric_sum(self):
         for q in (3, 5, 9):
             for k in (2, 4, 7):
                 phi = CharPoly.of(SequenceParams(q, k))
-                assert eval_poly(phi, q) == -sum(q**i for i in range(k - 1))
+                assert phi.eval(q) == -sum(q**i for i in range(k - 1))
 
     def test_rational_points(self):
         phi = CharPoly.of(SequenceParams(3, 2))
         x = Fraction(7, 2)
-        assert eval_poly(phi, x) == x * x - 3 * x - 1
+        assert phi.eval(x) == x * x - 3 * x - 1
 
     @given(num=st.integers(-(2**20), 2**20), scale=st.integers(0, 24),
            q=st.integers(1, 6), k=st.integers(2, 7))
     @settings(max_examples=120, deadline=None)
     def test_dyadic_sign_matches_exact(self, num, scale, q, k):
         phi = CharPoly.of(SequenceParams(q, k))
-        value = eval_poly(phi, Fraction(num, 1 << scale))
+        value = phi.eval(Fraction(num, 1 << scale))
         assert phi.sign_at_dyadic(num, scale) == (value > 0) - (value < 0)
 
 

@@ -147,16 +147,16 @@ class TestAllRoots:
 
 class TestSignCertificates:
     def test_exact_rational_signs_at_endpoints(self):
-        # re-derive the certificate with eval_poly (exact Fractions), a
+        # re-derive the certificate with CharPoly.eval (exact Fractions), a
         # different code path than the integer Horner used by bisection
-        from qkbonacci import CharPoly, eval_poly
+        from qkbonacci import CharPoly
 
         for q, k in [(1, 2), (2, 4), (3, 2), (4, 8), (5, 5), (9, 3)]:
             params = SequenceParams(q, k)
             enc = dominant_root(params, 128)
             phi = CharPoly.of(params)
-            assert eval_poly(phi, enc.interval.lo) < 0
-            assert eval_poly(phi, enc.interval.hi) > 0
+            assert phi.eval(enc.interval.lo) < 0
+            assert phi.eval(enc.interval.hi) > 0
 
 
 class TestFixedPointComplex:
