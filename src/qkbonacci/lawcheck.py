@@ -74,6 +74,10 @@ class Grid:
     def __post_init__(self):
         object.__setattr__(self, "q_values", tuple(sorted(set(self.q_values))))
         object.__setattr__(self, "k_values", tuple(sorted(set(self.k_values))))
+        if not self.q_values or not self.k_values:
+            raise DomainError("a grid needs at least one q value and one k value")
+        if self.n_max < 1:
+            raise DomainError(f"a grid needs n_max >= 1, got {self.n_max}")
 
     @classmethod
     def default(cls) -> "Grid":
@@ -189,8 +193,9 @@ def _require_identities_grid(grid: Grid) -> None:
         raise DomainError("identity checks accept q in [1, 10]")
     if any(k < 2 or k > 16 for k in grid.k_values):
         raise DomainError("identity checks accept k in [2, 16]")
-    if grid.n_max > 500:
-        raise DomainError("identity checks accept n_max <= 500")
+    # the shortcut identity starts at n = 3
+    if not 3 <= grid.n_max <= 500:
+        raise DomainError("identity checks accept n_max in [3, 500]")
 
 
 def _require_certified_regime(grid: Grid) -> None:
@@ -213,8 +218,6 @@ def check_identities(grid: Grid) -> list[LawReport]:
     series_witnesses = []
     for q, k in grid.cells:
         params = SequenceParams(q, k)
-        if grid.n_max < params.min_index:
-            continue
         table = term_table(params, grid.n_max)
 
         def f(n):
@@ -230,7 +233,7 @@ def check_identities(grid: Grid) -> list[LawReport]:
                 ))
 
         # companion-pair identity, q >= 3 only
-        if q >= 3 and grid.n_max >= 1:
+        if q >= 3:
             u = companion_table(q, CompanionKind.U, grid.n_max)
             v = companion_table(q, CompanionKind.V, max(1, grid.n_max - k - 1))
             for n in range(1, grid.n_max + 1):
@@ -242,14 +245,13 @@ def check_identities(grid: Grid) -> list[LawReport]:
                     ))
 
         # generating-function long division
-        if grid.n_max >= 0:
-            coeffs = series_coefficients(params, grid.n_max + 1)
-            for n, c in enumerate(coeffs):
-                if c != f(n):
-                    series_witnesses.append(Witness(
-                        q, k, n, "fail",
-                        f"series coefficient {c}, definition gives {f(n)}",
-                    ))
+        coeffs = series_coefficients(params, grid.n_max + 1)
+        for n, c in enumerate(coeffs):
+            if c != f(n):
+                series_witnesses.append(Witness(
+                    q, k, n, "fail",
+                    f"series coefficient {c}, definition gives {f(n)}",
+                ))
 
     return [
         _report("identity-theorem2", grid, shortcut_witnesses, 0),

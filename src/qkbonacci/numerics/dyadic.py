@@ -190,7 +190,10 @@ class DyadicInterval:
             shift = other << self.bits
             return DyadicInterval(self.lo_num + shift, self.hi_num + shift, self.bits)
         if isinstance(other, Fraction):
-            return DyadicInterval.from_bounds(self.lo + other, self.hi + other, self.bits)
+            # the mantissas are integers, so only other * 2^bits is rounded
+            num, den = other.numerator << self.bits, other.denominator
+            return DyadicInterval(self.lo_num + num // den,
+                                  self.hi_num - (-num // den), self.bits)
         return NotImplemented
 
     __radd__ = __add__
@@ -219,8 +222,9 @@ class DyadicInterval:
                 return DyadicInterval(self.lo_num * other, self.hi_num * other, self.bits)
             return DyadicInterval(self.hi_num * other, self.lo_num * other, self.bits)
         if isinstance(other, Fraction):
-            candidates = (self.lo * other, self.hi * other)
-            return DyadicInterval.from_bounds(min(candidates), max(candidates), self.bits)
+            num, den = other.numerator, other.denominator
+            lo, hi = (self.lo_num, self.hi_num) if num >= 0 else (self.hi_num, self.lo_num)
+            return DyadicInterval((lo * num) // den, -((-hi * num) // den), self.bits)
         return NotImplemented
 
     __rmul__ = __mul__

@@ -20,7 +20,6 @@ __all__ = [
     "term_table",
     "term_shortcut",
     "term_fast",
-    "term_fast_many",
     "companion_term",
     "companion_table",
     "theorem3_term",
@@ -110,76 +109,51 @@ def term_shortcut(params: SequenceParams, n: int) -> int:
     return window[-1]
 
 
-def _companion_matrix(params: SequenceParams) -> list[list[int]]:
-    q, k = params.q, params.k
-    mat = [[0] * k for _ in range(k)]
-    mat[0][0] = q
-    for j in range(1, k):
-        mat[0][j] = 1
-        mat[j][j - 1] = 1
-    return mat
-
-
-def _mat_mul(a, b, k):
-    return [
-        [sum(a[i][t] * b[t][j] for t in range(k)) for j in range(k)]
-        for i in range(k)
-    ]
+def _mulmod(a: list[int], b: list[int], q: int, k: int) -> list[int]:
+    """a * b modulo x^k - q x^(k-1) - x^(k-2) - ... - 1, for residues given
+    as k coefficients, lowest degree first."""
+    c = [0] * (2 * k - 1)
+    for i, ai in enumerate(a):
+        if ai:  # so a = x costs k products, not k^2
+            for j, bj in enumerate(b):
+                c[i + j] += ai * bj
+    # Folding degree d >= k by x^d = q x^(d-1) + x^(d-2) + ... + x^(d-k)
+    # adds its coefficient to each of the k degrees below it and (q-1)
+    # times it once more to d-1.  Going down, s is the sum of the folded
+    # coefficients whose window covers degree j.
+    s = 0
+    for j in range(2 * k - 3, -1, -1):
+        if j + 1 >= k:
+            s += c[j + 1]
+            c[j] += (q - 1) * c[j + 1]
+        if j + k + 1 < len(c):
+            s -= c[j + k + 1]
+        c[j] += s
+    return c[:k]
 
 
 def term_fast(params: SequenceParams, n: int) -> int:
-    """F_n by square-and-multiply powering of the k x k companion matrix.
+    """F_n by square-and-multiply powering of x modulo the characteristic
+    polynomial (Fiduccia 1985).
 
-    Applied to the seed vector (F_1, F_0, ..., F_{2-k}) = e_0, so F_n is
-    the top-left entry of the (n-1)-th matrix power.  Cost is
-    O(k^3 log n) big-integer multiplications.
+    With G_m = F_{m+2-k}, the seeds G_0..G_{k-2} are 0 and G_{k-1} = 1,
+    so G_m is the x^(k-1) coefficient of x^m mod the polynomial, and
+    F_n = G_{n+k-2}.  Cost is O(k^2 log n) big-integer multiplications.
     """
     if n < 1:
         raise DomainError(
             f"term_fast requires n >= 1, got n={n}; indices <= 0 are served "
             "by term_definition"
         )
-    k = params.k
-    base = _companion_matrix(params)
-    result = [[int(i == j) for j in range(k)] for i in range(k)]
-    e = n - 1
-    while e:
-        if e & 1:
-            result = _mat_mul(result, base, k)
-        e >>= 1
-        if e:
-            base = _mat_mul(base, base, k)
-    return result[0][0]
-
-
-def term_fast_many(params: SequenceParams, indices) -> list[int]:
-    """term_fast for many indices, sharing one binary power ladder.
-
-    Each lookup multiplies the unit row vector through the cached matrix
-    powers (O(k^2) per set bit) instead of redoing full matrix powers.
-    """
-    indices = list(indices)
-    if any(n < 1 for n in indices):
-        raise DomainError("term_fast_many requires all indices >= 1")
-    k = params.k
-    if not indices:
-        return []
-    ladder = [_companion_matrix(params)]
-    max_e = max(indices) - 1
-    while (1 << len(ladder)) <= max_e:
-        ladder.append(_mat_mul(ladder[-1], ladder[-1], k))
-    out = []
-    for n in indices:
-        vec = [1] + [0] * (k - 1)
-        e, j = n - 1, 0
-        while e:
-            if e & 1:
-                mat = ladder[j]
-                vec = [sum(vec[t] * mat[t][c] for t in range(k)) for c in range(k)]
-            e >>= 1
-            j += 1
-        out.append(vec[0])
-    return out
+    q, k = params.q, params.k
+    x = [0, 1] + [0] * (k - 2)
+    residue = x
+    # left to right over the bits of n+k-2 >= 1, after its leading one
+    for bit in bin(n + k - 2)[3:]:
+        residue = _mulmod(residue, residue, q, k)
+        if bit == "1":
+            residue = _mulmod(x, residue, q, k)
+    return residue[k - 1]
 
 
 class CompanionKind(Enum):

@@ -210,6 +210,18 @@ class TestVerify:
         assert code == 2
         assert "q >= 3" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("--k-min", "5", "--k-max", "2"),
+        ("--law", "identities", "--n-max", "-3"),
+        # the shortcut identity starts at n = 3
+        ("--law", "all", "--q", "3", "--k-max", "3", "--n-max", "2"),
+    ])
+    def test_empty_grid_exits_2(self, capsys, argv):
+        code, out, err = run_cli(capsys, "verify", *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
     def test_byte_stable(self, capsys):
         args = ("verify", "--law", "lemma1", "--q", "4", "--k-min", "2",
                 "--k-max", "4", "--n-max", "10", "--bits", "96")
@@ -244,14 +256,22 @@ class TestBench:
 
 class TestEntryPoint:
     def test_module_invocation(self):
+        import os
         import subprocess
         import sys
 
+        import qkbonacci
+
+        # the child imports the package the suite imported, installed or not
+        package_root = os.path.dirname(os.path.dirname(qkbonacci.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (package_root, os.environ.get("PYTHONPATH")))))
         proc = subprocess.run(
             [sys.executable, "-m", "qkbonacci", "term", "--q", "3", "--k", "2",
              "--n", "6"],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert proc.returncode == 0
         assert proc.stdout == "360\n"
@@ -261,5 +281,6 @@ class TestEntryPoint:
              "--n", "-5"],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert proc.returncode == 2

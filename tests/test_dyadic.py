@@ -1,3 +1,4 @@
+import math
 from decimal import Decimal
 from fractions import Fraction
 
@@ -149,6 +150,28 @@ class TestArithmetic:
         x, y = interval_around(a, bits=60), interval_around(b, bits=60)
         if y.is_positive() or y.is_negative():
             assert (x / y).contains(a / b)
+
+    @given(x=dyadics, f=exact_numbers.filter(lambda v: isinstance(v, Fraction)))
+    @settings(max_examples=300, deadline=None)
+    def test_fraction_operand_endpoints_are_exact_roundings(self, x, f):
+        # the tightest outward rounding of the exact result, endpoint by endpoint
+        scale = 1 << x.bits
+
+        def rounded(lo, hi):
+            return (math.floor(lo * scale), math.ceil(hi * scale), x.bits)
+
+        def mantissas(y):
+            return (y.lo_num, y.hi_num, y.bits)
+
+        assert mantissas(x + f) == rounded(x.lo + f, x.hi + f)
+        assert mantissas(f + x) == rounded(x.lo + f, x.hi + f)
+        assert mantissas(x - f) == rounded(x.lo - f, x.hi - f)
+        products = (x.lo * f, x.hi * f)
+        assert mantissas(x * f) == rounded(min(products), max(products))
+        assert mantissas(f * x) == rounded(min(products), max(products))
+        if f:
+            quotients = (x.lo / f, x.hi / f)
+            assert mantissas(x / f) == rounded(min(quotients), max(quotients))
 
     def test_fraction_addition_contains_exact(self):
         x = interval_around(Fraction(2, 7), bits=50)

@@ -73,9 +73,14 @@ class TestIdentities:
         for n in range(3, 21):
             assert fibonacci(n) == 2 * fibonacci(n - 1) - fibonacci(n - 3)
 
-    def test_empty_grid_vacuously_passes(self):
-        reports = check_identities(Grid((), (), 9))
-        assert all(r.verdict == "pass" and r.witnesses == () for r in reports)
+    def test_empty_grid_is_domain_error(self):
+        for q_values, k_values, n_max in (((), (2,), 9), ((3,), (), 9),
+                                          ((3,), (2,), 0)):
+            with pytest.raises(DomainError):
+                Grid(q_values, k_values, n_max)
+        # the shortcut identity starts at n = 3
+        with pytest.raises(DomainError):
+            check_identities(Grid((3,), (2,), 2))
 
     def test_grid_preconditions(self):
         with pytest.raises(DomainError):

@@ -11,7 +11,6 @@ from qkbonacci import (
     series_coefficients,
     term_definition,
     term_fast,
-    term_fast_many,
     term_shortcut,
     term_table,
     theorem3_term,
@@ -108,11 +107,6 @@ class TestFast:
         with pytest.raises(DomainError):
             term_fast(SequenceParams(3, 2), 0)
 
-    def test_batch_agrees(self):
-        p = SequenceParams(3, 6)
-        ns = [1, 2, 7, 31, 64, 100]
-        assert term_fast_many(p, ns) == [term_fast(p, n) for n in ns]
-
 
 class TestCompanions:
     def test_spec_values(self):
@@ -183,7 +177,8 @@ class TestInvariants:
                         if q >= 3:
                             assert theorem3_term(p, n) == expected
 
-    @given(q=st.integers(1, 8), k=st.integers(2, 10), n=st.integers(-8, 120))
+    # k up to 40 reaches k > n, where x^(n+k-2) needs few reductions
+    @given(q=st.integers(1, 8), k=st.integers(2, 40), n=st.integers(-8, 120))
     @settings(max_examples=60, deadline=None)
     def test_strategy_agreement_random(self, q, k, n):
         p = SequenceParams(q, k)
