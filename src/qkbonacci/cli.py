@@ -3,19 +3,23 @@ print certified root enclosures, run the law checker, extract series
 coefficients, and benchmark the term strategies.
 
 Exit codes: 0 success / all laws pass, 1 verification failure or
-inconclusive, 2 usage or domain error.  Identical invocations produce
-byte-identical stdout (bench timings excepted).
+inconclusive, 2 usage or domain error, or stdout closed by its reader.
+Identical invocations produce byte-identical stdout (bench timings
+excepted).
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import os
 import sys
 import time
 
 from .errors import QkError
 from .lawcheck import _SELECTORS, Grid, run_laws
 from .numerics import dominant_root, reconstruct_detailed
+from .numerics.dyadic import _float_text
 from .sequences import (
     SequenceParams,
     series_coefficients,
@@ -55,7 +59,7 @@ def _cmd_term(args) -> int:
         print(theorem3_term(params, args.n))
     else:  # binet
         rec = reconstruct_detailed(params, args.n, args.bits)
-        print(f"{rec.value} residual={float(rec.residual):.3e}")
+        print(f"{rec.value} residual={_float_text(rec.residual, '.3e')}")
     if (args.q, args.k, args.n) == _ERRATUM_CELL:
         print(_ERRATUM_NOTE, file=sys.stderr)
     return 0
@@ -151,6 +155,7 @@ def _cmd_bench(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qkbonacci",
@@ -219,12 +224,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        # a reader that closed the pipe shows up here, not at exit
+        sys.stdout.flush()
+        return code
     except QkError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except BrokenPipeError:
+        # point stdout at devnull so the interpreter's final flush of the
+        # unwritten rest stays quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 2
 
 

@@ -10,6 +10,7 @@ the cap is reached, never pass.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from decimal import ROUND_FLOOR
 from fractions import Fraction
 
 from .errors import DomainError, RegimeError, ReconstructionError, RootSolveError
@@ -23,7 +24,8 @@ from .numerics import (
     quadratic_roots,
     reconstruction_sweep,
 )
-from .numerics.binet import _rungs
+from .numerics.binet import _rungs, _viable_rungs
+from .numerics.dyadic import _float_text
 from .sequences import (
     CompanionKind,
     SequenceParams,
@@ -177,11 +179,11 @@ def _chain(checks, q, k, n, work, fails, unsettled) -> None:
                 q, k, n, "inconclusive", f"{label} not separated at {work} bits"))
 
 
-def _climb(bits: int, attempt):
+def _climb(rungs, attempt):
     """Call attempt(work) up the precision ladder until none of the
     witness lists it returns is inconclusive; returns the last lists and
     the bits they were found at."""
-    for work in _rungs(bits):
+    for work in rungs:
         found = attempt(work)
         if all(w.kind == "fail" for witnesses in found for w in witnesses):
             break
@@ -326,7 +328,7 @@ def check_root_laws(grid: Grid, bits: int) -> list[LawReport]:
         ("lemma1-sandwich", sandwich),
         ("lemma2-sandwich", weight),
     ):
-        (witnesses,), used = _climb(bits, compare)
+        (witnesses,), used = _climb(_rungs(bits), compare)
         reports.append(_report(law_id, grid, witnesses, used))
     return reports
 
@@ -351,7 +353,7 @@ def check_term_bounds(grid: Grid, bits: int) -> list[LawReport]:
         def f(n):
             return table[n - params.min_index]
 
-        bound = Fraction(1, q)
+        low_ratio, high_ratio = Fraction(q - 1, q), Fraction(q + 2, q)
 
         def attempt(work):
             nonlocal error_strict
@@ -359,26 +361,29 @@ def check_term_bounds(grid: Grid, bits: int) -> list[LawReport]:
             err_pending, err_fail = [], []
             for n in range(params.min_index, grid.n_max + 1):
                 e = (-terms[n]) + f(n)
-                if -bound <= e.lo and e.hi <= bound:
-                    if not (-bound < e.lo and e.hi < bound):
+                # E_n against +-1/q, scaled by q * 2^bits
+                lo, hi, edge = q * e.lo_num, q * e.hi_num, 1 << e.bits
+                if -edge <= lo and hi <= edge:
+                    if not (-edge < lo and hi < edge):
                         error_strict = False
                     continue
-                if e.lo > bound or e.hi < -bound:
+                if lo > edge or hi < -edge:
                     err_fail.append(Witness(
                         q, k, n, "fail",
                         f"|E_{n}| certified above 1/q: "
-                        f"[{float(e.lo):.6g}, {float(e.hi):.6g}]",
+                        f"[{_float_text(e.lo, '.6g', ROUND_FLOOR)}, "
+                        f"{_float_text(e.hi, '.6g')}]",
                     ))
                 else:
                     err_pending.append(Witness(
                         q, k, n, "inconclusive",
-                        f"E_{n} enclosure width {float(e.width):.3g} "
+                        f"E_{n} enclosure width {_float_text(e.width, '.3g')} "
                         f"not inside [-1/q, 1/q] at {work} bits",
                     ))
             grow_pending, grow_fail = [], []
             for n in range(1, grid.n_max + 1):
-                low = powers[n - 1] * Fraction(q - 1, q)
-                high = powers[n - 1] * Fraction(q + 2, q)
+                low = powers[n - 1] * low_ratio
+                high = powers[n - 1] * high_ratio
                 _chain((
                     ("gamma^(n-2) < gamma^(n-1)(q-1)/q", powers[n - 2], low),
                     ("gamma^(n-1)(q-1)/q < F_n", low, f(n)),
@@ -387,7 +392,10 @@ def check_term_bounds(grid: Grid, bits: int) -> list[LawReport]:
                 ), q, k, n, work, grow_fail, grow_pending)
             return err_fail + err_pending, grow_fail + grow_pending
 
-        (cell_error, cell_growth), work = _climb(bits, attempt)
+        # a rung whose E_{n_max} enclosure is wider than 2/q cannot settle
+        # that n, so it could only climb on
+        rungs = _viable_rungs(params, grid.n_max, bits, Fraction(2, q))
+        (cell_error, cell_growth), work = _climb(rungs, attempt)
         error_witnesses += cell_error
         growth_witnesses += cell_growth
         used = max(used, work)
@@ -415,8 +423,8 @@ def check_reconstruction(grid: Grid, bits: int) -> list[LawReport]:
                 if rec is None:
                     witnesses.append(Witness(
                         q, k, n, "fail",
-                        f"rounding guard failed: residual={float(residual):.3g}, "
-                        f"imag={float(imag):.3g}",
+                        f"rounding guard failed: residual={_float_text(residual, '.3g')}, "
+                        f"imag={_float_text(imag, '.3g')}",
                     ))
                     continue
                 exact = table[n - params.min_index]
@@ -424,7 +432,7 @@ def check_reconstruction(grid: Grid, bits: int) -> list[LawReport]:
                     witnesses.append(Witness(
                         q, k, n, "fail",
                         f"reconstruction {rec.value} != exact {exact} "
-                        f"(residual {float(residual):.3g})",
+                        f"(residual {_float_text(residual, '.3g')})",
                     ))
         except (RootSolveError, ReconstructionError) as exc:
             witnesses.append(Witness(q, k, None, "fail", f"root solve failed: {exc}"))
@@ -463,18 +471,22 @@ def error_decay_probe(
     cell fails only when the enclosure certifies the violation.
     """
     _require_certified_regime(grid)
+    threshold = Fraction(threshold)
     failures = []
     for q, k in grid.cells:
         params = SequenceParams(q, k)
         err = error_term(params, n_probe, bits)
         e = err.interval
-        if -threshold < e.lo and e.hi < threshold:
+        # E_n against +-threshold, scaled by its denominator * 2^bits
+        den = threshold.denominator
+        lo, hi, edge = den * e.lo_num, den * e.hi_num, threshold.numerator << e.bits
+        if -edge < lo and hi < edge:
             continue
-        if e.lo >= threshold or e.hi <= -threshold:
+        if lo >= edge or hi <= -edge:
             failures.append(Witness(
                 q, k, n_probe, "fail",
-                f"|E_{n_probe}| certified >= {float(threshold):.1e}: "
-                f"[{float(e.lo):.6g}, {float(e.hi):.6g}]",
+                f"|E_{n_probe}| certified >= {_float_text(threshold, '.1e')}: "
+                f"[{_float_text(e.lo, '.6g', ROUND_FLOOR)}, {_float_text(e.hi, '.6g')}]",
             ))
         else:
             failures.append(Witness(

@@ -9,11 +9,12 @@ is how an approximate root set still yields a provably correct integer.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import ROUND_FLOOR
 from fractions import Fraction
 
 from ..errors import DomainError, PoleInIntervalError, RegimeError, ReconstructionError
 from ..sequences import SequenceParams, term_definition, _check_index
-from .dyadic import DyadicInterval
+from .dyadic import DyadicInterval, _float_text
 from .roots import (
     _cdiv,
     _cmul,
@@ -52,6 +53,31 @@ def _rungs(bits: int) -> list[int]:
     return rungs
 
 
+def _viable_rungs(params: SequenceParams, n: int, bits: int, limit: Fraction) -> list[int]:
+    """_rungs(bits) less its leading rungs at which the g(gamma) * gamma^n
+    enclosure is certainly wider than limit; the cap rung always stays.
+
+    For q >= 3 a rung-w root enclosure [a, b] is exactly 2^-w wide and
+    lies inside every coarser one, outward-rounded powers are at least
+    b^n - a^n >= n a^(n-1) 2^-w wide, and the weight's lower end only
+    rises with w.  So with a and g_lo read off the coarser of the first
+    rung and 64 bits, the term is at least g_lo n a^(n-1) 2^-w wide, and
+    adding an exact integer keeps that width.
+    """
+    rungs = _rungs(bits)
+    if n < 1:
+        return rungs
+    gamma = dominant_root(params, min(bits, 64)).interval
+    weight = g_eval(params, gamma)
+    # g_lo n a^(n-1) 2^-w > limit, scaled by 2^(scale + w) and the
+    # denominator of limit
+    wide = weight.lo_num * n * gamma.lo_num ** (n - 1) * limit.denominator
+    scale = weight.bits + gamma.bits * (n - 1)
+    while len(rungs) > 1 and wide > limit.numerator << (scale + rungs[0]):
+        del rungs[0]
+    return rungs
+
+
 def _g_denominator(params: SequenceParams, x: Fraction) -> Fraction:
     q, k = params.q, params.k
     return (k + 1) * x * x - (q + 1) * k * x + (q - 1) * (k - 1)
@@ -75,7 +101,8 @@ def g_eval(params: SequenceParams, x: DyadicInterval) -> DyadicInterval:
     if den_min <= 0 <= den_max:
         raise PoleInIntervalError(
             "denominator sign is not constant on the interval "
-            f"[{float(a)}, {float(b)}] for (q={q}, k={k})"
+            f"[{_float_text(a, '', ROUND_FLOOR)}, {_float_text(b, '')}] "
+            f"for (q={q}, k={k})"
         )
     quotients = [
         num / den
@@ -124,12 +151,13 @@ def binet_dominant(params: SequenceParams, n: int, bits: int) -> DominantTerm:
 
     Working precision starts at `bits` and doubles until the output is
     narrower than 2^-32 or the cap of 16x the request is reached; a
-    capped result is flagged, never silently degraded.
+    capped result is flagged, never silently degraded.  Rungs that
+    cannot reach that width are skipped.
     """
     if params.q < 3:
         raise RegimeError(f"binet_dominant requires q >= 3, got q={params.q}")
     _check_index(params, n)
-    for work in _rungs(bits):
+    for work in _viable_rungs(params, n, bits, Fraction(1, 1 << WIDTH_TARGET_BITS)):
         enclosure = dominant_root(params, work)
         term = g_eval(params, enclosure.interval) * (enclosure.interval**n)
         if (term.hi_num - term.lo_num) << WIDTH_TARGET_BITS <= 1 << term.bits:
@@ -233,7 +261,8 @@ def reconstruct_detailed(params: SequenceParams, n: int, bits: int) -> Reconstru
     if rec is None:
         raise ReconstructionError(
             f"rounding guard failed at (q={params.q}, k={params.k}, n={n}): "
-            f"residual={float(residual):.3g}, imag={float(imag):.3g}; "
+            f"residual={_float_text(residual, '.3g')}, "
+            f"imag={_float_text(imag, '.3g')}; "
             "increase the working precision"
         )
     return rec

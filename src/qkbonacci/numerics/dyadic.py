@@ -49,15 +49,20 @@ def _scaled_diff(num: int, bits: int, value) -> int:
     return num * value.denominator - (value.numerator << bits)
 
 
-def _float_text(value: Fraction, rounding: str) -> str:
-    """``%.17g`` text of the nearest float; past the float range, 17
-    significant digits rounded in the given direction, which a decimal
-    context with an unbounded exponent computes without overflow."""
+def _float_text(value, spec: str, rounding: str = ROUND_CEILING) -> str:
+    """``format(float(value), spec)`` for an exact number; past the float
+    range, as many significant digits rounded in the given direction,
+    which a decimal context with an unbounded exponent computes without
+    overflow.  The default direction suits magnitudes; spec "" gives
+    ``str(float)`` text and 17 digits past the range."""
     try:
-        return f"{float(value):.17g}"
+        return format(float(value), spec)
     except OverflowError:
-        with localcontext(Context(prec=17, rounding=rounding, Emax=MAX_EMAX)):
-            return f"{Decimal(value.numerator) / value.denominator:.17g}"
+        precision, kind = (int(spec[1:-1]), spec[-1]) if spec else (17, "g")
+        digits = precision + (kind == "e")
+        with localcontext(Context(prec=digits, rounding=rounding, Emax=MAX_EMAX)):
+            quotient = Decimal(value.numerator) / value.denominator
+            return format(quotient.normalize(), f".{precision}{kind}")
 
 
 def _directed_decimal(value: Fraction, digits: int, round_up: bool) -> str:
@@ -157,8 +162,8 @@ class DyadicInterval:
 
     def __repr__(self):
         return (
-            f"DyadicInterval({_float_text(self.lo, ROUND_FLOOR)}, "
-            f"{_float_text(self.hi, ROUND_CEILING)}, bits={self.bits})"
+            f"DyadicInterval({_float_text(self.lo, '.17g', ROUND_FLOOR)}, "
+            f"{_float_text(self.hi, '.17g')}, bits={self.bits})"
         )
 
     def decimal_bounds(self, digits: int) -> tuple[str, str]:

@@ -152,10 +152,11 @@ def dominant_root(params: SequenceParams, bits: int) -> RootEnclosure:
             lo = mid
         else:
             hi = mid
-    interval = DyadicInterval(lo, hi, scale)
-    if not (interval.strictly_above(q) and interval.strictly_below(q + 1)):
+    # the sign pair already puts the root strictly inside, so an endpoint
+    # may sit on q or q + 1 itself
+    if not (lo >= q << scale and hi <= (q + 1) << scale):
         raise RuntimeError("internal error: enclosure escaped the (q, q+1) bracket")
-    return RootEnclosure(params, interval)
+    return RootEnclosure(params, DyadicInterval(lo, hi, scale))
 
 
 def quadratic_roots(q: int, bits: int) -> QuadraticRoots:

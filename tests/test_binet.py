@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qkbonacci import (
     CompanionKind,
@@ -22,6 +24,7 @@ from qkbonacci import (
     u_closed_form,
 )
 from qkbonacci.numerics import dominant_term_sweep
+from qkbonacci.numerics.binet import _rungs, _viable_rungs
 
 from _oracles import sqrt_enclosure
 
@@ -143,6 +146,48 @@ class TestDominantTerm:
         assert term.capped
         assert term.bits_used == 16 * 32
         assert term.interval.width > Fraction(1, 2**32)
+
+
+def full_climb(params, n, bits):
+    """binet_dominant's ladder with no rung skipped."""
+    for work in _rungs(bits):
+        gamma = dominant_root(params, work).interval
+        term = g_eval(params, gamma) * gamma**n
+        if term.width <= Fraction(1, 2**32):
+            return term, work, False
+    return term, work, True
+
+
+@st.composite
+def dominant_cases(draw):
+    q = draw(st.integers(3, 8))
+    k = draw(st.integers(2, 12))
+    return SequenceParams(q, k), draw(st.integers(2 - k, 600)), draw(st.integers(8, 256))
+
+
+class TestRungSkipping:
+    @given(case=dominant_cases())
+    @settings(max_examples=80, deadline=None)
+    # each settles, at the first rung kept, within 2^-32 by less than a
+    # factor of 4, so a bound 4x too large would skip that rung
+    @example(case=(SequenceParams(3, 2), 484, 218))
+    @example(case=(SequenceParams(3, 5), 84, 92))
+    @example(case=(SequenceParams(6, 8), 31, 29))
+    def test_equals_full_climb(self, case):
+        # skipped rungs could never have met the width target, so the
+        # result is the full climb's, rung for rung
+        params, n, bits = case
+        term = binet_dominant(params, n, bits)
+        assert (term.interval, term.bits_used, term.capped) == full_climb(params, n, bits)
+
+    def test_settles_past_skipped_rungs(self):
+        # g(gamma) gamma^300 for (5, 8) has ~760 integer bits: the 192 and
+        # 384 bit rungs cannot reach 2^-32 and are skipped; 768 can
+        params = SequenceParams(5, 8)
+        assert _viable_rungs(params, 300, 192, Fraction(1, 2**32)) == [768, 1536, 3072]
+        term = binet_dominant(params, 300, 192)
+        assert (term.interval, term.bits_used, term.capped) == full_climb(params, 300, 192)
+        assert term.bits_used == 768
 
 
 class TestErrorTerm:

@@ -1,4 +1,8 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -16,6 +20,16 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def module_env():
+    """The environment for a ``python -m qkbonacci`` child that imports the
+    package the suite imported, installed or not."""
+    import qkbonacci
+
+    package_root = os.path.dirname(os.path.dirname(qkbonacci.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (package_root, os.environ.get("PYTHONPATH")))))
 
 
 class TestTerm:
@@ -202,6 +216,18 @@ class TestVerify:
         assert report["verdict"] == "inconclusive"
         assert all(w["kind"] == "inconclusive" for w in report["witnesses"])
 
+    def test_widths_past_float_range_are_reported(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "verify", "--law", "error-bound", "--q", "6",
+            "--k-max", "2", "--n-max", "500", "--bits", "8",
+        )
+        assert code == 1
+        (report,) = json.loads(out)
+        assert (report["verdict"], report["bits_used"]) == ("inconclusive", 128)
+        assert all(w["kind"] == "inconclusive" for w in report["witnesses"])
+        assert report["witnesses"][-1]["detail"] == (
+            "E_500 enclosure width 3.02e+357 not inside [-1/q, 1/q] at 128 bits")
+
     def test_regime_violation_exits_2(self, capsys):
         code, _, err = run_cli(
             capsys, "verify", "--law", "lemma1", "--q", "2",
@@ -228,6 +254,14 @@ class TestVerify:
         _, first, _ = run_cli(capsys, *args)
         _, second, _ = run_cli(capsys, *args)
         assert first == second
+
+    def test_default_grid_digest(self, capsys):
+        # pins every verdict, witness and bits_used on the default grid, so
+        # a precision change that moves any of them fails here
+        code, out, _ = run_cli(capsys, "verify", "--law", "all")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "fa2dd006c4f16d3e4d989f798ee2fd9f9b4fd012fb2a005b2d50e22becf9fe4a")
 
     def test_full_run_exits_0(self, capsys):
         code, out, _ = run_cli(
@@ -256,22 +290,12 @@ class TestBench:
 
 class TestEntryPoint:
     def test_module_invocation(self):
-        import os
-        import subprocess
-        import sys
-
-        import qkbonacci
-
-        # the child imports the package the suite imported, installed or not
-        package_root = os.path.dirname(os.path.dirname(qkbonacci.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, (package_root, os.environ.get("PYTHONPATH")))))
         proc = subprocess.run(
             [sys.executable, "-m", "qkbonacci", "term", "--q", "3", "--k", "2",
              "--n", "6"],
             capture_output=True,
             text=True,
-            env=env,
+            env=module_env(),
         )
         assert proc.returncode == 0
         assert proc.stdout == "360\n"
@@ -281,6 +305,24 @@ class TestEntryPoint:
              "--n", "-5"],
             capture_output=True,
             text=True,
-            env=env,
+            env=module_env(),
         )
         assert proc.returncode == 2
+
+    def test_closed_pipe_exits_2_quietly(self):
+        # like `table ... | head -1`: the reader leaves after one line,
+        # long before the ~210 kB table is written
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "qkbonacci", "table", "--q", "3",
+             "--k-min", "2", "--k-max", "4", "--n-max", "500"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=module_env(),
+        )
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 2
+        assert first == b"q,k,n,value\n"
+        assert err == b""

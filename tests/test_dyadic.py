@@ -1,5 +1,5 @@
 import math
-from decimal import Decimal
+from decimal import ROUND_FLOOR, Decimal
 from fractions import Fraction
 
 import pytest
@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qkbonacci import DyadicInterval, SequenceParams, binet_dominant
+from qkbonacci.numerics.dyadic import _float_text
 
 
 rationals = st.fractions(
@@ -227,3 +228,13 @@ class TestRepr:
         assert Fraction(Decimal(lo_text)) <= term.lo
         assert Fraction(Decimal(hi_text)) >= term.hi
         assert repr(-term) == f"DyadicInterval(-{hi_text}, -{lo_text}, bits={term.bits})"
+
+    @pytest.mark.parametrize("spec", ["", ".3g", ".6g", ".1e", ".3e"])
+    def test_witness_text(self, spec):
+        # in range it is the float's text; past it, as many digits
+        # rounded in the given direction
+        assert _float_text(Fraction(1, 3), spec) == format(1 / 3, spec)
+        huge = Fraction(10**400, 3)
+        lo, hi = _float_text(huge, spec, ROUND_FLOOR), _float_text(huge, spec)
+        assert lo.endswith("e+399") and hi.endswith("e+399")
+        assert Fraction(Decimal(lo)) < huge < Fraction(Decimal(hi))

@@ -15,7 +15,9 @@ from qkbonacci import (
     run_laws,
     term_table,
 )
+from qkbonacci import lawcheck
 from qkbonacci.lawcheck import LAW_IDS
+from qkbonacci.numerics.binet import _rungs
 
 from _oracles import (
     ERRATUM_CELL,
@@ -170,6 +172,25 @@ class TestTermBounds:
         # reports the bits the error bound climbed to
         assert by_id["growth-bounds"].verdict == "pass"
         assert by_id["growth-bounds"].bits_used == 128
+
+
+    @pytest.mark.parametrize("grid, bits", [
+        (Grid((3, 4), (2, 3), 60), 128),
+        (Grid((3, 5), (2, 6), 300), 192),
+        (Grid((3,), (2, 3), 300), 8),
+        (Grid((4, 8), (2, 5), 200), 32),
+        (Grid((6,), (2,), 500), 8),
+        # E_{n_max} fits 2/q by less than a factor of 4 at the first rung kept
+        (Grid((4,), (12,), 42), 23),
+        (Grid((7,), (4,), 128), 46),
+    ])
+    def test_reports_equal_full_climb(self, monkeypatch, grid, bits):
+        # rungs skipped as hopeless would only have been inconclusive, so
+        # every report field matches a climb over the whole ladder
+        reports = check_term_bounds(grid, bits)
+        monkeypatch.setattr(lawcheck, "_viable_rungs",
+                            lambda params, n, bits, limit: _rungs(bits))
+        assert reports == check_term_bounds(grid, bits)
 
 
 class TestReconstructionLaw:

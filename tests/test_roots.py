@@ -54,6 +54,21 @@ class TestDominantRoot:
         with pytest.raises(DomainError):
             dominant_root(SequenceParams(3, 2), 4)
 
+    def test_enclosure_may_end_on_the_bracket(self):
+        # at q = 1 the root nears 2 = q + 1 as k grows, so a coarse
+        # enclosure can end exactly there; the sign pair still certifies
+        # a root strictly inside
+        def charpoly(k, x):
+            return x**k - sum(x**i for i in range(k))
+
+        for k in range(9, 41):
+            for bits in (8, 9):
+                enc = dominant_root(SequenceParams(1, k), bits)
+                lo, hi = enc.interval.lo, enc.interval.hi
+                assert 1 <= lo and hi <= 2
+                assert hi - lo == Fraction(1, 2**bits)
+                assert charpoly(k, lo) < 0 < charpoly(k, hi)
+
 
 class TestQuadraticRoots:
     def test_alpha_beta_q3(self):
