@@ -81,11 +81,12 @@ def _emit_table(rows, fmt: str, stream) -> None:
         for q, k, n, value in rows:
             stream.write(f"{q},{k},{n},{value}\n")
     elif fmt == "json":
-        payload = [
-            {"q": q, "k": k, "n": n, "value": value} for q, k, n, value in rows
-        ]
-        stream.write(json.dumps(payload, indent=2))
-        stream.write("\n")
+        # the bytes of json.dumps(rows as dicts, indent=2), whose indent
+        # argument would force the pure-Python encoder
+        stream.write("[\n" + ",\n".join(
+            f'  {{\n    "q": {q},\n    "k": {k},\n    "n": {n},\n    "value": {value}\n  }}'
+            for q, k, n, value in rows
+        ) + "\n]\n")
     else:  # markdown
         stream.write("| q | k | n | value |\n")
         stream.write("| --- | --- | --- | --- |\n")
@@ -100,7 +101,11 @@ def _cmd_table(args) -> int:
         )
     rows = _table_rows(args.q, args.k_min, args.k_max, args.n_max)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
+        try:
+            handle = open(args.output, "w", encoding="utf-8")
+        except OSError as exc:
+            raise QkError(f"cannot write --output {args.output}: {exc.strerror}") from exc
+        with handle:
             _emit_table(rows, args.format, handle)
     else:
         _emit_table(rows, args.format, sys.stdout)
@@ -132,6 +137,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    if args.reps < 1:
+        raise QkError(f"--reps must be >= 1, got {args.reps}")
     params = SequenceParams(args.q, args.k)
     strategies = [
         ("def", lambda: term_definition(params, args.n)),

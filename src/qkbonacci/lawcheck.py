@@ -23,6 +23,7 @@ from .numerics import (
     g_eval,
     quadratic_roots,
     reconstruction_sweep,
+    refine_root,
 )
 from .numerics.binet import _rungs, _viable_rungs
 from .numerics.dyadic import _float_text
@@ -271,14 +272,21 @@ def check_root_laws(grid: Grid, bits: int) -> list[LawReport]:
     sandwich, and the asymptote ordering, all by interval separation."""
     _require_certified_regime(grid)
     reports = []
+    # the finest enclosure of each (q, k) so far, shared by the three laws
+    enclosures = {}
+
+    def gamma_at(q, k, work):
+        finest = enclosures.get((q, k))
+        enclosure = (dominant_root(SequenceParams(q, k), work) if finest is None
+                     else refine_root(finest, work))
+        if finest is None or enclosure.interval.bits > finest.interval.bits:
+            enclosures[q, k] = enclosure
+        return enclosure.interval
 
     def monotone(work):
         fails, unsettled = [], []
         for q in grid.q_values:
-            gammas = {
-                k: dominant_root(SequenceParams(q, k), work).interval
-                for k in grid.k_values
-            }
+            gammas = {k: gamma_at(q, k, work) for k in grid.k_values}
             ks = list(grid.k_values)
             for i, k1 in enumerate(ks):
                 for k2 in ks[i + 1:]:
@@ -300,7 +308,7 @@ def check_root_laws(grid: Grid, bits: int) -> list[LawReport]:
         for q in grid.q_values:
             alpha = quadratic_roots(q, work).alpha
             for k in grid.k_values:
-                gamma = dominant_root(SequenceParams(q, k), work).interval
+                gamma = gamma_at(q, k, work)
                 _chain((
                     ("bracket q < gamma", q, gamma),
                     ("bracket gamma < q+1", gamma, q + 1),
@@ -314,7 +322,7 @@ def check_root_laws(grid: Grid, bits: int) -> list[LawReport]:
         for q in grid.q_values:
             for k in grid.k_values:
                 params = SequenceParams(q, k)
-                gamma = dominant_root(params, work).interval
+                gamma = gamma_at(q, k, work)
                 gval = g_eval(params, gamma)
                 _chain((
                     ("1/(q+1) < g(gamma)", Fraction(1, q + 1), gval),
@@ -354,10 +362,14 @@ def check_term_bounds(grid: Grid, bits: int) -> list[LawReport]:
             return table[n - params.min_index]
 
         low_ratio, high_ratio = Fraction(q - 1, q), Fraction(q + 2, q)
+        # one root enclosure per cell, refined up the rungs; the rung probe
+        # reads its coarser ancestor
+        enclosure = dominant_root(params, bits)
 
         def attempt(work):
-            nonlocal error_strict
-            _, _, powers, terms = dominant_term_sweep(params, grid.n_max, work)
+            nonlocal error_strict, enclosure
+            enclosure = refine_root(enclosure, work)
+            _, powers, terms = dominant_term_sweep(enclosure, grid.n_max)
             err_pending, err_fail = [], []
             for n in range(params.min_index, grid.n_max + 1):
                 e = (-terms[n]) + f(n)
@@ -394,7 +406,7 @@ def check_term_bounds(grid: Grid, bits: int) -> list[LawReport]:
 
         # a rung whose E_{n_max} enclosure is wider than 2/q cannot settle
         # that n, so it could only climb on
-        rungs = _viable_rungs(params, grid.n_max, bits, Fraction(2, q))
+        rungs = _viable_rungs(enclosure, grid.n_max, bits, Fraction(2, q))
         (cell_error, cell_growth), work = _climb(rungs, attempt)
         error_witnesses += cell_error
         growth_witnesses += cell_growth

@@ -10,6 +10,7 @@ from .roots import (
     all_roots,
     dominant_root,
     quadratic_roots,
+    refine_root,
 )
 from .binet import (
     DominantTerm,
@@ -37,6 +38,7 @@ __all__ = [
     "all_roots",
     "dominant_root",
     "quadratic_roots",
+    "refine_root",
     "DominantTerm",
     "ErrorEnclosure",
     "Reconstruction",

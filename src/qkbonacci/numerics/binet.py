@@ -16,12 +16,14 @@ from ..errors import DomainError, PoleInIntervalError, RegimeError, Reconstructi
 from ..sequences import SequenceParams, term_definition, _check_index
 from .dyadic import DyadicInterval, _float_text
 from .roots import (
+    RootEnclosure,
     _cdiv,
     _cmul,
     _round_shift,
     all_roots,
     dominant_root,
     quadratic_roots,
+    refine_root,
 )
 
 __all__ = [
@@ -53,22 +55,24 @@ def _rungs(bits: int) -> list[int]:
     return rungs
 
 
-def _viable_rungs(params: SequenceParams, n: int, bits: int, limit: Fraction) -> list[int]:
+def _viable_rungs(enclosure: RootEnclosure, n: int, bits: int, limit: Fraction) -> list[int]:
     """_rungs(bits) less its leading rungs at which the g(gamma) * gamma^n
     enclosure is certainly wider than limit; the cap rung always stays.
+    The root enclosure may be at any precision: the probe is its
+    ancestor at the coarser of the first rung and 64 bits.
 
     For q >= 3 a rung-w root enclosure [a, b] is exactly 2^-w wide and
     lies inside every coarser one, outward-rounded powers are at least
     b^n - a^n >= n a^(n-1) 2^-w wide, and the weight's lower end only
-    rises with w.  So with a and g_lo read off the coarser of the first
-    rung and 64 bits, the term is at least g_lo n a^(n-1) 2^-w wide, and
-    adding an exact integer keeps that width.
+    rises with w.  So with a and g_lo read off the probe, the term is at
+    least g_lo n a^(n-1) 2^-w wide, and adding an exact integer keeps
+    that width.
     """
     rungs = _rungs(bits)
     if n < 1:
         return rungs
-    gamma = dominant_root(params, min(bits, 64)).interval
-    weight = g_eval(params, gamma)
+    gamma = refine_root(enclosure, min(bits, 64)).interval
+    weight = g_eval(enclosure.params, gamma)
     # g_lo n a^(n-1) 2^-w > limit, scaled by 2^(scale + w) and the
     # denominator of limit
     wide = weight.lo_num * n * gamma.lo_num ** (n - 1) * limit.denominator
@@ -152,13 +156,15 @@ def binet_dominant(params: SequenceParams, n: int, bits: int) -> DominantTerm:
     Working precision starts at `bits` and doubles until the output is
     narrower than 2^-32 or the cap of 16x the request is reached; a
     capped result is flagged, never silently degraded.  Rungs that
-    cannot reach that width are skipped.
+    cannot reach that width are skipped, and one root enclosure is
+    refined up the rungs.
     """
     if params.q < 3:
         raise RegimeError(f"binet_dominant requires q >= 3, got q={params.q}")
     _check_index(params, n)
-    for work in _viable_rungs(params, n, bits, Fraction(1, 1 << WIDTH_TARGET_BITS)):
-        enclosure = dominant_root(params, work)
+    enclosure = dominant_root(params, bits)
+    for work in _viable_rungs(enclosure, n, bits, Fraction(1, 1 << WIDTH_TARGET_BITS)):
+        enclosure = refine_root(enclosure, work)
         term = g_eval(params, enclosure.interval) * (enclosure.interval**n)
         if (term.hi_num - term.lo_num) << WIDTH_TARGET_BITS <= 1 << term.bits:
             return DominantTerm(term, work, False)
@@ -184,18 +190,19 @@ def error_term(params: SequenceParams, n: int, bits: int) -> ErrorEnclosure:
     )
 
 
-def dominant_term_sweep(params: SequenceParams, n_max: int, working_bits: int):
-    """gamma enclosure, weight, and per-n data for n in [2-k, n_max].
+def dominant_term_sweep(enclosure: RootEnclosure, n_max: int):
+    """Weight and per-n data for n in [2-k, n_max], at the precision of
+    the given gamma enclosure.
 
-    Returns (enclosure, weight, powers, terms) where powers[n] encloses
-    gamma^n and terms[n] encloses g(gamma) * gamma^n.  Powers are built
+    Returns (weight, powers, terms) where powers[n] encloses gamma^n and
+    terms[n] encloses g(gamma) * gamma^n.  Powers are built
     incrementally so a whole law-check row costs n_max interval products.
     """
+    params = enclosure.params
     _check_index(params, n_max)
-    enclosure = dominant_root(params, working_bits)
     gamma = enclosure.interval
     weight = g_eval(params, gamma)
-    powers = {0: DyadicInterval.from_int(1, working_bits)}
+    powers = {0: DyadicInterval.from_int(1, gamma.bits)}
     for n in range(1, n_max + 1):
         powers[n] = powers[n - 1] * gamma
     # the growth chain reaches gamma^(n-2) at n=1, so always go to -1
@@ -204,7 +211,7 @@ def dominant_term_sweep(params: SequenceParams, n_max: int, working_bits: int):
     for n in range(-1, lowest - 1, -1):
         powers[n] = powers[n + 1] * inverse
     terms = {n: weight * powers[n] for n in range(params.min_index, n_max + 1)}
-    return enclosure, weight, powers, terms
+    return weight, powers, terms
 
 
 # ----------------------------------------------------------------------

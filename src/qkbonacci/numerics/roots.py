@@ -30,6 +30,7 @@ __all__ = [
     "SecondaryRoot",
     "RootSet",
     "dominant_root",
+    "refine_root",
     "quadratic_roots",
     "all_roots",
 ]
@@ -126,21 +127,15 @@ class RootSet:
         return True
 
 
-def dominant_root(params: SequenceParams, bits: int) -> RootEnclosure:
-    """Certified enclosure of width <= 2^-bits via sign-test bisection.
+def _bracket(q: int) -> tuple[int, int]:
+    """Lower end and width of dominant_root's starting bracket."""
+    return (q, 1) if q >= 3 else (1, q)
 
-    The starting bracket is (q, q+1) for q >= 3 (where the bracket is a
-    proved property of the family) and the compute-only bracket (1, q+1)
-    for q in {1, 2}.
-    """
-    if bits < 8:
-        raise DomainError(f"bits must be >= 8, got {bits}")
+
+def _bisect(params: SequenceParams, lo: int, hi: int, scale: int, bits: int) -> RootEnclosure:
+    """Halve the sign-certified [lo, hi] * 2^-scale until it is at most
+    2^-bits wide."""
     poly = CharPoly.of(params)
-    q = params.q
-    lo, hi = (q, q + 1) if q >= 3 else (1, q + 1)
-    if not (poly.sign_at_dyadic(lo, 0) < 0 < poly.sign_at_dyadic(hi, 0)):
-        raise RuntimeError("internal error: sign change missing at initial bracket")
-    scale = 0
     while (hi - lo) << bits > (1 << scale):
         lo, hi, scale = lo * 2, hi * 2, scale + 1
         mid = (lo + hi) // 2
@@ -154,9 +149,52 @@ def dominant_root(params: SequenceParams, bits: int) -> RootEnclosure:
             hi = mid
     # the sign pair already puts the root strictly inside, so an endpoint
     # may sit on q or q + 1 itself
+    q = params.q
     if not (lo >= q << scale and hi <= (q + 1) << scale):
         raise RuntimeError("internal error: enclosure escaped the (q, q+1) bracket")
     return RootEnclosure(params, DyadicInterval(lo, hi, scale))
+
+
+def dominant_root(params: SequenceParams, bits: int) -> RootEnclosure:
+    """Certified enclosure of width <= 2^-bits via sign-test bisection.
+
+    The starting bracket is (q, q+1) for q >= 3 (where the bracket is a
+    proved property of the family) and the compute-only bracket (1, q+1)
+    for q in {1, 2}.
+    """
+    if bits < 8:
+        raise DomainError(f"bits must be >= 8, got {bits}")
+    poly = CharPoly.of(params)
+    lo, width = _bracket(params.q)
+    if not (poly.sign_at_dyadic(lo, 0) < 0 < poly.sign_at_dyadic(lo + width, 0)):
+        raise RuntimeError("internal error: sign change missing at initial bracket")
+    return _bisect(params, lo, lo + width, 0, bits)
+
+
+def refine_root(enclosure: RootEnclosure, bits: int) -> RootEnclosure:
+    """``dominant_root(enclosure.params, bits)``, reached from an enclosure
+    that dominant_root or refine_root returned at any precision.
+
+    Every bisection cell has the bracket's width at its own scale and
+    splits into two, so the cells form one lattice in which exactly one
+    cell per scale holds the root.  A coarser enclosure is bisected on;
+    a finer one gives its ancestor, whose index is the cell index
+    shifted right.
+    """
+    if bits < 8:
+        raise DomainError(f"bits must be >= 8, got {bits}")
+    base, width = _bracket(enclosure.params.q)
+    cell = enclosure.interval
+    lo, scale = cell.lo_num, cell.bits
+    index, off_lattice = divmod(lo - (base << scale), width)
+    if off_lattice or cell.hi_num - lo != width:
+        raise DomainError("enclosure is not a cell of the bisection lattice")
+    # the scale at which a cell is first at most 2^-bits wide
+    target = bits + (width - 1).bit_length()
+    if scale > target:
+        lo = (base << target) + (index >> (scale - target)) * width
+        scale = target
+    return _bisect(enclosure.params, lo, lo + width, scale, bits)
 
 
 def quadratic_roots(q: int, bits: int) -> QuadraticRoots:

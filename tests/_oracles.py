@@ -1,10 +1,12 @@
 """Independent oracles shared by the tests.
 
 Everything here is deliberately written against the standard library
-only (fractions + isqrt + plain loops), never against the package's own
-interval or root machinery, so cross-checks stay independent.
+only (fractions + isqrt + itertools + plain loops), never against the
+package's own interval or root machinery, so cross-checks stay
+independent.
 """
 from fractions import Fraction
+from itertools import compress, count, pairwise, product
 from math import isqrt
 
 
@@ -40,6 +42,33 @@ def brute_force_terms(q: int, k: int, n_max: int) -> dict:
     for n in range(2, n_max + 1):
         vals[n] = q * vals[n - 1] + sum(vals[n - i] for i in range(2, k + 1))
     return vals
+
+
+def binary_word_term(q: int, k: int, n: int) -> int:
+    """F_n for n >= 1 by enumerating binary words of length n - 2.
+
+    A word marks, at each of the n - 2 gaps between n - 1 units in a
+    row, whether a part ends there (1) or runs on (0); so the words are
+    the compositions of n - 1.  F_n is the sum of q^(number of parts
+    equal to 1) over the words whose parts are all <= k: a first part of
+    size j leaves a composition of n - 1 - j, weighted q for j = 1 and 1
+    for 2 <= j <= k, which is the recurrence.  For n <= k + 1 every word
+    counts.  n = 1 has the one, empty, composition of 0.
+
+    Derived here from the abstract's claim that the paper characterizes
+    the first (q,k)-generalized Fibonacci numbers in terms of binary
+    sequences; it is not the paper's theorem text, which the repository
+    does not hold.
+    """
+    if n == 1:
+        return 1
+    total = 0
+    for word in product((0, 1), repeat=n - 2):
+        ends = [0, *compress(count(1), word), n - 1]
+        parts = [b - a for a, b in pairwise(ends)]
+        if max(parts) <= k:
+            total += q ** parts.count(1)
+    return total
 
 
 def dominant_root_bracket(q: int, k: int, bits: int) -> tuple[Fraction, Fraction]:

@@ -29,6 +29,7 @@ from qkbonacci import (
     error_decay_probe,
     error_term,
     series_coefficients,
+    term_definition,
     term_fast,
     term_shortcut,
     term_table,
@@ -42,6 +43,7 @@ from _oracles import (
     ERRATUM_CORRECT_VALUE,
     PUBLISHED_TABLE_Q3,
     PUBLISHED_TABLE_Q4,
+    binary_word_term,
     error_term_at_bracket_ends,
 )
 
@@ -247,6 +249,21 @@ def test_criterion_8_polynomial_identity():
                 failures.append((q, k))
     ok = not failures
     announce("8: (t-1) * Phi = h coefficient-exact", ok, "q <= 10, k <= 16")
+    assert failures == []
+
+
+def test_binary_word_characterisation():
+    # derived from the abstract's binary-sequence claim (tests/_oracles.py),
+    # not quoted from the paper
+    failures = [
+        (q, k, n)
+        for q in range(1, 6)
+        for k in range(2, 7)
+        for n in range(1, 16)
+        if binary_word_term(q, k, n) != term_definition(SequenceParams(q, k), n)
+    ]
+    ok = not failures
+    announce("abstract: F_n from binary words", ok, "q <= 5, 2 <= k <= 6, n <= 15")
     assert failures == []
 
 

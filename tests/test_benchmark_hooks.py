@@ -3,10 +3,14 @@
 `perfbench/spans.py` patches `DyadicInterval` and `_IntPoly` methods by
 name and `perfbench/workloads.py` calls package functions by name, so a
 rename or deletion there passes every other test but stops
-`perfbench/run.py --trace 1` with a KeyError.  The files are only read.
+`perfbench/run.py --trace 1` with a KeyError.  The tracer also reads
+`dominant_root`'s bits from its second positional argument or its `bits`
+keyword, and spans only the functions a layer lists in `__all__`.  The
+files are only read.
 """
 import importlib
 import importlib.util
+import inspect
 import random
 import sys
 from pathlib import Path
@@ -14,6 +18,7 @@ from pathlib import Path
 import pytest
 
 from qkbonacci import numerics, sequences
+from qkbonacci.numerics import roots
 from qkbonacci.numerics.dyadic import DyadicInterval
 from qkbonacci.numerics.polynomials import _IntPoly
 
@@ -61,3 +66,14 @@ def test_routes_and_certify_kinds_exist(workloads):
     kinds = {req.kind for req in workloads.certify_menu(random.Random(1))}
     for kind in kinds:
         assert callable(getattr(numerics, kind)), kind
+
+
+def test_dominant_root_bits_argument():
+    # spans.py counts dominant_root.bits_total from args[1] or kwargs["bits"]
+    first, second = list(inspect.signature(roots.dominant_root).parameters)[:2]
+    assert (first, second) == ("params", "bits")
+
+
+def test_refine_root_is_spanned(spans):
+    assert "qkbonacci.numerics.roots" in spans.LAYERS
+    assert "refine_root" in roots.__all__

@@ -184,7 +184,8 @@ class TestRungSkipping:
         # g(gamma) gamma^300 for (5, 8) has ~760 integer bits: the 192 and
         # 384 bit rungs cannot reach 2^-32 and are skipped; 768 can
         params = SequenceParams(5, 8)
-        assert _viable_rungs(params, 300, 192, Fraction(1, 2**32)) == [768, 1536, 3072]
+        probe = dominant_root(params, 64)
+        assert _viable_rungs(probe, 300, 192, Fraction(1, 2**32)) == [768, 1536, 3072]
         term = binet_dominant(params, 300, 192)
         assert (term.interval, term.bits_used, term.capped) == full_climb(params, 300, 192)
         assert term.bits_used == 768
@@ -211,7 +212,7 @@ class TestErrorTerm:
         # midpoints satisfy the order-(k+1) recurrence within the widths
         for q, k in [(3, 2), (4, 3), (5, 5)]:
             p = SequenceParams(q, k)
-            _, _, _, terms = dominant_term_sweep(p, 40, 256)
+            _, _, terms = dominant_term_sweep(dominant_root(p, 256), 40)
             mid = {}
             widths = {}
             for n, t in terms.items():

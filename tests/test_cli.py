@@ -134,6 +134,19 @@ class TestTable:
             {"q": 3, "k": 2, "n": 3, "value": 10},
         ]
 
+    @pytest.mark.parametrize("n_max, k_max", [(1, 2), (3, 2), (4, 5)])
+    def test_json_bytes(self, capsys, n_max, k_max):
+        # rows are written without the json module, byte for byte as
+        # json.dumps(..., indent=2) writes them; (1, 2) is a one-row table
+        code, out, _ = run_cli(
+            capsys, "table", "--q", "7", "--k-min", "2", "--k-max", str(k_max),
+            "--n-max", str(n_max), "--format", "json",
+        )
+        assert code == 0
+        expected = json.dumps(json.loads(out), indent=2) + "\n"
+        assert out == expected
+        assert len(json.loads(out)) == (k_max - 1) * n_max
+
     def test_markdown_format(self, capsys):
         code, out, _ = run_cli(
             capsys, "table", "--q", "3", "--k-min", "2", "--k-max", "2",
@@ -159,6 +172,21 @@ class TestTable:
         )
         assert code == 2
         assert "invalid table range" in err
+
+    def test_unwritable_output_exit_2(self, capsys, tmp_path):
+        missing = tmp_path / "missing" / "table.csv"
+        code, out, err = run_cli(
+            capsys, "table", "--q", "3", "--k-min", "2", "--k-max", "3",
+            "--n-max", "5", "--output", str(missing),
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: cannot write --output {missing}: No such file or directory\n"
+        code, _, err = run_cli(
+            capsys, "table", "--q", "3", "--k-min", "2", "--k-max", "3",
+            "--n-max", "5", "--output", str(tmp_path),
+        )
+        assert code == 2
+        assert err.startswith("error: cannot write --output")
 
 
 class TestRoot:
@@ -286,6 +314,14 @@ class TestBench:
         assert [line.split(",")[0] for line in lines[1:]] == [
             "def", "shortcut", "fast",
         ]
+
+    @pytest.mark.parametrize("reps", ["0", "-1"])
+    def test_reps_below_one_exit_2(self, capsys, reps):
+        code, out, err = run_cli(
+            capsys, "bench", "--q", "3", "--k", "2", "--n", "10", "--reps", reps,
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: --reps must be >= 1, got {reps}\n"
 
 
 class TestEntryPoint:

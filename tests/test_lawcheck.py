@@ -11,6 +11,7 @@ from qkbonacci import (
     check_reconstruction,
     check_root_laws,
     check_term_bounds,
+    dominant_root,
     error_decay_probe,
     run_laws,
     term_table,
@@ -110,8 +111,6 @@ class TestRootLaws:
 
     def test_sandwich_endpoints_3_2(self):
         # alpha_3 (1 - 1/9) ~ 3.0348 and alpha_3 ~ 3.41421 bracket gamma
-        from qkbonacci import dominant_root
-
         enc = dominant_root(SequenceParams(3, 2), 128).interval
         assert enc.strictly_above(Fraction(30348, 10000))
         assert enc.strictly_below(Fraction(34143, 10000))
@@ -119,6 +118,20 @@ class TestRootLaws:
     def test_regime_gate(self):
         with pytest.raises(RegimeError):
             check_root_laws(Grid((2, 3), (2,), 10), 64)
+
+    def test_one_bracket_bisection_per_cell(self, monkeypatch):
+        # the three laws share one enclosure per (q, k) and refine it
+        calls = []
+
+        def counted(params, bits):
+            calls.append((params.q, params.k))
+            return dominant_root(params, bits)
+
+        monkeypatch.setattr(lawcheck, "dominant_root", counted)
+        grid = Grid.default()
+        reports = check_root_laws(grid, 192)
+        assert all(r.verdict == "pass" for r in reports)
+        assert sorted(calls) == grid.cells
 
     def test_unseparated_witness_text(self):
         # at q = 10, gamma_39, gamma_40 and alpha lie within about 7e-40
@@ -189,7 +202,7 @@ class TestTermBounds:
         # every report field matches a climb over the whole ladder
         reports = check_term_bounds(grid, bits)
         monkeypatch.setattr(lawcheck, "_viable_rungs",
-                            lambda params, n, bits, limit: _rungs(bits))
+                            lambda enclosure, n, bits, limit: _rungs(bits))
         assert reports == check_term_bounds(grid, bits)
 
 

@@ -1,15 +1,19 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qkbonacci import (
     DomainError,
+    DyadicInterval,
     RegimeError,
     SequenceParams,
     all_roots,
     dominant_root,
     quadratic_roots,
 )
+from qkbonacci.numerics import RootEnclosure, refine_root
 
 from _oracles import sqrt_enclosure
 
@@ -68,6 +72,42 @@ class TestDominantRoot:
                 assert 1 <= lo and hi <= 2
                 assert hi - lo == Fraction(1, 2**bits)
                 assert charpoly(k, lo) < 0 < charpoly(k, hi)
+
+
+class TestRefineRoot:
+    @given(q=st.integers(1, 10), k=st.integers(2, 40),
+           b1=st.integers(8, 512), b2=st.integers(8, 512))
+    @settings(max_examples=60, deadline=None)
+    def test_equals_fresh_bisection(self, q, k, b1, b2):
+        # finer or coarser, the refined enclosure is the one a fresh
+        # bisection to b2 bits returns
+        params = SequenceParams(q, k)
+        refined = refine_root(dominant_root(params, b1), b2).interval
+        fresh = dominant_root(params, b2).interval
+        assert (refined.lo_num, refined.hi_num, refined.bits) == (
+            fresh.lo_num, fresh.hi_num, fresh.bits)
+
+    @pytest.mark.parametrize("q", [1, 2, 3])
+    def test_coarsens_to_the_ancestor_cell(self, q):
+        # q = 2 starts from the width-2 bracket (1, 3), whose cells are
+        # not the dyadic cells of the coarser scale
+        params = SequenceParams(q, 5)
+        fine = dominant_root(params, 300)
+        for bits in (8, 9, 64, 299, 300):
+            assert refine_root(fine, bits) == dominant_root(params, bits)
+
+    def test_rejects_cells_off_the_lattice(self):
+        params = SequenceParams(2, 3)
+        cell = dominant_root(params, 16).interval
+        for lo, hi in ((cell.lo_num + 1, cell.hi_num + 1),
+                       (cell.lo_num, cell.hi_num + 1)):
+            stray = RootEnclosure(params, DyadicInterval(lo, hi, cell.bits))
+            with pytest.raises(DomainError):
+                refine_root(stray, 32)
+
+    def test_tiny_bits_rejected(self):
+        with pytest.raises(DomainError):
+            refine_root(dominant_root(SequenceParams(3, 2), 64), 4)
 
 
 class TestQuadraticRoots:
