@@ -42,6 +42,17 @@ _ERRATUM_NOTE = (
 )
 
 
+# the exact term routes by --method name, in choice order; bench times
+# the ones defined for every q >= 1, and binet, a rounded sum over all
+# roots, is handled apart
+_ALL_Q_ROUTES = {
+    "def": term_definition,
+    "shortcut": term_shortcut,
+    "fast": term_fast,
+}
+_ROUTES = {**_ALL_Q_ROUTES, "theorem3": theorem3_term}
+
+
 def _digits_for_bits(bits: int) -> int:
     # 2^-bits resolved in decimal
     return max(1, int(bits * 0.30103) + 1)
@@ -49,17 +60,11 @@ def _digits_for_bits(bits: int) -> int:
 
 def _cmd_term(args) -> int:
     params = SequenceParams(args.q, args.k)
-    if args.method == "def":
-        print(term_definition(params, args.n))
-    elif args.method == "shortcut":
-        print(term_shortcut(params, args.n))
-    elif args.method == "fast":
-        print(term_fast(params, args.n))
-    elif args.method == "theorem3":
-        print(theorem3_term(params, args.n))
-    else:  # binet
+    if args.method == "binet":
         rec = reconstruct_detailed(params, args.n, args.bits)
         print(f"{rec.value} residual={_float_text(rec.residual, '.3e')}")
+    else:
+        print(_ROUTES[args.method](params, args.n))
     if (args.q, args.k, args.n) == _ERRATUM_CELL:
         print(_ERRATUM_NOTE, file=sys.stderr)
     return 0
@@ -140,18 +145,13 @@ def _cmd_bench(args) -> int:
     if args.reps < 1:
         raise QkError(f"--reps must be >= 1, got {args.reps}")
     params = SequenceParams(args.q, args.k)
-    strategies = [
-        ("def", lambda: term_definition(params, args.n)),
-        ("shortcut", lambda: term_shortcut(params, args.n)),
-        ("fast", lambda: term_fast(params, args.n)),
-    ]
     print("strategy,q,k,n,reps,best_seconds")
     reference = None
-    for name, runner in strategies:
+    for name, route in _ALL_Q_ROUTES.items():
         best = None
         for _ in range(args.reps):
             start = time.perf_counter()
-            value = runner()
+            value = route(params, args.n)
             elapsed = time.perf_counter() - start
             best = elapsed if best is None else min(best, elapsed)
         if reference is None:
@@ -177,7 +177,7 @@ def _build_parser() -> argparse.ArgumentParser:
     term.add_argument("--n", type=int, required=True)
     term.add_argument(
         "--method",
-        choices=("def", "shortcut", "fast", "theorem3", "binet"),
+        choices=(*_ROUTES, "binet"),
         default="def",
     )
     term.add_argument("--bits", type=int, default=256,
@@ -232,6 +232,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    # exact terms run past CPython's default 4,300-digit limit on int to
+    # str conversion; it is lifted only after argparse has read the input
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     try:
         code = args.func(args)
         # a reader that closed the pipe shows up here, not at exit

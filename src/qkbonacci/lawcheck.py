@@ -25,7 +25,7 @@ from .numerics import (
     reconstruction_sweep,
     refine_root,
 )
-from .numerics.binet import _rungs, _viable_rungs
+from .numerics.binet import _root_ladder, _rungs
 from .numerics.dyadic import _float_text
 from .sequences import (
     CompanionKind,
@@ -180,15 +180,15 @@ def _chain(checks, q, k, n, work, fails, unsettled) -> None:
                 q, k, n, "inconclusive", f"{label} not separated at {work} bits"))
 
 
-def _climb(rungs, attempt):
-    """Call attempt(work) up the precision ladder until none of the
+def _climb(ladder, attempt):
+    """Call attempt(rung) up the precision ladder until none of the
     witness lists it returns is inconclusive; returns the last lists and
-    the bits they were found at."""
-    for work in rungs:
-        found = attempt(work)
+    the rung they were found at."""
+    for rung in ladder:
+        found = attempt(rung)
         if all(w.kind == "fail" for witnesses in found for w in witnesses):
             break
-    return found, work
+    return found, rung
 
 
 def _require_identities_grid(grid: Grid) -> None:
@@ -272,16 +272,14 @@ def check_root_laws(grid: Grid, bits: int) -> list[LawReport]:
     sandwich, and the asymptote ordering, all by interval separation."""
     _require_certified_regime(grid)
     reports = []
-    # the finest enclosure of each (q, k) so far, shared by the three laws
-    enclosures = {}
+    # one enclosure per (q, k), shared by the three laws and refined to
+    # each rung
+    enclosures = {
+        (q, k): dominant_root(SequenceParams(q, k), bits) for q, k in grid.cells
+    }
 
     def gamma_at(q, k, work):
-        finest = enclosures.get((q, k))
-        enclosure = (dominant_root(SequenceParams(q, k), work) if finest is None
-                     else refine_root(finest, work))
-        if finest is None or enclosure.interval.bits > finest.interval.bits:
-            enclosures[q, k] = enclosure
-        return enclosure.interval
+        return refine_root(enclosures[q, k], work).interval
 
     def monotone(work):
         fails, unsettled = [], []
@@ -362,13 +360,10 @@ def check_term_bounds(grid: Grid, bits: int) -> list[LawReport]:
             return table[n - params.min_index]
 
         low_ratio, high_ratio = Fraction(q - 1, q), Fraction(q + 2, q)
-        # one root enclosure per cell, refined up the rungs; the rung probe
-        # reads its coarser ancestor
-        enclosure = dominant_root(params, bits)
 
-        def attempt(work):
-            nonlocal error_strict, enclosure
-            enclosure = refine_root(enclosure, work)
+        def attempt(enclosure):
+            nonlocal error_strict
+            work = enclosure.interval.bits
             _, powers, terms = dominant_term_sweep(enclosure, grid.n_max)
             err_pending, err_fail = [], []
             for n in range(params.min_index, grid.n_max + 1):
@@ -406,11 +401,11 @@ def check_term_bounds(grid: Grid, bits: int) -> list[LawReport]:
 
         # a rung whose E_{n_max} enclosure is wider than 2/q cannot settle
         # that n, so it could only climb on
-        rungs = _viable_rungs(enclosure, grid.n_max, bits, Fraction(2, q))
-        (cell_error, cell_growth), work = _climb(rungs, attempt)
+        ladder = _root_ladder(params, grid.n_max, bits, Fraction(2, q))
+        (cell_error, cell_growth), enclosure = _climb(ladder, attempt)
         error_witnesses += cell_error
         growth_witnesses += cell_growth
-        used = max(used, work)
+        used = max(used, enclosure.interval.bits)
 
     return [
         _report("error-bound", grid, error_witnesses, used, error_strict),

@@ -55,31 +55,33 @@ def _rungs(bits: int) -> list[int]:
     return rungs
 
 
-def _viable_rungs(enclosure: RootEnclosure, n: int, bits: int, limit: Fraction) -> list[int]:
-    """_rungs(bits) less its leading rungs at which the g(gamma) * gamma^n
-    enclosure is certainly wider than limit; the cap rung always stays.
-    The root enclosure may be at any precision: the probe is its
-    ancestor at the coarser of the first rung and 64 bits.
+def _root_ladder(params: SequenceParams, n: int, bits: int, limit: Fraction):
+    """The dominant-root enclosure at each rung of _rungs(bits), bisected
+    once at bits and refined up the rungs, less the leading rungs at which
+    the g(gamma) * gamma^n enclosure is certainly wider than limit; the
+    cap rung always stays.
 
-    For q >= 3 a rung-w root enclosure [a, b] is exactly 2^-w wide and
-    lies inside every coarser one, outward-rounded powers are at least
-    b^n - a^n >= n a^(n-1) 2^-w wide, and the weight's lower end only
-    rises with w.  So with a and g_lo read off the probe, the term is at
-    least g_lo n a^(n-1) 2^-w wide, and adding an exact integer keeps
-    that width.
+    A rung-w root enclosure [a, b] is exactly 2^-w wide and lies inside
+    every coarser one, outward-rounded powers are at least b^n - a^n >=
+    n a^(n-1) 2^-w wide, and the weight's lower end only rises with w.
+    So with a and g_lo read off a probe at the coarser of bits and 64,
+    the term is at least g_lo n a^(n-1) 2^-w wide, and adding an exact
+    integer keeps that width.
     """
+    enclosure = dominant_root(params, bits)
     rungs = _rungs(bits)
-    if n < 1:
-        return rungs
-    gamma = refine_root(enclosure, min(bits, 64)).interval
-    weight = g_eval(enclosure.params, gamma)
-    # g_lo n a^(n-1) 2^-w > limit, scaled by 2^(scale + w) and the
-    # denominator of limit
-    wide = weight.lo_num * n * gamma.lo_num ** (n - 1) * limit.denominator
-    scale = weight.bits + gamma.bits * (n - 1)
-    while len(rungs) > 1 and wide > limit.numerator << (scale + rungs[0]):
-        del rungs[0]
-    return rungs
+    if n >= 1:
+        gamma = refine_root(enclosure, min(bits, 64)).interval
+        weight = g_eval(params, gamma)
+        # g_lo n a^(n-1) 2^-w > limit, scaled by 2^(scale + w) and the
+        # denominator of limit
+        wide = weight.lo_num * n * gamma.lo_num ** (n - 1) * limit.denominator
+        scale = weight.bits + gamma.bits * (n - 1)
+        while len(rungs) > 1 and wide > limit.numerator << (scale + rungs[0]):
+            del rungs[0]
+    for work in rungs:
+        enclosure = refine_root(enclosure, work)
+        yield enclosure
 
 
 def _g_denominator(params: SequenceParams, x: Fraction) -> Fraction:
@@ -156,19 +158,17 @@ def binet_dominant(params: SequenceParams, n: int, bits: int) -> DominantTerm:
     Working precision starts at `bits` and doubles until the output is
     narrower than 2^-32 or the cap of 16x the request is reached; a
     capped result is flagged, never silently degraded.  Rungs that
-    cannot reach that width are skipped, and one root enclosure is
-    refined up the rungs.
+    cannot reach that width are skipped (see _root_ladder).
     """
     if params.q < 3:
         raise RegimeError(f"binet_dominant requires q >= 3, got q={params.q}")
     _check_index(params, n)
-    enclosure = dominant_root(params, bits)
-    for work in _viable_rungs(enclosure, n, bits, Fraction(1, 1 << WIDTH_TARGET_BITS)):
-        enclosure = refine_root(enclosure, work)
-        term = g_eval(params, enclosure.interval) * (enclosure.interval**n)
+    for enclosure in _root_ladder(params, n, bits, Fraction(1, 1 << WIDTH_TARGET_BITS)):
+        gamma = enclosure.interval
+        term = g_eval(params, gamma) * gamma**n
         if (term.hi_num - term.lo_num) << WIDTH_TARGET_BITS <= 1 << term.bits:
-            return DominantTerm(term, work, False)
-    return DominantTerm(term, work, True)
+            return DominantTerm(term, gamma.bits, False)
+    return DominantTerm(term, gamma.bits, True)
 
 
 @dataclass(frozen=True)

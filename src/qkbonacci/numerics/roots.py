@@ -50,8 +50,6 @@ class RootEnclosure:
 
     params: SequenceParams
     interval: DyadicInterval
-    sign_lo: int = -1
-    sign_hi: int = 1
 
 
 @dataclass(frozen=True)
@@ -127,74 +125,63 @@ class RootSet:
         return True
 
 
-def _bracket(q: int) -> tuple[int, int]:
-    """Lower end and width of dominant_root's starting bracket."""
-    return (q, 1) if q >= 3 else (1, q)
-
-
-def _bisect(params: SequenceParams, lo: int, hi: int, scale: int, bits: int) -> RootEnclosure:
-    """Halve the sign-certified [lo, hi] * 2^-scale until it is at most
-    2^-bits wide."""
+def _bisect(params: SequenceParams, lo: int, scale: int, bits: int) -> RootEnclosure:
+    """Halve the sign-certified unit cell [lo, lo + 1] * 2^-scale down to
+    scale bits."""
     poly = CharPoly.of(params)
-    while (hi - lo) << bits > (1 << scale):
-        lo, hi, scale = lo * 2, hi * 2, scale + 1
-        mid = (lo + hi) // 2
-        sign = poly.sign_at_dyadic(mid, scale)
+    while scale < bits:
+        lo, scale = 2 * lo, scale + 1
+        sign = poly.sign_at_dyadic(lo + 1, scale)
         if sign == 0:
             # rational-root theorem rules dyadic roots out for this family
             raise RuntimeError("internal error: exact dyadic root encountered")
         if sign < 0:
-            lo = mid
-        else:
-            hi = mid
+            lo += 1
     # the sign pair already puts the root strictly inside, so an endpoint
     # may sit on q or q + 1 itself
     q = params.q
-    if not (lo >= q << scale and hi <= (q + 1) << scale):
+    if not (lo >= q << scale and lo + 1 <= (q + 1) << scale):
         raise RuntimeError("internal error: enclosure escaped the (q, q+1) bracket")
-    return RootEnclosure(params, DyadicInterval(lo, hi, scale))
+    return RootEnclosure(params, DyadicInterval(lo, lo + 1, scale))
 
 
 def dominant_root(params: SequenceParams, bits: int) -> RootEnclosure:
-    """Certified enclosure of width <= 2^-bits via sign-test bisection.
+    """Certified enclosure of width 2^-bits via sign-test bisection.
 
-    The starting bracket is (q, q+1) for q >= 3 (where the bracket is a
-    proved property of the family) and the compute-only bracket (1, q+1)
-    for q in {1, 2}.
+    The starting bracket is (q, q+1) for every q >= 1: Phi(q) =
+    -(1 + q + ... + q^(k-2)) < 0 < Phi(q+1), and by Descartes' rule of
+    signs Phi has no other positive root.  Every cell it halves is a unit
+    cell [j, j+1] * 2^-scale.
     """
     if bits < 8:
         raise DomainError(f"bits must be >= 8, got {bits}")
     poly = CharPoly.of(params)
-    lo, width = _bracket(params.q)
-    if not (poly.sign_at_dyadic(lo, 0) < 0 < poly.sign_at_dyadic(lo + width, 0)):
-        raise RuntimeError("internal error: sign change missing at initial bracket")
-    return _bisect(params, lo, lo + width, 0, bits)
+    q = params.q
+    if not (poly.sign_at_dyadic(q, 0) < 0 < poly.sign_at_dyadic(q + 1, 0)):
+        raise RuntimeError("internal error: sign change missing at (q, q+1)")
+    return _bisect(params, q, 0, bits)
 
 
 def refine_root(enclosure: RootEnclosure, bits: int) -> RootEnclosure:
     """``dominant_root(enclosure.params, bits)``, reached from an enclosure
     that dominant_root or refine_root returned at any precision.
 
-    Every bisection cell has the bracket's width at its own scale and
-    splits into two, so the cells form one lattice in which exactly one
-    cell per scale holds the root.  A coarser enclosure is bisected on;
-    a finer one gives its ancestor, whose index is the cell index
-    shifted right.
+    At each scale exactly one unit cell holds the root, and each splits
+    into two, so a coarser enclosure is bisected on and a finer one gives
+    its ancestor, the cell whose index is its own shifted right.  The
+    enclosure must be a unit cell with the sign pair at its ends.
     """
     if bits < 8:
         raise DomainError(f"bits must be >= 8, got {bits}")
-    base, width = _bracket(enclosure.params.q)
     cell = enclosure.interval
     lo, scale = cell.lo_num, cell.bits
-    index, off_lattice = divmod(lo - (base << scale), width)
-    if off_lattice or cell.hi_num - lo != width:
-        raise DomainError("enclosure is not a cell of the bisection lattice")
-    # the scale at which a cell is first at most 2^-bits wide
-    target = bits + (width - 1).bit_length()
-    if scale > target:
-        lo = (base << target) + (index >> (scale - target)) * width
-        scale = target
-    return _bisect(enclosure.params, lo, lo + width, scale, bits)
+    poly = CharPoly.of(enclosure.params)
+    if not (cell.hi_num == lo + 1
+            and poly.sign_at_dyadic(lo, scale) < 0 < poly.sign_at_dyadic(lo + 1, scale)):
+        raise DomainError("enclosure is not a sign-certified cell of the bisection lattice")
+    if scale > bits:
+        lo, scale = lo >> (scale - bits), bits
+    return _bisect(enclosure.params, lo, scale, bits)
 
 
 def quadratic_roots(q: int, bits: int) -> QuadraticRoots:

@@ -24,7 +24,7 @@ from qkbonacci import (
     u_closed_form,
 )
 from qkbonacci.numerics import dominant_term_sweep
-from qkbonacci.numerics.binet import _rungs, _viable_rungs
+from qkbonacci.numerics.binet import _root_ladder, _rungs
 
 from _oracles import sqrt_enclosure
 
@@ -184,8 +184,8 @@ class TestRungSkipping:
         # g(gamma) gamma^300 for (5, 8) has ~760 integer bits: the 192 and
         # 384 bit rungs cannot reach 2^-32 and are skipped; 768 can
         params = SequenceParams(5, 8)
-        probe = dominant_root(params, 64)
-        assert _viable_rungs(probe, 300, 192, Fraction(1, 2**32)) == [768, 1536, 3072]
+        ladder = _root_ladder(params, 300, 192, Fraction(1, 2**32))
+        assert [enclosure.interval.bits for enclosure in ladder] == [768, 1536, 3072]
         term = binet_dominant(params, 300, 192)
         assert (term.interval, term.bits_used, term.capped) == full_climb(params, 300, 192)
         assert term.bits_used == 768

@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -6,7 +8,10 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from qkbonacci import SequenceParams, term_definition
 from qkbonacci.cli import main
 
 from _oracles import (
@@ -30,6 +35,19 @@ def module_env():
     package_root = os.path.dirname(os.path.dirname(qkbonacci.__file__))
     return dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (package_root, os.environ.get("PYTHONPATH")))))
+
+
+@pytest.fixture
+def default_digit_limit():
+    """CPython's default int-to-str digit limit, whatever an earlier
+    in-process call set; restored afterwards."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+    yield
+    sys.set_int_max_str_digits(before)
 
 
 class TestTerm:
@@ -78,6 +96,18 @@ class TestTerm:
             main(["term", "--q", "3"])
         capsys.readouterr()
         assert exc.value.code == 2
+
+    def test_digits_past_the_str_limit(self, capsys, default_digit_limit):
+        # F_5000 at (10, 2) has 5,021 digits, past the 4,300 that CPython
+        # converts by default; the exact routes print all of them
+        outputs = [
+            run_cli(capsys, "term", "--q", "10", "--k", "2", "--n", "5000",
+                    "--method", method)
+            for method in ("def", "shortcut", "fast")
+        ]
+        digits = str(term_definition(SequenceParams(10, 2), 5000))
+        assert len(digits) == 5021
+        assert outputs == [(0, digits + "\n", "")] * 3
 
 
 class TestTable:
@@ -200,6 +230,20 @@ class TestRoot:
         assert Fraction(lo_text) <= gamma <= Fraction(hi_text)
         # 64-bit enclosure has ~19 identical leading digits
         assert lo_text[:15] == hi_text[:15] == "3.3027756377319"
+
+    def test_compute_only_regime_digest(self, capsys):
+        # pins the enclosures of q = 1 and q = 2, whose bisection starts
+        # from (q, q+1) like every other q
+        outputs = []
+        for q in (1, 2):
+            for k in range(2, 41):
+                for bits in (8, 9, 64):
+                    code, out, _ = run_cli(
+                        capsys, "root", "--q", str(q), "--k", str(k), "--bits", str(bits))
+                    assert code == 0
+                    outputs.append(out)
+        assert hashlib.sha256("".join(outputs).encode()).hexdigest() == (
+            "c35bd112f2856f3872b882731ffd858c7b6864c5078952526ecd3405d8078671")
 
 
 class TestSeries:
@@ -362,3 +406,74 @@ class TestEntryPoint:
         assert proc.wait(timeout=60) == 2
         assert first == b"q,k,n,value\n"
         assert err == b""
+
+
+# each subcommand's integer options with a tiny valid range; one below
+# it is out of the domain for some or all of the other values
+_FUZZ_OPTIONS = {
+    "term": (("--q", 1, 6), ("--k", 2, 6), ("--n", 0, 40), ("--bits", 8, 96)),
+    "table": (("--q", 1, 6), ("--k-min", 2, 5), ("--k-max", 2, 6), ("--n-max", 1, 30)),
+    "root": (("--q", 1, 10), ("--k", 2, 12), ("--bits", 8, 160)),
+    "series": (("--q", 1, 6), ("--k", 2, 6), ("--count", 1, 40)),
+    "verify": (("--q", 3, 6), ("--k-min", 2, 4), ("--k-max", 2, 4), ("--n-max", 3, 20),
+               ("--bits", 8, 64)),
+    "bench": (("--q", 1, 4), ("--k", 2, 5), ("--n", 0, 30), ("--reps", 1, 2)),
+}
+
+
+@st.composite
+def cli_argv(draw):
+    """Tiny, partly invalid invocations of every subcommand."""
+    command = draw(st.sampled_from(tuple(_FUZZ_OPTIONS)))
+    options = _FUZZ_OPTIONS[command]
+    # at most one option is left out (a missing required argument or a
+    # default), not an integer, or one below its range
+    spoil = draw(st.sampled_from((None, None, "drop", "x", "low")))
+    spoiled = draw(st.integers(0, len(options) - 1))
+    argv = [command]
+    for i, (flag, lo, hi) in enumerate(options):
+        if spoil and i == spoiled:
+            argv += {"drop": [], "x": [flag, "x"], "low": [flag, str(lo - 1)]}[spoil]
+        else:
+            argv += [flag, str(draw(st.integers(lo, hi)))]
+    if command == "term":
+        argv += ["--method", draw(st.sampled_from(
+            ("def", "shortcut", "fast", "theorem3", "binet", "bogus")))]
+    elif command == "table":
+        argv += ["--format", draw(st.sampled_from(("csv", "json", "markdown", "bogus")))]
+        if draw(st.integers(0, 9)) == 0:
+            missing = os.path.join(os.path.dirname(__file__), "no-such-dir", "t.csv")
+            argv += ["--output", missing]
+    elif command == "verify":
+        argv += ["--law", draw(st.sampled_from(
+            ("all", "identities", "lemma1", "lemma2", "error-bound", "growth", "bogus")))]
+    return argv
+
+
+class TestExitCodeContract:
+    @given(argv=cli_argv())
+    @settings(max_examples=60, deadline=None)
+    # an inconclusive law, the one way to exit 1
+    @example(argv=["verify", "--law", "error-bound", "--q", "3", "--k-min", "2",
+                   "--k-max", "2", "--n-max", "300", "--bits", "8"])
+    # integers past CPython's default 4,300-digit int-to-str limit
+    @example(argv=["term", "--q", "10", "--k", "2", "--n", "5000"])
+    @example(argv=["table", "--q", "10", "--k-min", "2", "--k-max", "2", "--n-max", "5000"])
+    @example(argv=["table", "--q", "10", "--k-min", "2", "--k-max", "2", "--n-max", "5000",
+                   "--format", "json"])
+    @example(argv=["table", "--q", "10", "--k-min", "2", "--k-max", "2", "--n-max", "5000",
+                   "--format", "markdown"])
+    @example(argv=["series", "--q", "10", "--k", "2", "--count", "5000"])
+    def test_exit_codes(self, argv):
+        # 0 pass, 1 a law failed or was inconclusive, 2 usage or domain
+        # error; anything else escaping main fails here with its traceback
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+        if code == 1:
+            assert argv[0] == "verify"

@@ -201,8 +201,8 @@ class TestTermBounds:
         # rungs skipped as hopeless would only have been inconclusive, so
         # every report field matches a climb over the whole ladder
         reports = check_term_bounds(grid, bits)
-        monkeypatch.setattr(lawcheck, "_viable_rungs",
-                            lambda enclosure, n, bits, limit: _rungs(bits))
+        monkeypatch.setattr(lawcheck, "_root_ladder", lambda params, n, bits, limit: (
+            dominant_root(params, work) for work in _rungs(bits)))
         assert reports == check_term_bounds(grid, bits)
 
 

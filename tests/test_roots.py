@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qkbonacci import (
+    CharPoly,
     DomainError,
     DyadicInterval,
     RegimeError,
@@ -30,10 +31,12 @@ class TestDominantRoot:
     def test_bracket_certified(self):
         for q in (3, 4, 5):
             for k in range(2, 9):
-                enc = dominant_root(SequenceParams(q, k), 96)
+                params = SequenceParams(q, k)
+                enc = dominant_root(params, 96)
                 assert enc.interval.strictly_above(q)
                 assert enc.interval.strictly_below(q + 1)
-                assert enc.sign_lo < 0 < enc.sign_hi
+                phi = CharPoly.of(params)
+                assert phi.eval(enc.interval.lo) < 0 < phi.eval(enc.interval.hi)
 
     def test_monotone_in_k(self):
         g4 = dominant_root(SequenceParams(3, 4), 128).interval
@@ -89,21 +92,23 @@ class TestRefineRoot:
 
     @pytest.mark.parametrize("q", [1, 2, 3])
     def test_coarsens_to_the_ancestor_cell(self, q):
-        # q = 2 starts from the width-2 bracket (1, 3), whose cells are
-        # not the dyadic cells of the coarser scale
         params = SequenceParams(q, 5)
         fine = dominant_root(params, 300)
         for bits in (8, 9, 64, 299, 300):
             assert refine_root(fine, bits) == dominant_root(params, bits)
 
     def test_rejects_cells_off_the_lattice(self):
-        params = SequenceParams(2, 3)
-        cell = dominant_root(params, 16).interval
-        for lo, hi in ((cell.lo_num + 1, cell.hi_num + 1),
-                       (cell.lo_num, cell.hi_num + 1)):
-            stray = RootEnclosure(params, DyadicInterval(lo, hi, cell.bits))
-            with pytest.raises(DomainError):
-                refine_root(stray, 32)
+        # a neighbouring cell misses the root, and a wider one is not a
+        # cell; refining either would enclose something other than gamma
+        for q in (1, 2, 3, 5):
+            params = SequenceParams(q, 4)
+            cell = dominant_root(params, 16).interval
+            for lo, hi in ((cell.lo_num + 1, cell.hi_num + 1),
+                           (cell.lo_num - 1, cell.hi_num - 1),
+                           (cell.lo_num, cell.hi_num + 1)):
+                stray = RootEnclosure(params, DyadicInterval(lo, hi, cell.bits))
+                with pytest.raises(DomainError):
+                    refine_root(stray, 32)
 
     def test_tiny_bits_rejected(self):
         with pytest.raises(DomainError):
