@@ -28,10 +28,8 @@ from .numerics import (
 from .numerics.binet import _root_ladder, _rungs
 from .numerics.dyadic import _float_text
 from .sequences import (
-    CompanionKind,
     SequenceParams,
-    _theorem3_sum,
-    companion_table,
+    _theorem3_forms,
     series_coefficients,
     term_table,
 )
@@ -237,10 +235,8 @@ def check_identities(grid: Grid) -> list[LawReport]:
 
         # companion-pair identity, q >= 3 only
         if q >= 3:
-            u = companion_table(q, CompanionKind.U, grid.n_max)
-            v = companion_table(q, CompanionKind.V, max(1, grid.n_max - k - 1))
-            for n in range(1, grid.n_max + 1):
-                expected = _theorem3_sum(u, v, table, k, n)
+            forms = _theorem3_forms(params, table, grid.n_max)
+            for n, expected in enumerate(forms, start=1):
                 if f(n) != expected:
                     companion_witnesses.append(Witness(
                         q, k, n, "fail",

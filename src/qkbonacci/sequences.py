@@ -196,19 +196,27 @@ def theorem3_term(params: SequenceParams, n: int) -> int:
         )
     if n < 1:
         raise DomainError(f"theorem3_term requires n >= 1, got n={n}")
+    return _theorem3_forms(params, term_table(params, max(1, n - params.k - 1)), n)[-1]
+
+
+def _theorem3_forms(params: SequenceParams, table, n_max: int) -> list[int]:
+    """U_n - C_{n-k-1} for n in [1, n_max], from a term table F_{2-k}..
+    reaching F_{n_max-k-1}; F_j sits at j + k - 2.
+
+    C_m = sum_{j=1}^{m} V_j * F_{m+1-j} is the companion form's sum, and
+    C_m = 0 for m <= 0.  V has the generating function
+    x / (1 - (q+1)x + (q-1)x^2), so sum_m C_m x^m is F(x) over the same
+    denominator: C_m = (q+1)C_{m-1} - (q-1)C_{m-2} + F_m.  That is one
+    pass with small multipliers, where summing each C_m term by term
+    costs O(n_max^2) big-integer products.
+    """
     q, k = params.q, params.k
-    u = companion_table(q, CompanionKind.U, n)
-    if n <= k + 1:
-        return u[n - 1]
-    m = n - k - 1
-    v = companion_table(q, CompanionKind.V, m)
-    return _theorem3_sum(u, v, term_table(params, m), k, n)
-
-
-def _theorem3_sum(u, v, table, k: int, n: int) -> int:
-    """U_n - sum_{j=1}^{n-k-1} V_j * F_{n-k-j}, from U_1.., V_1.. and a
-    term table F_{2-k}.. reaching F_{n-k-1}; F_j sits at j + k - 2."""
-    return u[n - 1] - sum(v[j - 1] * table[n - j - 2] for j in range(1, n - k))
+    # C_{-k}..C_0 are 0, so C_{n-k-1} sits at n - 1 like U_n
+    c = [0] * (k + 1)
+    for m in range(1, n_max - k):
+        c.append((q + 1) * c[-1] - (q - 1) * c[-2] + table[m + k - 2])
+    u = companion_table(q, CompanionKind.U, n_max)
+    return [un - cn for un, cn in zip(u, c)]
 
 
 def series_coefficients(params: SequenceParams, count: int) -> list[int]:

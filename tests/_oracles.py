@@ -44,6 +44,24 @@ def brute_force_terms(q: int, k: int, n_max: int) -> dict:
     return vals
 
 
+def theorem3_convolution(q: int, k: int, n: int) -> int:
+    """The companion form U_n - sum_{j=1}^{n-k-1} V_j * F_{n-k-j} for
+    q >= 3 and n >= 1, summed term by term.
+
+    U and V follow X_j = (q+1) X_{j-1} - (q-1) X_{j-2} from the seeds
+    U_1, U_2 = 1, q and V_1, V_2 = 1, q+1; F comes from the definition.
+    """
+    def companion(x1, x2):
+        vals = [x1, x2]
+        while len(vals) < n:
+            vals.append((q + 1) * vals[-1] - (q - 1) * vals[-2])
+        return vals
+
+    u, v = companion(1, q), companion(1, q + 1)
+    f = brute_force_terms(q, k, max(1, n - k - 1))
+    return u[n - 1] - sum(v[j - 1] * f[n - k - j] for j in range(1, n - k))
+
+
 def binary_word_term(q: int, k: int, n: int) -> int:
     """F_n for n >= 1 by enumerating binary words of length n - 2.
 

@@ -78,6 +78,21 @@ class TestTerm:
             outputs.add(out)
         assert len(outputs) == 1
 
+    def test_theorem3_digest(self, capsys):
+        # pins the companion form around n = k+1, where its sum starts,
+        # and far past the identity checks' n_max
+        outputs = []
+        for q in (3, 5, 10):
+            for k in (2, 7, 16):
+                for n in (1, k + 1, k + 2, 100, 500, 2000):
+                    code, out, _ = run_cli(
+                        capsys, "term", "--q", str(q), "--k", str(k),
+                        "--n", str(n), "--method", "theorem3")
+                    assert code == 0
+                    outputs.append(out)
+        assert hashlib.sha256("".join(outputs).encode()).hexdigest() == (
+            "c4d8d30ccc3026a91ded8cc09a28d61c246d2ece285aa18887848a155c3bbe97")
+
     def test_binet_method(self, capsys):
         code, out, _ = run_cli(
             capsys, "term", "--q", "3", "--k", "2", "--n", "6", "--method", "binet"
@@ -334,6 +349,17 @@ class TestVerify:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "fa2dd006c4f16d3e4d989f798ee2fd9f9b4fd012fb2a005b2d50e22becf9fe4a")
+
+    def test_identities_whole_domain_digest(self, capsys):
+        # q 1-10, k 2-16, n_max 500: every cell the identity checks accept
+        argv = ["verify", "--law", "identities"]
+        for q in range(1, 11):
+            argv += ["--q", str(q)]
+        code, out, _ = run_cli(capsys, *argv, "--k-min", "2", "--k-max", "16",
+                               "--n-max", "500")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "99fa732f3e39eb938beac9bffa4b1ce6dc947caa1099bac4a94550f8ba3f6c19")
 
     def test_full_run_exits_0(self, capsys):
         code, out, _ = run_cli(

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -84,6 +85,43 @@ class TestIdentities:
         # the shortcut identity starts at n = 3
         with pytest.raises(DomainError):
             check_identities(Grid((3,), (2,), 2))
+
+    def test_whole_domain_passes(self):
+        # every grid the identity checks accept lies inside this one
+        reports = check_identities(Grid(range(1, 11), range(2, 17), 500))
+        assert [(r.verdict, r.witnesses) for r in reports] == [("pass", ())] * 3
+
+    def test_one_wrong_term_is_caught(self, monkeypatch):
+        real = lawcheck.term_table
+
+        def off_by_one(params, n_max):
+            table = real(params, n_max)
+            if params == SequenceParams(3, 4):
+                table[40 - params.min_index] += 1
+            return table
+
+        monkeypatch.setattr(lawcheck, "term_table", off_by_one)
+        reports = check_identities(Grid((3, 4), (2, 3, 4, 5), 100))
+        # F_40 feeds the shortcut at n = 40, 41, 42, 45 and the companion
+        # sum at every n >= 45; counts and texts were pinned from the
+        # companion sum taken term by term
+        value = "489280091470272672400, definition gives 489280091470272672401"
+        expected = {
+            "identity-theorem2": (4, f"shortcut gives {value}",
+                "108b7ae9c7e80a6c9712514f1196c8d6dbfcf47a270e500f4bd6d79558ecb8f7"),
+            "identity-theorem3": (57, f"companion form gives {value}",
+                "99a6f351fdcdfe27ad668ef34df8ea1786e416f9c455da6bb0bb147ff3dbf147"),
+            "series-oracle": (1, f"series coefficient {value}",
+                "7249487a920119c6d0bc093ba1fce386e0a2e48d44d5d13273891d42fe90e7aa"),
+        }
+        for r in reports:
+            count, first, digest = expected[r.law_id]
+            assert r.verdict == "fail"
+            assert len(r.witnesses) == count
+            assert all((w.q, w.k, w.kind) == (3, 4, "fail") for w in r.witnesses)
+            assert (r.witnesses[0].n, r.witnesses[0].detail) == (40, first)
+            details = "\n".join(w.detail for w in r.witnesses)
+            assert hashlib.sha256(details.encode()).hexdigest() == digest
 
     def test_grid_preconditions(self):
         with pytest.raises(DomainError):

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qkbonacci import (
@@ -21,6 +21,7 @@ from _oracles import (
     brute_force_terms,
     fibonacci,
     pell,
+    theorem3_convolution,
 )
 
 
@@ -143,6 +144,20 @@ class TestTheorem3:
     def test_regime_error(self):
         with pytest.raises(RegimeError):
             theorem3_term(SequenceParams(1, 2), 5)
+
+    # n = k+1 is the last index with an empty sum; k+2 and k+3 the first
+    # with one and two terms
+    @given(q=st.integers(3, 10), k=st.integers(2, 16), n=st.integers(1, 500))
+    @example(q=3, k=2, n=3)
+    @example(q=3, k=2, n=4)
+    @example(q=3, k=2, n=5)
+    @example(q=10, k=16, n=17)
+    @example(q=10, k=16, n=18)
+    @example(q=10, k=16, n=19)
+    @example(q=10, k=16, n=500)
+    @settings(max_examples=60, deadline=None)
+    def test_equals_convolution_oracle(self, q, k, n):
+        assert theorem3_term(SequenceParams(q, k), n) == theorem3_convolution(q, k, n)
 
 
 class TestSeries:
