@@ -166,14 +166,21 @@ def _order(a, b) -> int:
     return -1 if a.strictly_above(b) else 0
 
 
-def _chain(checks, q, k, n, work, fails, unsettled) -> None:
+def _order_mantissas(a, b) -> int:
+    """_order for (lo, hi) integer mantissa pairs at one scale."""
+    if a[1] < b[0]:
+        return 1
+    return -1 if a[0] > b[1] else 0
+
+
+def _chain(checks, q, k, n, work, fails, unsettled, order=_order) -> None:
     """Certify each (label, a, b) in checks as a < b; a certified
     a > b goes to fails and an unseparated pair to unsettled."""
     for label, a, b in checks:
-        order = _order(a, b)
-        if order < 0:
+        sign = order(a, b)
+        if sign < 0:
             fails.append(Witness(q, k, n, "fail", f"{label} certified false"))
-        elif order == 0:
+        elif sign == 0:
             unsettled.append(Witness(
                 q, k, n, "inconclusive", f"{label} not separated at {work} bits"))
 
@@ -339,10 +346,23 @@ def check_root_laws(grid: Grid, bits: int) -> list[LawReport]:
 # error bound and growth chain
 # ----------------------------------------------------------------------
 
+# the growth chain's four links, between consecutive members of
+# gamma^(n-2), gamma^(n-1)(q-1)/q, F_n, gamma^(n-1)(q+2)/q, gamma^n
+_GROWTH_LINKS = (
+    "gamma^(n-2) < gamma^(n-1)(q-1)/q",
+    "gamma^(n-1)(q-1)/q < F_n",
+    "F_n < gamma^(n-1)(q+2)/q",
+    "gamma^(n-1)(q+2)/q < gamma^n",
+)
+
+
 def check_term_bounds(grid: Grid, bits: int) -> list[LawReport]:
     """|E_n| <= 1/q for n in [2-k, n_max] and the growth chain
     gamma^(n-2) < gamma^(n-1)(q-1)/q < F_n < gamma^(n-1)(q+2)/q < gamma^n
-    for n in [1, n_max], certified against exact integers."""
+    for n in [1, n_max], certified against exact integers.
+
+    Both laws compare integer mantissas at the enclosure's scale 2^-w:
+    the dominant-term sweep's rows, and F_n * 2^w."""
     _require_certified_regime(grid)
     error_witnesses, growth_witnesses = [], []
     used = bits
@@ -351,25 +371,26 @@ def check_term_bounds(grid: Grid, bits: int) -> list[LawReport]:
     for q, k in grid.cells:
         params = SequenceParams(q, k)
         table = term_table(params, grid.n_max)
-
-        def f(n):
-            return table[n - params.min_index]
-
-        low_ratio, high_ratio = Fraction(q - 1, q), Fraction(q + 2, q)
+        first, lowest = params.min_index, min(params.min_index, -1)
 
         def attempt(enclosure):
             nonlocal error_strict
             work = enclosure.interval.bits
-            _, powers, terms = dominant_term_sweep(enclosure, grid.n_max)
+            power_lo, power_hi, term_lo, term_hi = dominant_term_sweep(
+                enclosure, grid.n_max)
             err_pending, err_fail = [], []
-            for n in range(params.min_index, grid.n_max + 1):
-                e = (-terms[n]) + f(n)
-                # E_n against +-1/q, scaled by q * 2^bits
-                lo, hi, edge = q * e.lo_num, q * e.hi_num, 1 << e.bits
+            edge = 1 << work
+            for n, exact, t_lo, t_hi in zip(
+                    range(first, grid.n_max + 1), table, term_lo, term_hi):
+                # E_n against +-1/q, scaled by q * 2^work
+                scaled = exact << work
+                e_lo, e_hi = scaled - t_hi, scaled - t_lo
+                lo, hi = q * e_lo, q * e_hi
                 if -edge <= lo and hi <= edge:
                     if not (-edge < lo and hi < edge):
                         error_strict = False
                     continue
+                e = DyadicInterval(e_lo, e_hi, work)
                 if lo > edge or hi < -edge:
                     err_fail.append(Witness(
                         q, k, n, "fail",
@@ -385,14 +406,16 @@ def check_term_bounds(grid: Grid, bits: int) -> list[LawReport]:
                     ))
             grow_pending, grow_fail = [], []
             for n in range(1, grid.n_max + 1):
-                low = powers[n - 1] * low_ratio
-                high = powers[n - 1] * high_ratio
-                _chain((
-                    ("gamma^(n-2) < gamma^(n-1)(q-1)/q", powers[n - 2], low),
-                    ("gamma^(n-1)(q-1)/q < F_n", low, f(n)),
-                    ("F_n < gamma^(n-1)(q+2)/q", f(n), high),
-                    ("gamma^(n-1)(q+2)/q < gamma^n", high, powers[n]),
-                ), q, k, n, work, grow_fail, grow_pending)
+                i = n - 1 - lowest  # the index of gamma^(n-1)
+                lo, hi = power_lo[i], power_hi[i]
+                # times (q-1)/q and (q+2)/q, floored and ceiled
+                low = ((lo * (q - 1)) // q, -((-hi * (q - 1)) // q))
+                high = ((lo * (q + 2)) // q, -((-hi * (q + 2)) // q))
+                exact = table[n - first] << work
+                chain = ((power_lo[i - 1], power_hi[i - 1]), low, (exact, exact),
+                         high, (power_lo[i + 1], power_hi[i + 1]))
+                _chain(zip(_GROWTH_LINKS, chain, chain[1:]), q, k, n, work,
+                       grow_fail, grow_pending, _order_mantissas)
             return err_fail + err_pending, grow_fail + grow_pending
 
         # a rung whose E_{n_max} enclosure is wider than 2/q cannot settle

@@ -190,28 +190,49 @@ def error_term(params: SequenceParams, n: int, bits: int) -> ErrorEnclosure:
     )
 
 
-def dominant_term_sweep(enclosure: RootEnclosure, n_max: int):
-    """Weight and per-n data for n in [2-k, n_max], at the precision of
-    the given gamma enclosure.
+def _power_rows(lo: int, hi: int, count: int, bits: int):
+    """Mantissas of x^0 .. x^count for x = [lo, hi] * 2^-bits with lo >= 0,
+    by the outward-rounded chain x^m = x^(m-1) * x: on nonnegative
+    intervals a product's ends are lo * lo floored and hi * hi ceiled."""
+    rows_lo, rows_hi = [1 << bits], [1 << bits]
+    for _ in range(count):
+        rows_lo.append((rows_lo[-1] * lo) >> bits)
+        rows_hi.append(-((-rows_hi[-1] * hi) >> bits))
+    return rows_lo, rows_hi
 
-    Returns (weight, powers, terms) where powers[n] encloses gamma^n and
-    terms[n] encloses g(gamma) * gamma^n.  Powers are built
-    incrementally so a whole law-check row costs n_max interval products.
+
+def dominant_term_sweep(enclosure: RootEnclosure, n_max: int):
+    """Integer mantissas, at the 2^-w scale of the given gamma enclosure,
+    of gamma^n for n in [min(2-k, -1), n_max] and of g(gamma) * gamma^n
+    for n in [2-k, n_max].
+
+    Returns (power_lo, power_hi, term_lo, term_hi): entry i of a power
+    row is for n = min(2-k, -1) + i, entry i of a term row for n = 2-k+i.
+    The rows are the DyadicInterval chain gamma^n = gamma^(n-1) * gamma,
+    gamma^n = gamma^(n+1) * gamma.reciprocal() below 0 and g(gamma) *
+    gamma^n, rounded outward just as it rounds, so a whole law-check row
+    costs n_max integer products and no interval objects.
     """
     params = enclosure.params
     _check_index(params, n_max)
     gamma = enclosure.interval
-    weight = g_eval(params, gamma)
-    powers = {0: DyadicInterval.from_int(1, gamma.bits)}
-    for n in range(1, n_max + 1):
-        powers[n] = powers[n - 1] * gamma
-    # the growth chain reaches gamma^(n-2) at n=1, so always go to -1
+    w = gamma.bits
+    # the growth chain reaches gamma^(n-2) at n = 1, so always go to -1
     lowest = min(params.min_index, -1)
+    # gamma lies in its bracket (q, q+1), so every power is positive
+    up_lo, up_hi = _power_rows(gamma.lo_num, gamma.hi_num, n_max, w)
     inverse = gamma.reciprocal()
-    for n in range(-1, lowest - 1, -1):
-        powers[n] = powers[n + 1] * inverse
-    terms = {n: weight * powers[n] for n in range(params.min_index, n_max + 1)}
-    return weight, powers, terms
+    down_lo, down_hi = _power_rows(inverse.lo_num, inverse.hi_num, -lowest, w)
+    size = n_max - lowest + 1
+    power_lo = (down_lo[:0:-1] + up_lo)[:size]
+    power_hi = (down_hi[:0:-1] + up_hi)[:size]
+    # with nonnegative powers, each end of the weight picks its extreme
+    weight = g_eval(params, gamma)
+    g_lo, g_hi = weight.lo_num, weight.hi_num
+    first = params.min_index - lowest
+    term_lo = [(g_lo * p) >> w for p in (power_lo if g_lo >= 0 else power_hi)[first:]]
+    term_hi = [-((-g_hi * p) >> w) for p in (power_hi if g_hi >= 0 else power_lo)[first:]]
+    return power_lo, power_hi, term_lo, term_hi
 
 
 # ----------------------------------------------------------------------

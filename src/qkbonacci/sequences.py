@@ -80,9 +80,12 @@ def term_table(params: SequenceParams, n_max: int) -> list[int]:
     _check_index(params, n_max)
     q, k = params.q, params.k
     vals = [0] * (k - 1) + [1]  # F_{2-k} .. F_1
-    for _ in range(2, n_max + 1):
-        window = vals[-k:]
-        vals.append(q * window[-1] + sum(window[:-1]))
+    total = 1  # running sum of the last k terms
+    # vals[i] is F_{n-k} when F_n is appended
+    for i in range(n_max - 1):
+        nxt = total + (q - 1) * vals[-1]
+        total += nxt - vals[i]
+        vals.append(nxt)
     return vals[: n_max - (2 - k) + 1]
 
 

@@ -17,8 +17,8 @@ from pathlib import Path
 
 import pytest
 
-from qkbonacci import numerics, sequences
-from qkbonacci.numerics import roots
+from qkbonacci import Grid, lawcheck, numerics, sequences
+from qkbonacci.numerics import binet, roots
 from qkbonacci.numerics.dyadic import DyadicInterval
 from qkbonacci.numerics.polynomials import _IntPoly
 
@@ -77,3 +77,31 @@ def test_dominant_root_bits_argument():
 def test_refine_root_is_spanned(spans):
     assert "qkbonacci.numerics.roots" in spans.LAYERS
     assert "refine_root" in roots.__all__
+
+
+def test_term_sweep_is_spanned_once_per_rung(spans, monkeypatch):
+    # check_term_bounds reaches the sweep through lawcheck's module
+    # binding, which the tracer replaces, once per rung it attempts; so
+    # numerics.binet.dominant_term_sweep.self_s holds the row products
+    assert "qkbonacci.numerics.binet" in spans.LAYERS
+    assert "dominant_term_sweep" in binet.__all__
+    assert lawcheck.dominant_term_sweep is binet.dominant_term_sweep
+    attempted, swept = [], []
+    real_sweep = lawcheck.dominant_term_sweep
+
+    def full_ladder(params, n, bits, limit):
+        # every rung, none skipped, so that cells climb
+        for work in binet._rungs(bits):
+            attempted.append((params, work))
+            yield roots.dominant_root(params, work)
+
+    def sweep(enclosure, n_max):
+        swept.append((enclosure.params, enclosure.interval.bits))
+        return real_sweep(enclosure, n_max)
+
+    monkeypatch.setattr(lawcheck, "_root_ladder", full_ladder)
+    monkeypatch.setattr(lawcheck, "dominant_term_sweep", sweep)
+    grid = Grid((3, 7), (2, 9), 300)
+    lawcheck.check_term_bounds(grid, 8)
+    assert swept == attempted
+    assert len(swept) > len(grid.cells)

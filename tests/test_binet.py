@@ -212,11 +212,11 @@ class TestErrorTerm:
         # midpoints satisfy the order-(k+1) recurrence within the widths
         for q, k in [(3, 2), (4, 3), (5, 5)]:
             p = SequenceParams(q, k)
-            _, _, terms = dominant_term_sweep(dominant_root(p, 256), 40)
+            *_, term_lo, term_hi = dominant_term_sweep(dominant_root(p, 256), 40)
             mid = {}
             widths = {}
-            for n, t in terms.items():
-                e = (-t) + term_definition(p, n)
+            for n, lo, hi in zip(range(p.min_index, 41), term_lo, term_hi):
+                e = (-DyadicInterval(lo, hi, 256)) + term_definition(p, n)
                 mid[n], widths[n] = e.midpoint, e.width
             for n in range(p.min_index + k + 1, 41):
                 lhs = mid[n]
@@ -228,6 +228,36 @@ class TestErrorTerm:
                     + widths[n - k - 1]
                 )
                 assert abs(lhs - rhs) <= slack
+
+
+@st.composite
+def sweep_cases(draw):
+    q = draw(st.integers(3, 8))
+    k = draw(st.integers(2, 12))
+    return SequenceParams(q, k), draw(st.integers(1, 600)), draw(st.integers(8, 512))
+
+
+class TestDominantTermSweep:
+    @given(case=sweep_cases())
+    @settings(max_examples=60, deadline=None)
+    @example(case=(SequenceParams(8, 12), 600, 8))
+    def test_equals_interval_chain(self, case):
+        # the mantissa rows are the DyadicInterval chain, rounding for rounding
+        params, n_max, bits = case
+        enclosure = dominant_root(params, bits)
+        gamma = enclosure.interval
+        lowest = min(params.min_index, -1)
+        powers = {0: DyadicInterval.from_int(1, bits)}
+        for n in range(1, n_max + 1):
+            powers[n] = powers[n - 1] * gamma
+        for n in range(-1, lowest - 1, -1):
+            powers[n] = powers[n + 1] * gamma.reciprocal()
+        weight = g_eval(params, gamma)
+        power_lo, power_hi, term_lo, term_hi = dominant_term_sweep(enclosure, n_max)
+        assert list(zip(power_lo, power_hi)) == [
+            (powers[n].lo_num, powers[n].hi_num) for n in range(lowest, n_max + 1)]
+        terms = [weight * powers[n] for n in range(params.min_index, n_max + 1)]
+        assert list(zip(term_lo, term_hi)) == [(t.lo_num, t.hi_num) for t in terms]
 
 
 class TestDifferentialOracle:

@@ -350,6 +350,20 @@ class TestVerify:
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "fa2dd006c4f16d3e4d989f798ee2fd9f9b4fd012fb2a005b2d50e22becf9fe4a")
 
+    def test_inconclusive_error_bound_digest(self, capsys):
+        # an 8-bit request caps at 128 bits, too few for these n, so this
+        # pins the inconclusive witness text that the default grid never
+        # reaches
+        code, out, _ = run_cli(
+            capsys, "verify", "--law", "error-bound", "--q", "3", "--q", "7",
+            "--k-min", "2", "--k-max", "9", "--n-max", "300", "--bits", "8")
+        assert code == 1
+        (report,) = json.loads(out)
+        assert (report["verdict"], report["bits_used"]) == ("inconclusive", 128)
+        assert len(report["witnesses"]) == 3893
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "42238da2747e94725480a9e038edd01bc8be1517f91b378e94d0ed35c4110cf5")
+
     def test_identities_whole_domain_digest(self, capsys):
         # q 1-10, k 2-16, n_max 500: every cell the identity checks accept
         argv = ["verify", "--law", "identities"]

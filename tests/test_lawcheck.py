@@ -224,6 +224,39 @@ class TestTermBounds:
         assert by_id["growth-bounds"].verdict == "pass"
         assert by_id["growth-bounds"].bits_used == 128
 
+    def test_wrong_terms_are_caught(self, monkeypatch):
+        real = lawcheck.term_table
+
+        def wrong(params, n_max):
+            table = real(params, n_max)
+            if params == SequenceParams(3, 4):
+                table[40 - params.min_index] += 1
+                table[60 - params.min_index] *= 2
+                table[80 - params.min_index] = table[80 - params.min_index] * 3 // 4
+            return table
+
+        monkeypatch.setattr(lawcheck, "term_table", wrong)
+        reports = check_term_bounds(Grid((3, 4), (2, 3, 4, 5), 100), 192)
+        # F_40 + 1 breaks only the error bound; 2 F_60 passes the upper
+        # growth bound and 3/4 F_80 falls below the lower one. Texts were
+        # pinned from the interval-object checker
+        expected = {
+            "error-bound": ([40, 60, 80],
+                "94d375d2a035da0623226e909b49e89695982ba7e2132b83174bfe72813920e3"),
+            "growth-bounds": ([60, 80],
+                "4fb6a6356e9f30bb137d8f78016b2a6a6a36f1ab6b66c88e0a22be19af7d9dd0"),
+        }
+        for r in reports:
+            ns, digest = expected[r.law_id]
+            assert (r.verdict, r.bits_used) == ("fail", 384)
+            assert [w.n for w in r.witnesses] == ns
+            assert all((w.q, w.k, w.kind) == (3, 4, "fail") for w in r.witnesses)
+            details = "\n".join(w.detail for w in r.witnesses)
+            assert hashlib.sha256(details.encode()).hexdigest() == digest
+        assert [w.detail for w in reports[1].witnesses] == [
+            "F_n < gamma^(n-1)(q+2)/q certified false",
+            "gamma^(n-1)(q-1)/q < F_n certified false",
+        ]
 
     @pytest.mark.parametrize("grid, bits", [
         (Grid((3, 4), (2, 3), 60), 128),

@@ -25,6 +25,13 @@ from _oracles import (
 )
 
 
+@st.composite
+def table_cases(draw):
+    q = draw(st.integers(1, 10))
+    k = draw(st.integers(2, 40))
+    return q, k, draw(st.integers(2 - k, 300))
+
+
 class TestParams:
     def test_valid(self):
         p = SequenceParams(3, 2)
@@ -83,6 +90,17 @@ class TestDefinition:
         table = term_table(p, 30)
         for n in range(p.min_index, 31):
             assert table[n - p.min_index] == term_definition(p, n)
+
+    # n_max from 2-k, so tables that end inside the zero seeds are drawn
+    @given(case=table_cases())
+    @settings(max_examples=80, deadline=None)
+    @example(case=(3, 40, -38))
+    @example(case=(1, 2, 300))
+    def test_table_matches_brute_force(self, case):
+        q, k, n_max = case
+        oracle = brute_force_terms(q, k, n_max)
+        assert term_table(SequenceParams(q, k), n_max) == [
+            oracle[n] for n in range(2 - k, n_max + 1)]
 
 
 class TestShortcut:
