@@ -73,10 +73,9 @@ def _cmd_term(args) -> int:
 def _table_rows(q: int, k_min: int, k_max: int, n_max: int):
     rows = []
     for k in range(k_min, k_max + 1):
-        params = SequenceParams(q, k)
-        table = term_table(params, n_max)
-        for n in range(1, n_max + 1):
-            rows.append((q, k, n, table[n - params.min_index]))
+        # F_1 sits at k - 1
+        table = term_table(SequenceParams(q, k), n_max)
+        rows += [(q, k, n, value) for n, value in enumerate(table[k - 1:], start=1)]
     return rows
 
 

@@ -18,7 +18,7 @@ class PoleInIntervalError(QkError, ArithmeticError):
 
 
 class RootSolveError(QkError, ArithmeticError):
-    """Simultaneous root refinement failed to converge or to certify.
+    """Root isolation or polishing failed to converge or to certify.
 
     Carries the last residual magnitudes so the failure is diagnosable
     instead of silently returning a bad root set.

@@ -221,49 +221,31 @@ def check_identities(grid: Grid) -> list[LawReport]:
     """Shortcut identity, companion-pair identity, and series oracle,
     all by exact integer equality (never inconclusive)."""
     _require_identities_grid(grid)
-    shortcut_witnesses = []
-    companion_witnesses = []
-    series_witnesses = []
+    witnesses = {law_id: [] for law_id in LAW_IDS[:3]}
     for q, k in grid.cells:
         params = SequenceParams(q, k)
         table = term_table(params, grid.n_max)
-
-        def f(n):
-            return table[n - params.min_index]
-
-        # order-(k+1) shortcut, stated for n >= 3
-        for n in range(3, grid.n_max + 1):
-            expected = (q + 1) * f(n - 1) - (q - 1) * f(n - 2) - f(n - k - 1)
-            if f(n) != expected:
-                shortcut_witnesses.append(Witness(
-                    q, k, n, "fail",
-                    f"shortcut gives {expected}, definition gives {f(n)}",
-                ))
-
-        # companion-pair identity, q >= 3 only
+        # F_n sits at n + k - 2; each check is (law id, witness prefix,
+        # first n, the values it gives for F_n from there on)
+        checks = [(
+            # order-(k+1) shortcut, stated for n >= 3
+            "identity-theorem2", "shortcut gives", 3,
+            ((q + 1) * table[n + k - 3] - (q - 1) * table[n + k - 4] - table[n - 3]
+             for n in range(3, grid.n_max + 1)),
+        )]
         if q >= 3:
-            forms = _theorem3_forms(params, table, grid.n_max)
-            for n, expected in enumerate(forms, start=1):
-                if f(n) != expected:
-                    companion_witnesses.append(Witness(
-                        q, k, n, "fail",
-                        f"companion form gives {expected}, definition gives {f(n)}",
-                    ))
-
+            checks.append(("identity-theorem3", "companion form gives", 1,
+                           _theorem3_forms(params, table, grid.n_max)))
         # generating-function long division
-        coeffs = series_coefficients(params, grid.n_max + 1)
-        for n, c in enumerate(coeffs):
-            if c != f(n):
-                series_witnesses.append(Witness(
-                    q, k, n, "fail",
-                    f"series coefficient {c}, definition gives {f(n)}",
-                ))
-
-    return [
-        _report("identity-theorem2", grid, shortcut_witnesses, 0),
-        _report("identity-theorem3", grid, companion_witnesses, 0),
-        _report("series-oracle", grid, series_witnesses, 0),
-    ]
+        checks.append(("series-oracle", "series coefficient", 0,
+                       series_coefficients(params, grid.n_max + 1)))
+        for law_id, prefix, first, values in checks:
+            for n, value in enumerate(values, start=first):
+                exact = table[n + k - 2]
+                if value != exact:
+                    witnesses[law_id].append(Witness(
+                        q, k, n, "fail", f"{prefix} {value}, definition gives {exact}"))
+    return [_report(law_id, grid, found, 0) for law_id, found in witnesses.items()]
 
 
 # ----------------------------------------------------------------------
@@ -453,7 +435,7 @@ def check_reconstruction(grid: Grid, bits: int) -> list[LawReport]:
                         f"imag={_float_text(imag, '.3g')}",
                     ))
                     continue
-                exact = table[n - params.min_index]
+                exact = table[n + k - 2]
                 if rec.value != exact:
                     witnesses.append(Witness(
                         q, k, n, "fail",

@@ -312,7 +312,7 @@ def reconstruction_sweep(params: SequenceParams, n_lo: int, n_hi: int, bits: int
     if n_hi < n_lo:
         return
     roots = all_roots(params, bits)
-    work = roots.secondary[0].bits if roots.secondary else bits + 64
+    work = roots.secondary[0].bits
     mid = roots.dominant.interval.midpoint
     points = [((mid.numerator << work) // mid.denominator, 0)]
     points += [(s.re_num, s.im_num) for s in roots.secondary]

@@ -5,10 +5,11 @@ Two deliberately different routes:
 * the dominant root gets a certified enclosure from pure bisection with
   exact integer sign tests (unconditionally convergent inside the
   (q, q+1) bracket, which the polynomial family guarantees);
-* the remaining roots get simultaneous Aberth-Ehrlich refinement carried
-  out in integer fixed-point complex arithmetic at the requested
-  precision, reported together with residual magnitudes |Phi(z)| rather
-  than enclosures.
+* the remaining roots are isolated by simultaneous Aberth-Ehrlich
+  iteration in floats, then each is polished by Newton steps in integer
+  fixed-point complex arithmetic at the requested precision, and
+  reported together with residual magnitudes |Phi(z)| rather than
+  enclosures.
 
 Precision is always an argument; nothing here keeps ambient state.
 """
@@ -35,7 +36,7 @@ __all__ = [
     "all_roots",
 ]
 
-_ABERTH_MAX_ITER = 80
+_NEWTON_MAX_STEPS = 80
 _FLOAT_MAX_ITER = 400
 
 
@@ -256,10 +257,15 @@ def _cabs2(z):
     return z[0] * z[0] + z[1] * z[1]
 
 
-def _aberth_float(coeffs) -> list[complex]:
-    """Machine-precision simultaneous refinement used only for seeding."""
+def _residual(value, bits):
+    # |value| rounded up at scale 2^-bits
+    return Fraction(isqrt(_cabs2(value)) + 1, 1 << bits)
+
+
+def _aberth_float(coeffs, dcoeffs) -> list[complex]:
+    """Machine-precision simultaneous refinement used only for seeding;
+    the integer coefficients enter complex arithmetic as floats."""
     degree = len(coeffs) - 1
-    dcoeffs = [i * c for i, c in enumerate(coeffs)][1:]
 
     def ev(cs, z):
         acc = 0j
@@ -300,45 +306,32 @@ def _aberth_float(coeffs) -> list[complex]:
     )
 
 
-def _aberth_fixed(coeffs, seeds, bits, accuracy_bits):
-    """Refine seeds to ~2^-accuracy_bits in fixed point at scale 2^-bits."""
-    degree = len(coeffs) - 1
-    dcoeffs = [i * c for i, c in enumerate(coeffs)][1:]
-    zs = [(_to_fixed(z.real, bits), _to_fixed(z.imag, bits)) for z in seeds]
-    one = 1 << bits
+def _newton_fixed(coeffs, dcoeffs, seed, bits, accuracy_bits):
+    """Polish one isolated seed to ~2^-accuracy_bits by Newton steps in
+    fixed point at scale 2^-bits.
+
+    The seeds have already converged in floats, where Aberth's repulsion
+    kept them apart, so at this scale its correction factor is 1 to well
+    below the step tolerance and a plain Newton step is all that is left.
+    """
+    z = (_to_fixed(seed.real, bits), _to_fixed(seed.imag, bits))
     step_cap = 1 << max(1, bits - accuracy_bits)
-    for _ in range(_ABERTH_MAX_ITER):
-        biggest = 0
-        for i in range(degree):
-            z = zs[i]
-            p = _cpoly(coeffs, z, bits)
-            if p == (0, 0):
-                continue
-            dp = _cpoly(dcoeffs, z, bits)
-            if dp == (0, 0):
-                raise RootSolveError("derivative vanished during refinement")
-            newton = _cdiv(p, dp, bits)
-            repulse = (0, 0)
-            for j in range(degree):
-                if j == i:
-                    continue
-                diff = (z[0] - zs[j][0], z[1] - zs[j][1])
-                if diff == (0, 0):
-                    raise RootSolveError("iterates collided during refinement")
-                inv = _cdiv((one, 0), diff, bits)
-                repulse = (repulse[0] + inv[0], repulse[1] + inv[1])
-            den = (one - _round_shift(newton[0] * repulse[0] - newton[1] * repulse[1], bits),
-                   -_round_shift(newton[0] * repulse[1] + newton[1] * repulse[0], bits))
-            step = _cdiv(newton, den, bits)
-            zs[i] = (z[0] - step[0], z[1] - step[1])
-            biggest = max(biggest, _cabs2(step))
-        if biggest <= step_cap * step_cap:
-            return zs
-    residuals = [
-        Fraction(isqrt(_cabs2(_cpoly(coeffs, z, bits))) + 1, 1 << bits) for z in zs
-    ]
+    for _ in range(_NEWTON_MAX_STEPS):
+        p = _cpoly(coeffs, z, bits)
+        if p == (0, 0):
+            return z
+        dp = _cpoly(dcoeffs, z, bits)
+        if dp == (0, 0):
+            raise RootSolveError(
+                "derivative vanished during refinement", residuals=[_residual(p, bits)]
+            )
+        step = _cdiv(p, dp, bits)
+        z = (z[0] - step[0], z[1] - step[1])
+        if _cabs2(step) <= step_cap * step_cap:
+            return z
     raise RootSolveError(
-        "Aberth refinement did not reach the step tolerance", residuals=residuals
+        "Newton polishing did not reach the step tolerance",
+        residuals=[_residual(_cpoly(coeffs, z, bits), bits)],
     )
 
 
@@ -350,21 +343,18 @@ def all_roots(params: SequenceParams, bits: int) -> RootSet:
     with diagnostics rather than returning a silently bad answer.
     """
     poly = CharPoly.of(params)
-    coeffs = list(poly.coefficients)
+    coeffs, dcoeffs = poly.coefficients, poly.derivative_coefficients()
     degree = poly.degree
     enclosure = dominant_root(params, bits)
     work = bits + 64
 
-    seeds = _aberth_float([float(c) for c in coeffs])
-    refined = _aberth_fixed(coeffs, seeds, work, bits + 16)
+    seeds = _aberth_float(coeffs, dcoeffs)
+    refined = [_newton_fixed(coeffs, dcoeffs, z, work, bits + 16) for z in seeds]
 
     # Horner rounding slack: per step at most one ulp, amplified by |z|
     # per remaining step; all roots sit inside the Cauchy radius q + 1
     slack = Fraction(2 * degree * (params.q + 2) ** degree, 1 << work)
-    residuals = []
-    for z in refined:
-        value = _cpoly(coeffs, z, work)
-        residuals.append(Fraction(isqrt(_cabs2(value)) + 1, 1 << work) + slack)
+    residuals = [_residual(_cpoly(coeffs, z, work), work) + slack for z in refined]
 
     one_sq = 1 << (2 * work)
     outside = [i for i, z in enumerate(refined) if _cabs2(z) > one_sq]

@@ -6,7 +6,8 @@ rename or deletion there passes every other test but stops
 `perfbench/run.py --trace 1` with a KeyError.  The tracer also reads
 `dominant_root`'s bits from its second positional argument or its `bits`
 keyword, and spans only the functions a layer lists in `__all__`.  The
-files are only read.
+`certify` oracles read result fields, so one request of each kind goes
+through them here.  The files are only read.
 """
 import importlib
 import importlib.util
@@ -14,6 +15,7 @@ import inspect
 import random
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -66,6 +68,18 @@ def test_routes_and_certify_kinds_exist(workloads):
     kinds = {req.kind for req in workloads.certify_menu(random.Random(1))}
     for kind in kinds:
         assert callable(getattr(numerics, kind)), kind
+
+
+def test_certify_kinds_pass_their_oracles(workloads):
+    # the oracles read fields of RootEnclosure, RootSet and ErrorEnclosure
+    # and compare values; a change to those fails here, not in a run
+    mods = SimpleNamespace(numerics=numerics, sequences=sequences)
+    first = {}
+    for req in workloads.certify_menu(random.Random(1)):
+        first.setdefault(req.kind, req)
+    for req in first.values():
+        value = workloads.certify_execute(mods, req)
+        assert workloads.certify_check(req, workloads.certify_oracle(req), value) == "ok", req
 
 
 def test_dominant_root_bits_argument():

@@ -258,6 +258,28 @@ class TestTermBounds:
             "gamma^(n-1)(q-1)/q < F_n certified false",
         ]
 
+    def test_growth_ratios_are_pinned(self, monkeypatch):
+        # F_50 = 3/2 gamma^49 sits between the ratios 2/3 and 5/3 of the
+        # chain, and F_70 = 1/2 gamma^69 falls below 2/3; either ratio
+        # moved past 3/2 or 1/2 changes the witnesses
+        gamma = dominant_root(SequenceParams(3, 4), 512).interval.midpoint
+        real = lawcheck.term_table
+
+        def planted(params, n_max):
+            table = real(params, n_max)
+            if params == SequenceParams(3, 4):
+                table[50 - params.min_index] = gamma**49 * 3 // 2
+                table[70 - params.min_index] = gamma**69 // 2
+            return table
+
+        monkeypatch.setattr(lawcheck, "term_table", planted)
+        error, growth = check_term_bounds(Grid((3, 4), (2, 3, 4, 5), 100), 192)
+        assert (growth.verdict, growth.bits_used) == ("fail", 384)
+        assert [(w.q, w.k, w.n, w.detail) for w in growth.witnesses] == [
+            (3, 4, 70, "gamma^(n-1)(q-1)/q < F_n certified false")]
+        assert error.verdict == "fail"
+        assert [w.n for w in error.witnesses] == [50, 70]
+
     @pytest.mark.parametrize("grid, bits", [
         (Grid((3, 4), (2, 3), 60), 128),
         (Grid((3, 5), (2, 6), 300), 192),

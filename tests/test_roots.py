@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qkbonacci import (
@@ -9,6 +9,7 @@ from qkbonacci import (
     DomainError,
     DyadicInterval,
     RegimeError,
+    RootSolveError,
     SequenceParams,
     all_roots,
     dominant_root,
@@ -160,26 +161,36 @@ class TestAllRoots:
                 assert all(s.modulus_squared < 1 for s in rs.secondary)
                 assert rs.certified_inside_unit_circle()
 
-    def test_vieta_sum_and_product(self):
+    @given(q=st.integers(1, 10), k=st.integers(2, 16), bits=st.integers(64, 320))
+    @example(q=3, k=3, bits=160)
+    @example(q=4, k=5, bits=160)
+    @example(q=5, k=8, bits=160)
+    @settings(max_examples=100, deadline=None)
+    def test_vieta_sum_and_product(self, q, k, bits):
         # sum of all roots is q; product is (-1)^k * (-1)
-        for q, k in [(3, 3), (4, 5), (5, 8)]:
-            rs = all_roots(SequenceParams(q, k), 160)
-            total = rs.dominant.interval.midpoint + sum(
-                (s.real for s in rs.secondary), Fraction(0)
+        rs = all_roots(SequenceParams(q, k), bits)
+        total = rs.dominant.interval.midpoint + sum(
+            (s.real for s in rs.secondary), Fraction(0)
+        )
+        tol = Fraction(1, 2 ** (bits // 2))
+        assert abs(total - q) < tol
+        prod_re, prod_im = Fraction(1), Fraction(0)
+        for s in rs.secondary:
+            prod_re, prod_im = (
+                prod_re * s.real - prod_im * s.imag,
+                prod_re * s.imag + prod_im * s.real,
             )
-            tol = Fraction(1, 2**100)
-            assert abs(total - q) < tol
-            prod_re, prod_im = Fraction(1), Fraction(0)
-            for s in rs.secondary:
-                prod_re, prod_im = (
-                    prod_re * s.real - prod_im * s.imag,
-                    prod_re * s.imag + prod_im * s.real,
-                )
-            prod_re *= rs.dominant.interval.midpoint
-            prod_im *= rs.dominant.interval.midpoint
-            expected = Fraction(-1) if k % 2 == 0 else Fraction(1)
-            assert abs(prod_re - expected) < tol
-            assert abs(prod_im) < tol
+        prod_re *= rs.dominant.interval.midpoint
+        prod_im *= rs.dominant.interval.midpoint
+        expected = Fraction(-1) if k % 2 == 0 else Fraction(1)
+        assert abs(prod_re - expected) < tol
+        assert abs(prod_im) < tol
+
+    def test_residual_cap_refuses(self):
+        # at k = 32 the Horner slack alone passes 2^-32 at 64 bits, so the
+        # call raises instead of returning uncertified roots
+        with pytest.raises(RootSolveError, match=r"residuals above 2\^-32"):
+            all_roots(SequenceParams(10, 32), 64)
 
     def test_residuals_below_cap(self):
         bits = 192
