@@ -20,8 +20,9 @@ class PoleInIntervalError(QkError, ArithmeticError):
 class RootSolveError(QkError, ArithmeticError):
     """Root isolation or polishing failed to converge or to certify.
 
-    Carries the last residual magnitudes so the failure is diagnosable
-    instead of silently returning a bad root set.
+    Carries diagnostics instead of silently returning a bad root set: the
+    last residual magnitudes |Phi(z)| when seeding or polishing fails, the
+    inclusion-disc radii when the discs fail to certify.
     """
 
     def __init__(self, message, residuals=()):

@@ -19,6 +19,7 @@ from .roots import (
     RootEnclosure,
     _cdiv,
     _cmul,
+    _cpow,
     _round_shift,
     all_roots,
     dominant_root,
@@ -258,23 +259,6 @@ def _g_fixed(params: SequenceParams, z, bits):
     )
     num = (z[0] - one, z[1])
     return _cdiv(num, den, bits)
-
-
-def _cpow(z, exponent, bits):
-    if exponent < 0:
-        one = 1 << bits
-        z = _cdiv((one, 0), z, bits)
-        exponent = -exponent
-    result = (1 << bits, 0)
-    base = z
-    e = exponent
-    while e:
-        if e & 1:
-            result = _cmul(result, base, bits)
-        e >>= 1
-        if e:
-            base = _cmul(base, base, bits)
-    return result
 
 
 def reconstruct_detailed(params: SequenceParams, n: int, bits: int) -> Reconstruction:

@@ -8,8 +8,8 @@ Two deliberately different routes:
 * the remaining roots are isolated by simultaneous Aberth-Ehrlich
   iteration in floats, then each is polished by Newton steps in integer
   fixed-point complex arithmetic at the requested precision, and
-  reported together with residual magnitudes |Phi(z)| rather than
-  enclosures.
+  certified by an inclusion disc of radius k|Phi(z)|/|Phi'(z)| around
+  the polished point, with Phi and Phi' evaluated exactly.
 
 Precision is always an argument; nothing here keeps ambient state.
 """
@@ -64,13 +64,17 @@ class QuadraticRoots:
 
 @dataclass(frozen=True)
 class SecondaryRoot:
-    """Fixed-point approximation (re + im*i) * 2^-bits with a residual
-    bound on |Phi| at the approximation."""
+    """Inclusion disc around a root of modulus < 1: centre (re + im*i) and
+    radius radius_num, all integer mantissas at scale 2^-bits.
+
+    The disc holds exactly one root of Phi, a different one for each
+    secondary of a RootSet.
+    """
 
     re_num: int
     im_num: int
     bits: int
-    residual: Fraction
+    radius_num: int
 
     @property
     def real(self) -> Fraction:
@@ -87,25 +91,11 @@ class SecondaryRoot:
             1 << (2 * self.bits),
         )
 
-    def distance_bound(self, degree: int) -> Fraction:
-        """Distance from this approximation to some true root.
-
-        For a monic polynomial |Phi(z)| is the product of the distances
-        to all roots, so the nearest root is within |Phi(z)|^(1/degree).
-        Returned as a power-of-two upper bound.
-        """
-        if self.residual == 0:
-            return Fraction(0)
-        # smallest e with residual <= 2^-e, then floor(e/degree)
-        e = 0
-        while Fraction(1, 1 << (e + 1)) >= self.residual:
-            e += 1
-        return Fraction(1, 1 << (e // degree))
-
 
 @dataclass(frozen=True)
 class RootSet:
-    """Dominant enclosure plus residual-certified secondary approximations."""
+    """Dominant enclosure plus k-1 disjoint inclusion discs, one per
+    secondary root."""
 
     params: SequenceParams
     bits: int
@@ -113,17 +103,13 @@ class RootSet:
     secondary: tuple
 
     def certified_inside_unit_circle(self) -> bool:
-        """True when every secondary root provably has modulus < 1.
-
-        Uses the residual-derived distance bound, so this is a genuine
-        certificate about true roots, not just about the approximations.
-        """
-        degree = self.params.k
-        for root in self.secondary:
-            margin = 1 - root.distance_bound(degree)
-            if not root.modulus_squared < margin * margin:
-                return False
-        return True
+        """True when every secondary disc lies inside the unit circle,
+        |centre| + radius < 1, so the true roots provably have modulus < 1."""
+        return all(
+            s.radius_num < 1 << s.bits
+            and _cabs2((s.re_num, s.im_num)) < ((1 << s.bits) - s.radius_num) ** 2
+            for s in self.secondary
+        )
 
 
 def _bisect(params: SequenceParams, lo: int, scale: int, bits: int) -> RootEnclosure:
@@ -244,6 +230,20 @@ def _cdiv(a, b, bits):
     )
 
 
+def _cpow(z, exponent, bits):
+    # square and multiply; exact on Gaussian integers at bits = 0
+    if exponent < 0:
+        z, exponent = _cdiv((1 << bits, 0), z, bits), -exponent
+    result = (1 << bits, 0)
+    while exponent:
+        if exponent & 1:
+            result = _cmul(result, z, bits)
+        exponent >>= 1
+        if exponent:
+            z = _cmul(z, z, bits)
+    return result
+
+
 def _cpoly(coeffs, z, bits):
     # Horner; coeffs are plain ints, ascending
     acc = (coeffs[-1] << bits, 0)
@@ -335,76 +335,88 @@ def _newton_fixed(coeffs, dcoeffs, seed, bits, accuracy_bits):
     )
 
 
-def all_roots(params: SequenceParams, bits: int) -> RootSet:
-    """Dominant enclosure plus the k-1 secondary approximations.
+def _gauss_horner(coeffs, z, scale):
+    """Exact value at (a + bi) * 2^-scale, scaled by 2^(degree*scale),
+    as a Gaussian integer: the complex twin of _IntPoly.sign_at_dyadic."""
+    a, b = z
+    degree = len(coeffs) - 1
+    re, im = coeffs[-1], 0
+    for i in range(degree - 1, -1, -1):
+        re, im = re * a - im * b + (coeffs[i] << ((degree - i) * scale)), re * b + im * a
+    return re, im
 
-    Residuals |Phi(z)| must come out below 2^-(bits/2) and all pairwise
-    separations above 2^-(bits/4); anything else raises RootSolveError
-    with diagnostics rather than returning a silently bad answer.
+
+def _inclusion_radius(params, z, scale):
+    """Mantissa at 2^-scale of k|Phi(z)|/|Phi'(z)|, rounded up.
+
+    Phi'/Phi = sum 1/(z - root) over the k roots, so some root lies within
+    that distance of z.  From (t-1) Phi(t) = t^(k+1) - (q+1) t^k +
+    (q-1) t^(k-1) + 1 come (t-1) Phi = t^(k-2) h + 1 and (t-1)^2 Phi' =
+    t^(k-2) g - 1 for the cubics h and g below, so one exact power of the
+    Gaussian integer z 2^scale gives both, not two degree-k Horner passes.
+    The ratio k |z-1| |(t-1) Phi| / |(t-1)^2 Phi'| is then taken from the
+    leading 64 bits of each modulus, rounded outward: at most a relative
+    2^-61 looser.
+    """
+    q, k = params.q, params.k
+    h = (0, q - 1, -(q + 1), 1)
+    g = (-(k - 1) * (q - 1), 2 * ((k - 1) * q + 1), q - k * (q + 2), k)
+    power, one = _cpow(z, k - 2, 0), 1 << ((k + 1) * scale)
+    num = _cmul(power, _gauss_horner(h, z, scale), 0)
+    den = _cmul(power, _gauss_horner(g, z, scale), 0)
+    num, den = (num[0] + one, num[1]), (den[0] - one, den[1])
+    if den == (0, 0):
+        raise RootSolveError("derivative vanished at a polished root")
+    up = max(0, max(map(abs, num)).bit_length() - 64)
+    down = max(0, max(map(abs, den)).bit_length() - 64)
+    num_sq = sum((-abs(x) >> up) ** 2 for x in num)  # parts rounded up
+    den_sq = sum((abs(x) >> down) ** 2 for x in den)
+    num_sq *= k * k * _cabs2((z[0] - (1 << scale), z[1]))
+    bound = -(-(num_sq << 2 * up) // (den_sq << 2 * down))
+    radius = isqrt(bound)
+    return radius if radius * radius == bound else radius + 1
+
+
+def all_roots(params: SequenceParams, bits: int) -> RootSet:
+    """Dominant enclosure plus k-1 certified inclusion discs.
+
+    The k-1 points inside the unit circle get discs of radius
+    k|Phi|/|Phi'|, each holding at least one root.  They must be pairwise
+    disjoint and lie inside the unit circle; with the dominant root
+    certified in (q, q+1), each disc then holds exactly one root.
+    Anything else raises RootSolveError rather than returning a silently
+    bad answer.
     """
     poly = CharPoly.of(params)
     coeffs, dcoeffs = poly.coefficients, poly.derivative_coefficients()
-    degree = poly.degree
     enclosure = dominant_root(params, bits)
     work = bits + 64
 
     seeds = _aberth_float(coeffs, dcoeffs)
     refined = [_newton_fixed(coeffs, dcoeffs, z, work, bits + 16) for z in seeds]
 
-    # Horner rounding slack: per step at most one ulp, amplified by |z|
-    # per remaining step; all roots sit inside the Cauchy radius q + 1
-    slack = Fraction(2 * degree * (params.q + 2) ** degree, 1 << work)
-    residuals = [_residual(_cpoly(coeffs, z, work), work) + slack for z in refined]
-
-    one_sq = 1 << (2 * work)
-    outside = [i for i, z in enumerate(refined) if _cabs2(z) > one_sq]
+    outside = [i for i, z in enumerate(refined) if _cabs2(z) > 1 << (2 * work)]
     if len(outside) != 1:
         raise RootSolveError(
-            f"expected exactly one root outside the unit circle, found {len(outside)}",
-            residuals=residuals,
+            f"expected exactly one root outside the unit circle, found {len(outside)}"
         )
-    dom_idx = outside[0]
-    dom_z = refined[dom_idx]
-    mid = enclosure.interval.midpoint
-    agree = Fraction(1, 1 << (bits // 2))
-    if abs(Fraction(dom_z[0], 1 << work) - mid) > agree or abs(
-        Fraction(dom_z[1], 1 << work)
-    ) > agree:
-        raise RootSolveError(
-            "refined dominant root disagrees with the certified enclosure",
-            residuals=residuals,
-        )
+    del refined[outside[0]]
 
-    residual_cap = Fraction(1, 1 << (bits // 2))
-    bad = [float(r) for r in residuals if r >= residual_cap]
-    if bad:
-        raise RootSolveError(
-            f"residuals above 2^-{bits // 2}: {bad}", residuals=residuals
-        )
-
-    separation = Fraction(1, 1 << (bits // 4))
-    sep_sq = separation * separation
-    for i in range(degree):
-        for j in range(i + 1, degree):
-            dz = (refined[i][0] - refined[j][0], refined[i][1] - refined[j][1])
-            if Fraction(_cabs2(dz), 1 << (2 * work)) <= sep_sq:
-                raise RootSolveError(
-                    "two roots closer than the separation tolerance "
-                    f"2^-{bits // 4}; the expansion assumes simple roots",
-                    residuals=residuals,
-                )
-
-    unit_tol = 1 + Fraction(1, 1 << (bits // 4))
-    secondary = []
-    for i, z in enumerate(refined):
-        if i == dom_idx:
-            continue
-        root = SecondaryRoot(z[0], z[1], work, residuals[i])
-        if not root.modulus_squared < unit_tol * unit_tol:
-            raise RootSolveError(
-                "secondary root outside the unit circle tolerance",
-                residuals=residuals,
-            )
-        secondary.append(root)
+    secondary = [
+        SecondaryRoot(z[0], z[1], work, _inclusion_radius(params, z, work))
+        for z in refined
+    ]
     secondary.sort(key=lambda r: (r.re_num, r.im_num))
-    return RootSet(params, bits, enclosure, tuple(secondary))
+    root_set = RootSet(params, bits, enclosure, tuple(secondary))
+    overlap = any(
+        _cabs2((s.re_num - t.re_num, s.im_num - t.im_num))
+        <= (s.radius_num + t.radius_num) ** 2
+        for i, s in enumerate(secondary) for t in secondary[i + 1:]
+    )
+    if overlap or not root_set.certified_inside_unit_circle():
+        raise RootSolveError(
+            "two inclusion discs overlap" if overlap
+            else "an inclusion disc reaches the unit circle",
+            residuals=[Fraction(s.radius_num, 1 << work) for s in secondary],
+        )
+    return root_set

@@ -1,7 +1,7 @@
 """Independent oracles shared by the tests.
 
 Everything here is deliberately written against the standard library
-only (fractions + isqrt + itertools + plain loops), never against the
+only (fractions + isqrt + itertools + complex floats + plain loops), never against the
 package's own interval or root machinery, so cross-checks stay
 independent.
 """
@@ -117,6 +117,38 @@ def dominant_root_bracket(q: int, k: int, bits: int) -> tuple[Fraction, Fraction
         else:
             hi = mid
     return Fraction(lo, scale), Fraction(hi, scale)
+
+
+def char_poly_roots(q: int, k: int) -> list[complex]:
+    """All k roots of x^k - q x^(k-1) - x^(k-2) - ... - 1 in floats, by
+    Durand-Kerner (Weierstrass) iteration.
+
+    Every root moves at once by p(z_i) / prod_{j != i} (z_i - z_j), from
+    the usual non-symmetric start (0.4 + 0.9i)^i scaled past the Cauchy
+    bound q + 2.
+    """
+    coeffs = [1, -q] + [-1] * (k - 1)  # descending
+
+    def p(z):
+        acc = 0j
+        for c in coeffs:
+            acc = acc * z + c
+        return acc
+
+    zs = [(q + 2) * (0.4 + 0.9j) ** i for i in range(k)]
+    for _ in range(2000):
+        biggest = 0.0
+        for i, z in enumerate(zs):
+            den = 1 + 0j
+            for j, w in enumerate(zs):
+                if j != i:
+                    den *= z - w
+            step = p(z) / den
+            zs[i] = z - step
+            biggest = max(biggest, abs(step) / max(1.0, abs(z)))
+        if biggest < 1e-14:
+            return zs
+    raise AssertionError(f"Durand-Kerner did not converge at q={q}, k={k}")
 
 
 def error_term_at_bracket_ends(q: int, k: int, n: int) -> tuple[Fraction, Fraction]:

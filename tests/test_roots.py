@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -15,9 +16,34 @@ from qkbonacci import (
     dominant_root,
     quadratic_roots,
 )
-from qkbonacci.numerics import RootEnclosure, refine_root
+from qkbonacci.numerics import RootEnclosure, refine_root, roots
 
-from _oracles import sqrt_enclosure
+from _oracles import char_poly_roots, sqrt_enclosure
+
+# (q, k, bits) of every all_roots request in perfbench's certify menu
+CERTIFY_CELLS = [
+    (1, 4, 128), (1, 5, 128), (1, 8, 256), (1, 10, 128), (1, 16, 512),
+    (1, 24, 128), (2, 2, 512), (2, 4, 256), (2, 6, 128), (2, 24, 256),
+    (2, 32, 512), (3, 7, 128), (3, 8, 512), (3, 12, 128), (3, 16, 128),
+    (3, 16, 256), (4, 2, 128), (4, 3, 128), (4, 4, 512), (4, 24, 512),
+    (4, 32, 128), (5, 2, 256), (5, 8, 128), (5, 32, 256),
+]
+
+
+def _radius_sq_exact(q, k, re, im, scale):
+    """(k |Phi(z)| / |Phi'(z)|)^2 in units of 2^-2scale at z = (re + im i)
+    2^-scale, by Fraction Horner on Phi and Phi' themselves."""
+    def abs_sq(coeffs, z):
+        acc_re, acc_im = Fraction(0), Fraction(0)
+        for c in reversed(coeffs):
+            acc_re, acc_im = (acc_re * z[0] - acc_im * z[1] + c,
+                              acc_re * z[1] + acc_im * z[0])
+        return acc_re * acc_re + acc_im * acc_im
+
+    phi = CharPoly.of(SequenceParams(q, k))
+    z = (Fraction(re, 1 << scale), Fraction(im, 1 << scale))
+    ratio = abs_sq(phi.coefficients, z) / abs_sq(phi.derivative_coefficients(), z)
+    return k * k * ratio * (1 << (2 * scale))
 
 
 class TestDominantRoot:
@@ -186,17 +212,96 @@ class TestAllRoots:
         assert abs(prod_re - expected) < tol
         assert abs(prod_im) < tol
 
-    def test_residual_cap_refuses(self):
-        # at k = 32 the Horner slack alone passes 2^-32 at 64 bits, so the
-        # call raises instead of returning uncertified roots
-        with pytest.raises(RootSolveError, match=r"residuals above 2\^-32"):
-            all_roots(SequenceParams(10, 32), 64)
+    @pytest.mark.parametrize("q, k", [(10, 32), (2, 48)])
+    def test_former_cap_cells_certify(self, q, k):
+        # a residual cap of 2^-32 plus a Horner slack that ignored |z|
+        # refused these at 64 bits; their discs are disjoint and inside
+        # the unit circle
+        rs = all_roots(SequenceParams(q, k), 64)
+        assert len(rs.secondary) == k - 1
+        assert rs.certified_inside_unit_circle()
+        for i, s in enumerate(rs.secondary):
+            for t in rs.secondary[i + 1:]:
+                gap_sq = (s.re_num - t.re_num) ** 2 + (s.im_num - t.im_num) ** 2
+                assert gap_sq > (s.radius_num + t.radius_num) ** 2
 
-    def test_residuals_below_cap(self):
+    def test_overlapping_discs_refuse(self, monkeypatch):
+        # two seeds polished to one root give two discs around one root
+        real_seeding = roots._aberth_float
+
+        def duplicated(coeffs, dcoeffs):
+            seeds = sorted(real_seeding(coeffs, dcoeffs), key=abs)
+            seeds[1] = seeds[0]  # both inside the unit circle
+            return seeds
+
+        monkeypatch.setattr(roots, "_aberth_float", duplicated)
+        with pytest.raises(RootSolveError, match="overlap"):
+            all_roots(SequenceParams(3, 6), 128)
+
+    def test_disc_reaching_the_unit_circle_refuses(self, monkeypatch):
+        # at k = 2 there is one disc, so no overlap; radius 1 from a centre
+        # inside the circle reaches past it
+        monkeypatch.setattr(
+            roots, "_inclusion_radius", lambda params, z, scale: 1 << scale)
+        with pytest.raises(RootSolveError, match="unit circle"):
+            all_roots(SequenceParams(3, 2), 128)
+
+    @pytest.mark.parametrize("q, k, bits", [(1, 2, 64), (3, 7, 128), (10, 12, 96)])
+    def test_radius_is_k_phi_over_dphi_rounded_up(self, q, k, bits):
+        for s in all_roots(SequenceParams(q, k), bits).secondary:
+            bound_sq = _radius_sq_exact(q, k, s.re_num, s.im_num, s.bits)
+            assert (s.radius_num - 1) ** 2 < bound_sq <= s.radius_num ** 2
+
+    @given(q=st.integers(1, 10), k=st.integers(2, 20),
+           re=st.integers(-3 << 95, 3 << 95),
+           im=st.integers(-3 << 94, 3 << 94).map(lambda v: 2 * v + 1))
+    @settings(max_examples=60, deadline=None)
+    def test_radius_rounds_outward_anywhere(self, q, k, re, im):
+        # away from a root the radius has about 96 bits, so a modulus
+        # rounded the wrong way from its leading bits shows in the last
+        # ones; an odd imaginary part keeps z off 1 and off the real roots
+        # of Phi'
+        radius = roots._inclusion_radius(SequenceParams(q, k), (re, im), 96)
+        bound_sq = _radius_sq_exact(q, k, re, im, 96)
+        assert bound_sq <= radius ** 2
+        assert (radius - 1) ** 2 < bound_sq * (1 + Fraction(1, 2**58))
+
+    def test_radii_below_cap(self):
         bits = 192
         rs = all_roots(SequenceParams(4, 7), bits)
-        cap = Fraction(1, 2 ** (bits // 2))
-        assert all(s.residual < cap for s in rs.secondary)
+        assert all(s.radius_num < 1 << (s.bits - bits) for s in rs.secondary)
+
+    @given(q=st.integers(1, 10), k=st.integers(2, 16), bits=st.integers(64, 320))
+    @settings(max_examples=60, deadline=None)
+    def test_discs_match_an_independent_solver(self, q, k, bits):
+        # each disc, widened by 1e-9, holds exactly one float root of
+        # modulus < 1, a different one for each disc; the root > 1 lies
+        # in the dominant cell
+        rs = all_roots(SequenceParams(q, k), bits)
+        oracle = char_poly_roots(q, k)
+        inner = [z for z in oracle if abs(z) < 1]
+        (outer,) = [z for z in oracle if abs(z) >= 1]
+        matched = set()
+        for s in rs.secondary:
+            centre = complex(float(s.real), float(s.imag))
+            reach = s.radius_num / 2**s.bits + 1e-9
+            hits = [i for i, z in enumerate(inner) if abs(z - centre) <= reach]
+            assert len(hits) == 1
+            matched.update(hits)
+        assert len(matched) == len(inner) == k - 1
+        cell = rs.dominant.interval
+        assert abs(outer.imag) <= 1e-9
+        assert float(cell.lo) - 1e-9 <= outer.real <= float(cell.hi) + 1e-9
+
+    def test_centres_digest(self):
+        # every secondary centre of the benchmark's 24 all_roots cells, in
+        # order: the certificate may change, the points it certifies may not
+        digest = hashlib.sha256()
+        for q, k, bits in CERTIFY_CELLS:
+            for s in all_roots(SequenceParams(q, k), bits).secondary:
+                digest.update(f"{s.re_num} {s.im_num} {s.bits}\n".encode())
+        assert digest.hexdigest() == (
+            "0b266addd7bcd0902602c8ae0170ec50b5b867b09bd40fcb527a309c05fcc1d5")
 
     def test_compute_only_regime_allowed(self):
         rs = all_roots(SequenceParams(1, 4), 128)
