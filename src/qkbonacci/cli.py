@@ -18,8 +18,7 @@ import time
 
 from .errors import QkError
 from .lawcheck import _SELECTORS, Grid, run_laws
-from .numerics import dominant_root, reconstruct_detailed
-from .numerics.dyadic import _float_text
+from .numerics import binet_reconstruct, dominant_root
 from .sequences import (
     SequenceParams,
     series_coefficients,
@@ -61,8 +60,7 @@ def _digits_for_bits(bits: int) -> int:
 def _cmd_term(args) -> int:
     params = SequenceParams(args.q, args.k)
     if args.method == "binet":
-        rec = reconstruct_detailed(params, args.n, args.bits)
-        print(f"{rec.value} residual={_float_text(rec.residual, '.3e')}")
+        print(binet_reconstruct(params, args.n, args.bits))
     else:
         print(_ROUTES[args.method](params, args.n))
     if (args.q, args.k, args.n) == _ERRATUM_CELL:
@@ -180,7 +178,8 @@ def _build_parser() -> argparse.ArgumentParser:
         default="def",
     )
     term.add_argument("--bits", type=int, default=256,
-                      help="working precision for --method binet")
+                      help="precision of the secondary-root discs for --method "
+                           "binet; the dominant term's precision follows n")
     term.set_defaults(func=_cmd_term)
 
     table = sub.add_parser("table", help="emit a (q, k, n, value) grid")

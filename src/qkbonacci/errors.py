@@ -18,21 +18,9 @@ class PoleInIntervalError(QkError, ArithmeticError):
 
 
 class RootSolveError(QkError, ArithmeticError):
-    """Root isolation or polishing failed to converge or to certify.
-
-    Carries diagnostics instead of silently returning a bad root set: the
-    last residual magnitudes |Phi(z)| when seeding or polishing fails, the
-    inclusion-disc radii when the discs fail to certify.
-    """
-
-    def __init__(self, message, residuals=()):
-        super().__init__(message)
-        self.residuals = tuple(residuals)
+    """Root isolation or polishing failed to converge or to certify."""
 
 
 class ReconstructionError(QkError, ArithmeticError):
-    """Rounding guard failed when summing the full root expansion.
-
-    Signals insufficient working precision or a root-finding defect; the
-    rounded value is never returned in that case.
-    """
+    """The full root expansion's certified radius is not below 1/2, so its
+    rounding is not certainly the exact term and is never returned."""

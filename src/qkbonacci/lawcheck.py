@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from decimal import ROUND_FLOOR
 from fractions import Fraction
 
-from .errors import DomainError, RegimeError, RootSolveError
+from .errors import DomainError, ReconstructionError, RegimeError, RootSolveError
 from .numerics import (
     DyadicInterval,
     asymptote_c,
@@ -427,23 +427,20 @@ def check_reconstruction(grid: Grid, bits: int) -> list[LawReport]:
         table = term_table(params, grid.n_max)
         try:
             sweep = reconstruction_sweep(params, params.min_index, grid.n_max, bits)
-            for n, rec, residual, imag in sweep:
+            for n, rec, radius in sweep:
                 if rec is None:
+                    witnesses.append(Witness(q, k, n, "inconclusive", "certified radius "
+                                             f"{_float_text(radius, '.3g')} is not below 1/2"))
+                elif rec.value != table[n + k - 2]:
                     witnesses.append(Witness(
                         q, k, n, "fail",
-                        f"rounding guard failed: residual={_float_text(residual, '.3g')}, "
-                        f"imag={_float_text(imag, '.3g')}",
-                    ))
-                    continue
-                exact = table[n + k - 2]
-                if rec.value != exact:
-                    witnesses.append(Witness(
-                        q, k, n, "fail",
-                        f"reconstruction {rec.value} != exact {exact} "
-                        f"(residual {_float_text(residual, '.3g')})",
+                        f"reconstruction {rec.value} != exact {table[n + k - 2]} "
+                        f"(radius {_float_text(radius, '.3g')})",
                     ))
         except RootSolveError as exc:
             witnesses.append(Witness(q, k, None, "fail", f"root solve failed: {exc}"))
+        except ReconstructionError as exc:
+            witnesses.append(Witness(q, k, None, "inconclusive", str(exc)))
     return [_report("reconstruction", grid, witnesses, bits)]
 
 

@@ -1,22 +1,24 @@
 """Dominant-term approximation, error term, and full-roots reconstruction.
 
 The dominant route is fully certified: interval weight times interval
-root power, contained by construction.  The full reconstruction sums all
-k root contributions in fixed-point complex arithmetic and guards the
-final rounding (real residual and imaginary part both under 1/4), which
-is how an approximate root set still yields a provably correct integer.
+root power, contained by construction.  The full reconstruction adds the
+k-1 secondary terms, summed in fixed point at the inclusion-disc centres,
+to the dominant term's rows; a certified radius covers the discs and
+every rounding, and the sum is rounded only when that radius is below 1/2.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from decimal import ROUND_FLOOR
 from fractions import Fraction
+from math import isqrt
 
 from ..errors import DomainError, PoleInIntervalError, RegimeError, ReconstructionError
 from ..sequences import SequenceParams, term_definition, _check_index
-from .dyadic import DyadicInterval, _float_text
+from .dyadic import DyadicInterval, _ceil_shift, _float_text
 from .roots import (
     RootEnclosure,
+    _cabs2,
     _cdiv,
     _cmul,
     _cpow,
@@ -242,80 +244,101 @@ def dominant_term_sweep(enclosure: RootEnclosure, n_max: int):
 
 @dataclass(frozen=True)
 class Reconstruction:
-    """Rounded reconstruction with its rounding-guard magnitudes."""
+    """A certified full-roots sum: the term's value and the radius, below
+    1/2, of the disc around the computed sum that holds the exact sum."""
 
     value: int
-    residual: Fraction
-    imag_magnitude: Fraction
+    radius: Fraction
 
 
-def _g_fixed(params: SequenceParams, z, bits):
-    q, k = params.q, params.k
-    one = 1 << bits
-    z2 = _cmul(z, z, bits)
-    den = (
-        (k + 1) * z2[0] - (q + 1) * k * z[0] + ((q - 1) * (k - 1)) * one,
-        (k + 1) * z2[1] - (q + 1) * k * z[1],
-    )
-    num = (z[0] - one, z[1])
-    return _cdiv(num, den, bits)
+def _secondary_term(params: SequenceParams, root, n_lo: int, n_hi: int):
+    """The fixed-point weight g(c) at the disc centre c and a radius bounding
+    |g(r) r^n - _cmul(weight, p_n)| for the disc's root r and every n in
+    [n_lo, n_hi], with p_(n_lo) = _cpow(c, n_lo) and p_(n+1) =
+    _cmul(p_n, c); mantissas at 2^-root.bits = u.
+
+    P = (|c| - rho)^-(m+1), m = max(0, -n_lo), bounds |z|^n and |z|^(n-1)
+    on the disc of radius rho (inside the unit circle), and N = max |n|.
+    The radius is P (|g(r) - weight| + |weight| N (rho + 5u)) + u: the
+    first from the exact residual (c-1) - weight D(c), g = (z-1)/D(z) and
+    |D'| <= d1 on the disc; then |r^n - c^n| <= N P rho; the powers'
+    rounding, as each product rounds by u and j factors are off by a
+    relative (3j-2) u while 9 N^2 u <= 4; and the last product's rounding.
+    """
+    q, k, w = params.q, params.k, root.bits
+    one, rho, (cr, ci) = 1 << w, root.radius_num, (root.re_num, root.im_num)
+    # D(c) exactly at 2^-2w, then the residual (c - 1) - weight D(c) at 2^-3w
+    den = ((k + 1) * (cr * cr - ci * ci) - (q + 1) * k * cr * one + (q - 1) * (k - 1) * one * one,
+           (k + 1) * 2 * cr * ci - (q + 1) * k * ci * one)
+    d1 = 2 * (k + 1) + (q + 1) * k
+    lo, den_lo = isqrt(_cabs2((cr, ci))) - rho, (isqrt(_cabs2(den)) >> w) - rho * d1
+    if lo <= 0 or den_lo <= 0:
+        raise ReconstructionError(f"a secondary disc at (q={q}, k={k}) is too wide "
+                                  "to bound its term; increase the working precision")
+    gr, gi = weight = _cdiv(((cr - one) << w, ci << w), den, w)
+    residual = (((cr - one) << 2 * w) - gr * den[0] + gi * den[1],
+                (ci << 2 * w) - gr * den[1] - gi * den[0])
+    g_up = isqrt(_cabs2(weight)) + 1
+    numerator = (_ceil_shift(isqrt(_cabs2(residual)) + 1, 2 * w) + rho
+                 + _ceil_shift(rho * g_up * d1, w))
+    m, spread = max(0, -n_lo), max(abs(n_lo), abs(n_hi))
+    inner = -(-(numerator << w) // den_lo) + _ceil_shift(g_up * spread * (rho + 5), w)
+    power = -(-(1 << w * (m + 2)) // lo ** (m + 1))
+    return weight, _ceil_shift(power * inner, w) + 1
 
 
 def reconstruct_detailed(params: SequenceParams, n: int, bits: int) -> Reconstruction:
-    """Sum g(root) * root^n over all k roots and round to an integer.
-
-    The guard requires both the distance from the nearest integer and
-    the imaginary part to stay under 1/4; a violation raises
-    ReconstructionError instead of returning a dubious value.  Valid for
-    every q >= 1: the expansion only needs the roots to be simple.
-    """
-    ((_, rec, residual, imag),) = reconstruction_sweep(params, n, n, bits)
+    """Sum g(root) * root^n over all k roots and round to the exact term,
+    or raise ReconstructionError when the sum's certified radius is not
+    below 1/2.  Valid for every q >= 1: the expansion only needs the
+    roots to be simple."""
+    ((_, rec, radius),) = reconstruction_sweep(params, n, n, bits)
     if rec is None:
         raise ReconstructionError(
-            f"rounding guard failed at (q={params.q}, k={params.k}, n={n}): "
-            f"residual={_float_text(residual, '.3g')}, "
-            f"imag={_float_text(imag, '.3g')}; "
-            "increase the working precision"
-        )
+            f"full-roots sum at (q={params.q}, k={params.k}, n={n}) has radius "
+            f"{_float_text(radius, '.3g')}, not below 1/2; increase the working precision")
     return rec
 
 
 def binet_reconstruct(params: SequenceParams, n: int, bits: int = 256) -> int:
-    """The rounded full-roots sum; equals the exact term when certified."""
+    """The full-roots sum rounded to the exact term (certified)."""
     return reconstruct_detailed(params, n, bits).value
 
 
 def reconstruction_sweep(params: SequenceParams, n_lo: int, n_hi: int, bits: int):
-    """Reconstruction results for every n in [n_lo, n_hi], sharing one
-    root set and incremental powers.
+    """Yield (n, Reconstruction | None, radius) for every n in [n_lo, n_hi],
+    None when the certified radius is not below 1/2.
 
-    Yields (n, Reconstruction | None, residual, imag) with None when the
-    rounding guard failed at that index.
+    The dominant term is a dominant_term_sweep row (its midpoint to the
+    centre, half its width to the radius) at all_roots' enclosure refined
+    to a precision that follows n_hi and q.  The k-1 secondary terms are
+    summed in fixed point at the disc centres, whose precision `bits`
+    sets, and add one radius (_secondary_term's) for the whole sweep.
     """
     _check_index(params, n_lo)
     if n_hi < n_lo:
         return
     roots = all_roots(params, bits)
     work = roots.secondary[0].bits
-    mid = roots.dominant.interval.midpoint
-    points = [((mid.numerator << work) // mid.denominator, 0)]
-    points += [(s.re_num, s.im_num) for s in roots.secondary]
-    weights = [_g_fixed(params, z, work) for z in points]
+    # the row for n is about n gamma^(n-1) 2^-w wide with gamma < q + 1;
+    # 16 bits more cover the weight and the rows' rounding
+    growth = ((params.q + 1) ** max(n_hi - 1, 0) - 1).bit_length()
+    gamma = refine_root(roots.dominant, max(bits, growth + n_hi.bit_length() + 16))
+    _, _, term_lo, term_hi = dominant_term_sweep(gamma, n_hi)
+    w = gamma.interval.bits
+    weights, radii = zip(*(_secondary_term(params, s, n_lo, n_hi) for s in roots.secondary))
+    points = [(s.re_num, s.im_num) for s in roots.secondary]
     powers = [_cpow(z, n_lo, work) for z in points]
-    n = n_lo
-    while True:
-        total = (0, 0)
-        for w, p in zip(weights, powers):
-            c = _cmul(w, p, work)
-            total = (total[0] + c[0], total[1] + c[1])
-        value = _round_shift(total[0], work)
-        residual, imag = abs(total[0] - (value << work)), abs(total[1])
-        guard = (Fraction(residual, 1 << work), Fraction(imag, 1 << work))
-        if max(residual, imag) >= 1 << (work - 2):
-            yield n, None, *guard
-        else:
-            yield n, Reconstruction(value, *guard), *guard
-        n += 1
-        if n > n_hi:
-            return
-        powers = [_cmul(p, z, work) for p, z in zip(powers, points)]
+    # centre and radius at 2^-scale: a row midpoint needs one more bit
+    scale = max(w, work) + 1
+    secondary = sum(radii) << (scale - work)
+    for n in range(n_lo, n_hi + 1):
+        if n > n_lo:
+            powers = [_cmul(p, z, work) for p, z in zip(powers, points)]
+        lo, hi = term_lo[n - params.min_index], term_hi[n - params.min_index]
+        centre = (lo + hi) << (scale - w - 1)
+        centre += sum(_cmul(g, p, work)[0] for g, p in zip(weights, powers)) << (scale - work)
+        half = ((hi - lo) << (scale - w - 1)) + secondary
+        radius = Fraction(half, 1 << scale)
+        certified = 2 * half < 1 << scale
+        yield n, Reconstruction(_round_shift(centre, scale), radius) if certified else None, radius

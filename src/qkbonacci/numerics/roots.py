@@ -257,11 +257,6 @@ def _cabs2(z):
     return z[0] * z[0] + z[1] * z[1]
 
 
-def _residual(value, bits):
-    # |value| rounded up at scale 2^-bits
-    return Fraction(isqrt(_cabs2(value)) + 1, 1 << bits)
-
-
 def _aberth_float(coeffs, dcoeffs) -> list[complex]:
     """Machine-precision simultaneous refinement used only for seeding;
     the integer coefficients enter complex arithmetic as floats."""
@@ -300,10 +295,7 @@ def _aberth_float(coeffs, dcoeffs) -> list[complex]:
                 biggest = max(biggest, abs(step) / max(1.0, abs(zs[i])))
             if biggest < 1e-13:
                 return zs
-    raise RootSolveError(
-        "float-precision seeding failed to converge",
-        residuals=[abs(ev(coeffs, z)) for z in zs],
-    )
+    raise RootSolveError("float-precision seeding failed to converge")
 
 
 def _newton_fixed(coeffs, dcoeffs, seed, bits, accuracy_bits):
@@ -322,17 +314,12 @@ def _newton_fixed(coeffs, dcoeffs, seed, bits, accuracy_bits):
             return z
         dp = _cpoly(dcoeffs, z, bits)
         if dp == (0, 0):
-            raise RootSolveError(
-                "derivative vanished during refinement", residuals=[_residual(p, bits)]
-            )
+            raise RootSolveError("derivative vanished during refinement")
         step = _cdiv(p, dp, bits)
         z = (z[0] - step[0], z[1] - step[1])
         if _cabs2(step) <= step_cap * step_cap:
             return z
-    raise RootSolveError(
-        "Newton polishing did not reach the step tolerance",
-        residuals=[_residual(_cpoly(coeffs, z, bits), bits)],
-    )
+    raise RootSolveError("Newton polishing did not reach the step tolerance")
 
 
 def _gauss_horner(coeffs, z, scale):
@@ -416,7 +403,6 @@ def all_roots(params: SequenceParams, bits: int) -> RootSet:
     if overlap or not root_set.certified_inside_unit_circle():
         raise RootSolveError(
             "two inclusion discs overlap" if overlap
-            else "an inclusion disc reaches the unit circle",
-            residuals=[Fraction(s.radius_num, 1 << work) for s in secondary],
+            else "an inclusion disc reaches the unit circle"
         )
     return root_set

@@ -132,7 +132,7 @@ def test_criterion_3_binet_reconstruction():
     (report,) = check_reconstruction(grid, 256)
     ok = report.verdict == "pass"
     announce("3: full-roots reconstruction", ok,
-             "n in [2-k, 60] at 256 bits; guards residual, imag < 1/4")
+             "n in [2-k, 60] at 256 bits; certified radius < 1/2")
     assert ok, [w.detail for w in report.witnesses]
 
 

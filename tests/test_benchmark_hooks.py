@@ -7,7 +7,8 @@ rename or deletion there passes every other test but stops
 `dominant_root`'s bits from its second positional argument or its `bits`
 keyword, and spans only the functions a layer lists in `__all__`.  The
 `certify` oracles read result fields, so one request of each kind, and
-every `all_roots` request, goes through them here.  The files are only read.
+every `all_roots` and `binet_reconstruct` request, goes through them here.
+The files are only read.
 """
 import importlib
 import importlib.util
@@ -73,13 +74,15 @@ def test_routes_and_certify_kinds_exist(workloads):
 def test_certify_kinds_pass_their_oracles(workloads):
     # the oracles read fields of RootEnclosure, RootSet and ErrorEnclosure
     # and compare values; a change to those fails here, not in a run
-    # every all_roots request, since each k and bits is its own root set
+    # every all_roots request, since each k and bits is its own root set,
+    # and every binet_reconstruct request, each certified to the exact term
     mods = SimpleNamespace(numerics=numerics, sequences=sequences)
     menu = workloads.certify_menu(random.Random(1))
     first = {}
     for req in menu:
         first.setdefault(req.kind, req)
-    for req in [r for r in menu if r.kind == "all_roots" or first[r.kind] is r]:
+    every = ("all_roots", "binet_reconstruct")
+    for req in [r for r in menu if r.kind in every or first[r.kind] is r]:
         value = workloads.certify_execute(mods, req)
         assert workloads.certify_check(req, workloads.certify_oracle(req), value) == "ok", req
 

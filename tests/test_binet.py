@@ -1,4 +1,6 @@
+from dataclasses import replace
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import example, given, settings
@@ -7,13 +9,17 @@ from hypothesis import strategies as st
 from qkbonacci import (
     CompanionKind,
     DyadicInterval,
+    Grid,
     PoleInIntervalError,
     ReconstructionError,
     RegimeError,
+    SecondaryRoot,
     SequenceParams,
+    all_roots,
     asymptote_c,
     binet_dominant,
     binet_reconstruct,
+    check_reconstruction,
     companion_term,
     dominant_root,
     error_term,
@@ -23,8 +29,9 @@ from qkbonacci import (
     term_definition,
     u_closed_form,
 )
-from qkbonacci.numerics import dominant_term_sweep
+from qkbonacci.numerics import binet, dominant_term_sweep
 from qkbonacci.numerics.binet import _root_ladder, _rungs
+from qkbonacci.numerics.roots import _cmul, _cpow
 
 from _oracles import sqrt_enclosure
 
@@ -306,6 +313,21 @@ class TestDifferentialOracle:
             assert gamma <= enclosure.hi + Fraction(1, 2**100)
 
 
+# F_155 at (3, 2), printed wrong before the sum was certified, and the
+# benchmark's binet_reconstruct requests that came out wrong or refused
+_MUST_CERTIFY = (
+    (3, 2, 155, 256), (4, 4, 135, 256), (5, 7, 150, 256), (3, 5, 195, 256),
+    (4, 8, 210, 256), (5, 11, 225, 256), (2, 6, 255, 256), (3, 9, 270, 256),
+    (4, 12, 285, 256), (5, 4, 300, 256),
+)
+
+
+def _certified_examples(test):
+    for q, k, n, bits in _MUST_CERTIFY:
+        test = example(q=q, k=k, n=n, bits=bits)(test)
+    return test
+
+
 class TestReconstruction:
     def test_spec_values(self):
         assert binet_reconstruct(SequenceParams(3, 2), 6, 256) == 360
@@ -315,25 +337,70 @@ class TestReconstruction:
     def test_guard_magnitudes_reported(self):
         rec = reconstruct_detailed(SequenceParams(3, 4), 20, 256)
         assert rec.value == term_definition(SequenceParams(3, 4), 20)
-        assert rec.residual < Fraction(1, 4)
-        assert rec.imag_magnitude < Fraction(1, 4)
+        assert rec.radius < Fraction(1, 2)
 
-    def test_insufficient_precision_is_loud(self):
-        # at 32 working bits the dominant-root error is amplified far past
-        # the 1/4 guard by n = 40; the guard must trip, not round garbage
-        with pytest.raises(ReconstructionError):
-            reconstruct_detailed(SequenceParams(3, 2), 40, 32)
+    def test_wide_discs_are_refused(self, monkeypatch):
+        # discs a quarter of their centre's modulus wide still bound every
+        # term, but the certified radius passes 1/2: the call must refuse,
+        # and the law must report that as inconclusive, never pass
+        real_all_roots = binet.all_roots
+
+        def wide_roots(params, bits):
+            roots = real_all_roots(params, bits)
+            return replace(roots, secondary=tuple(
+                replace(s, radius_num=isqrt(s.re_num**2 + s.im_num**2) // 4)
+                for s in roots.secondary))
+
+        monkeypatch.setattr(binet, "all_roots", wide_roots)
+        with pytest.raises(ReconstructionError, match="not below 1/2"):
+            reconstruct_detailed(SequenceParams(3, 2), 40, 256)
+        (report,) = check_reconstruction(Grid((3,), (2,), 40), 256)
+        assert report.verdict == "inconclusive"
+        assert {w.kind for w in report.witnesses} == {"inconclusive"}
+
+    def test_coarse_dominant_enclosure_is_refused(self, monkeypatch):
+        # all_roots' 64-bit enclosure of gamma, not refined for n = 155,
+        # makes the dominant row far wider than 1: refused, never rounded
+        monkeypatch.setattr(binet, "refine_root", lambda enclosure, bits: enclosure)
+        with pytest.raises(ReconstructionError, match="not below 1/2"):
+            reconstruct_detailed(SequenceParams(3, 2), 155, 64)
+
+    def test_certified_wrong_value_fails_the_law(self, monkeypatch):
+        # a dominant row moved by exactly one certifies a value one off the
+        # exact term, which the law must report as a fail
+        real_sweep = binet.dominant_term_sweep
+
+        def shifted_sweep(enclosure, n_max):
+            power_lo, power_hi, term_lo, term_hi = real_sweep(enclosure, n_max)
+            one = 1 << enclosure.interval.bits
+            return (power_lo, power_hi, [t + one for t in term_lo],
+                    [t + one for t in term_hi])
+
+        monkeypatch.setattr(binet, "dominant_term_sweep", shifted_sweep)
+        (report,) = check_reconstruction(Grid((3,), (2,), 10), 256)
+        assert report.verdict == "fail"
+        assert len(report.witnesses) == 11
 
     def test_low_precision_never_silently_plausible(self):
-        # a garbage sum can still land within 1/4 of some integer, but then
-        # it disagrees with the exact term; cross-checking catches it
+        # the dominant term's precision follows n, and 32 bits put the
+        # secondary discs far inside the radius budget: every value is exact
         p = SequenceParams(3, 2)
         for n in range(40, 64):
-            try:
-                rec = reconstruct_detailed(p, n, 32)
-            except ReconstructionError:
-                continue
-            assert rec.value != term_definition(p, n)
+            assert binet_reconstruct(p, n, 32) == term_definition(p, n)
+
+    @given(q=st.integers(1, 10), k=st.integers(2, 16), n=st.integers(-14, 400),
+           bits=st.integers(8, 320))
+    @settings(max_examples=40, deadline=None)
+    @_certified_examples
+    def test_exact_or_refused(self, q, k, n, bits):
+        p = SequenceParams(q, k)
+        n = max(n, p.min_index)
+        try:
+            value = binet_reconstruct(p, n, bits)
+        except ReconstructionError:
+            assert (q, k, n, bits) not in _MUST_CERTIFY
+            return
+        assert value == term_definition(p, n)
 
     def test_negative_indices(self):
         p = SequenceParams(3, 6)
@@ -348,3 +415,30 @@ class TestReconstruction:
             assert binet_reconstruct(fib, n, 256) == term_definition(fib, n)
         pell = SequenceParams(2, 4)
         assert binet_reconstruct(pell, 25, 256) == term_definition(pell, 25)
+
+    @given(q=st.integers(1, 6), k=st.integers(2, 8), n_lo=st.integers(-6, 40),
+           span=st.integers(0, 20), turn=st.integers(0, 7))
+    @settings(max_examples=60, deadline=None)
+    def test_secondary_radius_covers_the_root(self, q, k, n_lo, span, turn):
+        # move each disc centre 2^-30 off its root, in one of eight
+        # directions, with a radius just covering the root: the fixed-point
+        # terms at the centre, chained as the sweep chains them, stay
+        # within the radius of g(r) r^n, taken in floats at the root
+        p = SequenceParams(q, k)
+        n_lo = max(n_lo, p.min_index)
+        work = 96
+        for root in all_roots(p, 128).secondary:
+            shift = root.bits - work
+            dx, dy = ((2, 0), (1, 1), (0, 2), (-1, 1), (-2, 0), (-1, -1), (0, -2), (1, -1))[turn]
+            centre = ((root.re_num >> shift) + (dx << 65), (root.im_num >> shift) + (dy << 65))
+            disc = SecondaryRoot(*centre, work, (3 << 65) + 2)
+            weight, radius = binet._secondary_term(p, disc, n_lo, n_lo + span)
+            r = complex(float(root.real), float(root.imag))
+            g = (r - 1) / ((k + 1) * r * r - (q + 1) * k * r + (q - 1) * (k - 1))
+            power = _cpow(centre, n_lo, work)
+            for n in range(n_lo, n_lo + span + 1):
+                if n > n_lo:
+                    power = _cmul(power, centre, work)
+                term = _cmul(weight, power, work)
+                error = abs(g * r**n - complex(term[0], term[1]) / 2.0**work)
+                assert error <= radius / 2.0**work + 1e-12, (n, error, radius / 2.0**work)

@@ -98,21 +98,19 @@ class TestTerm:
             capsys, "term", "--q", "3", "--k", "2", "--n", "6", "--method", "binet"
         )
         assert code == 0
-        assert out.startswith("360 residual=")
+        assert out == "360\n"
 
     def test_binet_digest(self, capsys):
-        # pins values, residual texts and refusals of the full-roots sum,
-        # at a working precision and at one too low for most cells
-        outputs = []
+        # the certified full-roots sum prints what the recurrence prints, at
+        # a working precision and at one far below it, n = 155 included
         for bits in (256, 32):
             for q in (1, 2, 3, 4, 6):
                 for k in (2, 3, 5, 9, 16):
                     for n in (1, 5, 30, 60, 100, 155):
-                        argv = ("term", "--q", str(q), "--k", str(k), "--n", str(n),
-                                "--method", "binet", "--bits", str(bits))
-                        outputs.append(repr((argv, *run_cli(capsys, *argv))))
-        assert hashlib.sha256("\n".join(outputs).encode()).hexdigest() == (
-            "d6a5c57fc496fb1f14b53d654d6a7338d5868e439fa83ead6ec60730cec1e7c0")
+                        argv = ("term", "--q", str(q), "--k", str(k), "--n", str(n))
+                        binet = run_cli(capsys, *argv, "--method", "binet", "--bits", str(bits))
+                        assert binet == run_cli(capsys, *argv, "--method", "def"), argv
+                        assert binet[0] == 0
 
     def test_domain_error_exit_2(self, capsys):
         code, out, err = run_cli(capsys, "term", "--q", "3", "--k", "2", "--n", "-1")
