@@ -141,6 +141,8 @@ def _cmd_verify(args) -> int:
 def _cmd_bench(args) -> int:
     if args.reps < 1:
         raise QkError(f"--reps must be >= 1, got {args.reps}")
+    if args.n < 1:
+        raise QkError(f"--n must be >= 1, got {args.n}")
     params = SequenceParams(args.q, args.k)
     print("strategy,q,k,n,reps,best_seconds")
     reference = None

@@ -112,14 +112,19 @@ def term_shortcut(params: SequenceParams, n: int) -> int:
     return window[-1]
 
 
-def _mulmod(a: list[int], b: list[int], q: int, k: int) -> list[int]:
-    """a * b modulo x^k - q x^(k-1) - x^(k-2) - ... - 1, for residues given
+def _sqrmod(a: list[int], q: int, k: int) -> list[int]:
+    """a^2 modulo x^k - q x^(k-1) - x^(k-2) - ... - 1, for a residue given
     as k coefficients, lowest degree first."""
+    # each cross product a_i a_j with i < j once, each degree's sum of
+    # them doubled once, then the squares a_i^2 on the even degrees:
+    # k(k+1)/2 products where a general product takes k^2
     c = [0] * (2 * k - 1)
     for i, ai in enumerate(a):
-        if ai:  # so a = x costs k products, not k^2
-            for j, bj in enumerate(b):
-                c[i + j] += ai * bj
+        for j in range(i + 1, k):
+            c[i + j] += ai * a[j]
+    c = [2 * ci for ci in c]
+    for i, ai in enumerate(a):
+        c[2 * i] += ai * ai
     # Folding degree d >= k by x^d = q x^(d-1) + x^(d-2) + ... + x^(d-k)
     # adds its coefficient to each of the k degrees below it and (q-1)
     # times it once more to d-1.  Going down, s is the sum of the folded
@@ -135,13 +140,25 @@ def _mulmod(a: list[int], b: list[int], q: int, k: int) -> list[int]:
     return c[:k]
 
 
+def _shiftmod(r: list[int], q: int, k: int) -> list[int]:
+    """x * r modulo the same polynomial.  Every coefficient moves up one
+    degree; the top one, t, lands on x^k = q x^(k-1) + x^(k-2) + ... + 1,
+    so t is added to every degree and (q-1) t once more to degree k-1."""
+    top = r[k - 1]
+    s = [top] + [ri + top for ri in r[: k - 1]]
+    s[k - 1] += (q - 1) * top
+    return s
+
+
 def term_fast(params: SequenceParams, n: int) -> int:
     """F_n by square-and-multiply powering of x modulo the characteristic
     polynomial (Fiduccia 1985).
 
     With G_m = F_{m+2-k}, the seeds G_0..G_{k-2} are 0 and G_{k-1} = 1,
     so G_m is the x^(k-1) coefficient of x^m mod the polynomial, and
-    F_n = G_{n+k-2}.  Cost is O(k^2 log n) big-integer multiplications.
+    F_n = G_{n+k-2}.  Each bit of n+k-2 after the leading one costs a
+    squaring, k(k+1)/2 big-integer products and an O(k) fold.  Each one
+    bit adds a step by x: k additions and one product by q-1.
     """
     if n < 1:
         raise DomainError(
@@ -149,13 +166,12 @@ def term_fast(params: SequenceParams, n: int) -> int:
             "by term_definition"
         )
     q, k = params.q, params.k
-    x = [0, 1] + [0] * (k - 2)
-    residue = x
+    residue = [0, 1] + [0] * (k - 2)  # x
     # left to right over the bits of n+k-2 >= 1, after its leading one
     for bit in bin(n + k - 2)[3:]:
-        residue = _mulmod(residue, residue, q, k)
+        residue = _sqrmod(residue, q, k)
         if bit == "1":
-            residue = _mulmod(x, residue, q, k)
+            residue = _shiftmod(residue, q, k)
     return residue[k - 1]
 
 

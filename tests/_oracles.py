@@ -44,6 +44,26 @@ def brute_force_terms(q: int, k: int, n_max: int) -> dict:
     return vals
 
 
+def char_poly_mulmod(a: list[int], b: list[int], q: int, k: int) -> list[int]:
+    """a * b modulo x^k - q x^(k-1) - x^(k-2) - ... - 1, for residues given
+    as k coefficients, lowest degree first.
+
+    The schoolbook product, then long division by the monic polynomial:
+    from the top down, each degree d >= k is cancelled by subtracting its
+    coefficient times x^(d-k) times the polynomial.
+    """
+    c = [0] * (2 * k - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            c[i + j] += ai * bj
+    divisor = [-1] * (k - 1) + [-q, 1]  # lowest degree first
+    for d in range(2 * k - 2, k - 1, -1):
+        lead = c[d]
+        for i, di in enumerate(divisor):
+            c[d - k + i] -= lead * di
+    return c[:k]
+
+
 def theorem3_convolution(q: int, k: int, n: int) -> int:
     """The companion form U_n - sum_{j=1}^{n-k-1} V_j * F_{n-k-j} for
     q >= 3 and n >= 1, summed term by term.

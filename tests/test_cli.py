@@ -419,6 +419,15 @@ class TestBench:
         assert (code, out) == (2, "")
         assert err == f"error: --reps must be >= 1, got {reps}\n"
 
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    def test_n_below_one_exit_2(self, capsys, n):
+        # rejected before the CSV header or any row is printed
+        code, out, err = run_cli(
+            capsys, "bench", "--q", "3", "--k", "2", "--n", n, "--reps", "1",
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: --n must be >= 1, got {n}\n"
+
 
 class TestEntryPoint:
     def test_module_invocation(self):
@@ -516,6 +525,8 @@ class TestExitCodeContract:
     @example(argv=["table", "--q", "10", "--k-min", "2", "--k-max", "2", "--n-max", "5000",
                    "--format", "markdown"])
     @example(argv=["series", "--q", "10", "--k", "2", "--count", "5000"])
+    # bench must refuse n = 0 before it prints the CSV header
+    @example(argv=["bench", "--q", "3", "--k", "2", "--n", "0", "--reps", "1"])
     def test_exit_codes(self, argv):
         # 0 pass, 1 a law failed or was inconclusive, 2 usage or domain
         # error; anything else escaping main fails here with its traceback
@@ -527,5 +538,8 @@ class TestExitCodeContract:
                 code = exc.code
         assert code in (0, 1, 2)
         assert "Traceback" not in err.getvalue()
+        if code == 2:
+            # a refused request prints nothing to stdout
+            assert out.getvalue() == ""
         if code == 1:
             assert argv[0] == "verify"

@@ -15,10 +15,12 @@ from qkbonacci import (
     term_table,
     theorem3_term,
 )
+from qkbonacci.sequences import _shiftmod, _sqrmod
 
 from _oracles import (
     ERRATUM_CORRECT_VALUE,
     brute_force_terms,
+    char_poly_mulmod,
     fibonacci,
     pell,
     theorem3_convolution,
@@ -125,6 +127,56 @@ class TestFast:
     def test_rejects_nonpositive(self):
         with pytest.raises(DomainError):
             term_fast(SequenceParams(3, 2), 0)
+
+    # every n whose exponent n+k-2 is 2^m - 1, 2^m or 2^m + 1: runs of
+    # squarings each followed by a step by x, runs with none, and one
+    # step at each end
+    @pytest.mark.parametrize("q", [1, 2, 3, 10])
+    @pytest.mark.parametrize("k", [2, 3, 8, 32, 40])
+    def test_exponent_bit_patterns(self, q, k):
+        p = SequenceParams(q, k)
+        exponents = {(1 << m) + d for m in range(15) for d in (-1, 0, 1)}
+        ns = sorted(e - k + 2 for e in exponents if e - k + 2 >= 1)
+        table = term_table(p, ns[-1])
+        for n in ns:
+            assert term_fast(p, n) == table[n - p.min_index], n
+
+    @given(
+        q=st.integers(1, 10),
+        a=st.integers(2, 40).flatmap(lambda k: st.lists(
+            st.integers(-(2**256), 2**256), min_size=k, max_size=k)),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_kernels_match_schoolbook_division(self, q, a):
+        k = len(a)
+        x = [0, 1] + [0] * (k - 2)
+        assert _sqrmod(a, q, k) == char_poly_mulmod(a, a, q, k)
+        assert _shiftmod(a, q, k) == char_poly_mulmod(x, a, q, k)
+
+    @pytest.mark.parametrize("k", [2, 3, 8, 32])
+    def test_square_forms_each_product_once(self, k):
+        # products are counted only between two residue coefficients, so
+        # the fold's small multipliers and the doubling do not count
+        products = []
+
+        class Coefficient(int):
+            def __mul__(self, other):
+                if isinstance(other, Coefficient):
+                    products.append((int(self), int(other)))
+                return int(self) * int(other)
+
+            __rmul__ = __mul__
+
+        values = [3**i + 7 for i in range(k)]
+        a = [Coefficient(v) for v in values]
+        assert _sqrmod(a, 4, k) == char_poly_mulmod(values, values, 4, k)
+        # k(k+1)/2 products, each pair once; a general product makes k^2
+        assert sorted(sorted(pair) for pair in products) == [
+            [values[i], values[j]] for i in range(k) for j in range(i, k)]
+        products.clear()
+        assert _shiftmod(a, 4, k) == char_poly_mulmod(
+            [0, 1] + [0] * (k - 2), values, 4, k)
+        assert products == []
 
 
 class TestCompanions:
