@@ -10,6 +10,7 @@ excepted).
 from __future__ import annotations
 
 import argparse
+import decimal
 import functools
 import json
 import os
@@ -51,49 +52,97 @@ _ALL_Q_ROUTES = {
 }
 _ROUTES = {**_ALL_Q_ROUTES, "theorem3": theorem3_term}
 
+# Decimal arithmetic that cannot round: any result that would need more
+# than MAX_PREC digits raises instead of printing a wrong digit.  It is
+# entered by localcontext, which works on a copy and restores the
+# caller's context.
+_EXACT = decimal.Context(
+    prec=decimal.MAX_PREC,
+    Emax=decimal.MAX_EMAX,
+    Emin=decimal.MIN_EMIN,
+    traps=[decimal.Inexact, decimal.Rounded, decimal.Overflow],
+)
+
+# ints up to this many bits go to Decimal directly; _int_str splits
+# larger ones
+_PIECE_BITS = 2048
+
 
 def _digits_for_bits(bits: int) -> int:
     # 2^-bits resolved in decimal
     return max(1, int(bits * 0.30103) + 1)
 
 
+def _int_str(n: int) -> str:
+    """str(n) without CPython's int to str, which is quadratic in the
+    digits.
+
+    n = hi * 2^w + lo is split by shifts down to pieces of at most
+    _PIECE_BITS bits, each piece is converted by Decimal(piece), and the
+    pieces are recombined as hi * 2^w + lo in exact Decimal, whose
+    products are subquadratic and whose str() is linear.
+    """
+    powers = {}  # w -> 2^w as a Decimal; each level of the split has two w
+
+    def power(w):
+        if w not in powers:
+            powers[w] = (decimal.Decimal(1 << w) if w <= _PIECE_BITS
+                         else power(w >> 1) * power(w - (w >> 1)))
+        return powers[w]
+
+    def convert(m, bits):
+        # m = hi * 2^w + lo with 0 <= lo < 2^w holds for either sign of m
+        if bits <= _PIECE_BITS:
+            return decimal.Decimal(m)
+        w = bits >> 1
+        hi = m >> w
+        return convert(hi, bits - w) * power(w) + convert(m - (hi << w), w)
+
+    with decimal.localcontext(_EXACT):
+        return str(convert(n, n.bit_length()))
+
+
 def _cmd_term(args) -> int:
     params = SequenceParams(args.q, args.k)
     if args.method == "binet":
-        print(binet_reconstruct(params, args.n, args.bits))
+        value = binet_reconstruct(params, args.n, args.bits)
     else:
-        print(_ROUTES[args.method](params, args.n))
+        value = _ROUTES[args.method](params, args.n)
+    print(_int_str(value))
     if (args.q, args.k, args.n) == _ERRATUM_CELL:
         print(_ERRATUM_NOTE, file=sys.stderr)
     return 0
 
 
-def _table_rows(q: int, k_min: int, k_max: int, n_max: int):
-    rows = []
-    for k in range(k_min, k_max + 1):
-        # F_1 sits at k - 1
-        table = term_table(SequenceParams(q, k), n_max)
-        rows += [(q, k, n, value) for n, value in enumerate(table[k - 1:], start=1)]
-    return rows
+# per format: the header, a row as a template over (q, k) that leaves one
+# over (n, value), the text between rows and the footer
+_TABLE_LAYOUTS = {
+    "csv": ("q,k,n,value\n", "%d,%d,%%d,%%s", "\n", "\n"),
+    # the bytes of json.dumps(rows as dicts, indent=2), whose indent
+    # argument would force the pure-Python encoder
+    "json": ("[\n", '  {\n    "q": %d,\n    "k": %d,\n    "n": %%d,\n'
+             '    "value": %%s\n  }', ",\n", "\n]\n"),
+    "markdown": ("| q | k | n | value |\n| --- | --- | --- | --- |\n",
+                 "| %d | %d | %%d | %%s |", "\n", "\n"),
+}
 
 
-def _emit_table(rows, fmt: str, stream) -> None:
-    if fmt == "csv":
-        stream.write("q,k,n,value\n")
-        for q, k, n, value in rows:
-            stream.write(f"{q},{k},{n},{value}\n")
-    elif fmt == "json":
-        # the bytes of json.dumps(rows as dicts, indent=2), whose indent
-        # argument would force the pure-Python encoder
-        stream.write("[\n" + ",\n".join(
-            f'  {{\n    "q": {q},\n    "k": {k},\n    "n": {n},\n    "value": {value}\n  }}'
-            for q, k, n, value in rows
-        ) + "\n]\n")
-    else:  # markdown
-        stream.write("| q | k | n | value |\n")
-        stream.write("| --- | --- | --- | --- |\n")
-        for q, k, n, value in rows:
-            stream.write(f"| {q} | {k} | {n} | {value} |\n")
+def _emit_table(blocks, n_max: int, fmt: str, stream) -> None:
+    """Write F_1..F_{n_max} of each SequenceParams in `blocks`, one block
+    per k.  The terms are exact Decimals, so each str() is linear in its
+    digits."""
+    header, row, between, footer = _TABLE_LAYOUTS[fmt]
+    stream.write(header)
+    with decimal.localcontext(_EXACT):
+        for i, params in enumerate(blocks):
+            # F_1 sits at k - 1
+            values = term_table(params, n_max, decimal.Decimal(1))[params.k - 1:]
+            block_row = row % (params.q, params.k)
+            if i:
+                stream.write(between)
+            stream.write(between.join(
+                [block_row % cell for cell in enumerate(values, start=1)]))
+    stream.write(footer)
 
 
 def _cmd_table(args) -> int:
@@ -101,16 +150,17 @@ def _cmd_table(args) -> int:
         raise QkError(
             "invalid table range: need k-min >= 2, k-max >= k-min, n-max >= 1"
         )
-    rows = _table_rows(args.q, args.k_min, args.k_max, args.n_max)
+    # built before any output, so a q out of the domain prints nothing
+    blocks = [SequenceParams(args.q, k) for k in range(args.k_min, args.k_max + 1)]
     if args.output:
         try:
             handle = open(args.output, "w", encoding="utf-8")
         except OSError as exc:
             raise QkError(f"cannot write --output {args.output}: {exc.strerror}") from exc
         with handle:
-            _emit_table(rows, args.format, handle)
+            _emit_table(blocks, args.n_max, args.format, handle)
     else:
-        _emit_table(rows, args.format, sys.stdout)
+        _emit_table(blocks, args.n_max, args.format, sys.stdout)
     eq, ek, en = _ERRATUM_CELL
     if args.q == eq and args.k_min <= ek <= args.k_max and args.n_max >= en:
         print(_ERRATUM_NOTE, file=sys.stderr)
@@ -146,7 +196,10 @@ def _cmd_bench(args) -> int:
     params = SequenceParams(args.q, args.k)
     print("strategy,q,k,n,reps,best_seconds")
     reference = None
-    for name, route in _ALL_Q_ROUTES.items():
+    # the routes asked for, once each, in the order asked; the values are
+    # compared only when two or more are timed
+    for name in dict.fromkeys(args.method or _ALL_Q_ROUTES):
+        route = _ALL_Q_ROUTES[name]
         best = None
         for _ in range(args.reps):
             start = time.perf_counter()
@@ -225,6 +278,8 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--k", type=int, required=True)
     bench.add_argument("--n", type=int, required=True)
     bench.add_argument("--reps", type=int, default=3)
+    bench.add_argument("--method", action="append", choices=tuple(_ALL_Q_ROUTES),
+                       help="a route to time (repeatable; default all three)")
     bench.set_defaults(func=_cmd_bench)
 
     return parser

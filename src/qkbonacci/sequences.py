@@ -3,7 +3,8 @@
 The sequence is F_n = q*F_{n-1} + F_{n-2} + ... + F_{n-k} with seeds
 F_{2-k} = ... = F_0 = 0 and F_1 = 1.  Several independent strategies
 compute the same terms; their agreement is what the test suite certifies.
-All values are plain Python ints and every function is pure.
+Values are plain Python ints, except that `term_table` computes in the
+unit its caller passes.  Every function is pure.
 """
 from __future__ import annotations
 
@@ -75,15 +76,23 @@ def term_definition(params: SequenceParams, n: int) -> int:
     return window[-1]
 
 
-def term_table(params: SequenceParams, n_max: int) -> list[int]:
-    """All terms F_n for n in [2-k, n_max]; entry i holds F_{2-k+i}."""
+def term_table(params: SequenceParams, n_max: int, one=1) -> list:
+    """All terms F_n for n in [2-k, n_max]; entry i holds F_{2-k+i}.
+
+    `one` is the unit of the arithmetic, and every entry has its type.
+    The int default gives ints.  `decimal.Decimal(1)` gives Decimals, whose
+    str() is linear in the digits where int's is quadratic; the caller
+    runs it under a context that cannot round (precision MAX_PREC, with
+    Inexact and Rounded trapped), so every entry is still exact.
+    """
     _check_index(params, n_max)
     q, k = params.q, params.k
-    vals = [0] * (k - 1) + [1]  # F_{2-k} .. F_1
-    total = 1  # running sum of the last k terms
+    step = (q - 1) * one
+    vals = [one - one] * (k - 1) + [one]  # F_{2-k} .. F_1
+    total = one  # running sum of the last k terms
     # vals[i] is F_{n-k} when F_n is appended
     for i in range(n_max - 1):
-        nxt = total + (q - 1) * vals[-1]
+        nxt = total + step * vals[-1]
         total += nxt - vals[i]
         vals.append(nxt)
     return vals[: n_max - (2 - k) + 1]

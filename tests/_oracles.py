@@ -1,10 +1,11 @@
 """Independent oracles shared by the tests.
 
 Everything here is deliberately written against the standard library
-only (fractions + isqrt + itertools + complex floats + plain loops), never against the
+only (fractions + isqrt + itertools + json + complex floats + plain loops), never against the
 package's own interval or root machinery, so cross-checks stay
 independent.
 """
+import json
 from fractions import Fraction
 from itertools import compress, count, pairwise, product
 from math import isqrt
@@ -42,6 +43,25 @@ def brute_force_terms(q: int, k: int, n_max: int) -> dict:
     for n in range(2, n_max + 1):
         vals[n] = q * vals[n - 1] + sum(vals[n - i] for i in range(2, k + 1))
     return vals
+
+
+def table_text(q: int, k_min: int, k_max: int, n_max: int, fmt: str) -> str:
+    """What `qkbonacci table` prints for these arguments: the rows
+    (q, k, n, F_n) for k in [k_min, k_max] and n in [1, n_max], from plain
+    int recurrences.  JSON goes through json.dumps(..., indent=2); CSV and
+    markdown are written by hand.
+    """
+    rows = []
+    for k in range(k_min, k_max + 1):
+        terms = brute_force_terms(q, k, n_max)
+        rows += [(q, k, n, terms[n]) for n in range(1, n_max + 1)]
+    if fmt == "json":
+        keys = ("q", "k", "n", "value")
+        return json.dumps([dict(zip(keys, row)) for row in rows], indent=2) + "\n"
+    if fmt == "csv":
+        return "q,k,n,value\n" + "".join(f"{q},{k},{n},{v}\n" for q, k, n, v in rows)
+    head = "| q | k | n | value |\n| --- | --- | --- | --- |\n"
+    return head + "".join(f"| {q} | {k} | {n} | {v} |\n" for q, k, n, v in rows)
 
 
 def char_poly_mulmod(a: list[int], b: list[int], q: int, k: int) -> list[int]:

@@ -1,4 +1,5 @@
 import contextlib
+import decimal
 import hashlib
 import io
 import json
@@ -11,13 +12,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qkbonacci import SequenceParams, term_definition
+from qkbonacci import SequenceParams, cli, term_definition, term_table
 from qkbonacci.cli import main
 
 from _oracles import (
     ERRATUM_CORRECT_VALUE,
     PUBLISHED_TABLE_Q3,
     sqrt_approx,
+    table_text,
 )
 
 
@@ -25,6 +27,29 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_captured(*argv):
+    """main(argv) with stdout and stderr captured, for tests that cannot
+    take a function-scoped fixture."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+@contextlib.contextmanager
+def no_digit_limit():
+    """CPython's int-to-str digit limit lifted, and restored afterwards."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(before)
 
 
 def module_env():
@@ -245,6 +270,99 @@ class TestTable:
         assert code == 2
         assert err.startswith("error: cannot write --output")
 
+    @given(q=st.integers(1, 10), k_min=st.integers(2, 16), span=st.integers(0, 2),
+           n_max=st.integers(1, 400), fmt=st.sampled_from(("csv", "json", "markdown")))
+    @settings(max_examples=60, deadline=None)
+    # q = 1 steps by (q - 1) F_{n-1} = 0
+    @example(q=1, k_min=2, span=2, n_max=60, fmt="csv")
+    @example(q=3, k_min=2, span=1, n_max=1, fmt="json")
+    # the benchmark menu's largest table
+    @example(q=6, k_min=6, span=2, n_max=1916, fmt="markdown")
+    def test_bytes_match_independent_writer(self, q, k_min, span, n_max, fmt):
+        code, out, _ = run_captured(
+            "table", "--q", str(q), "--k-min", str(k_min), "--k-max", str(k_min + span),
+            "--n-max", str(n_max), "--format", fmt)
+        assert code == 0
+        assert out == table_text(q, k_min, k_min + span, n_max, fmt)
+
+    # digests recorded from the int-arithmetic table writer that the
+    # Decimal one replaced; the first has rows of 5,021 digits
+    @pytest.mark.parametrize("argv, digest", [
+        ("--q 10 --k-min 2 --k-max 2 --n-max 5000 --format csv",
+         "a7f0d0b6fa29002776499f29746b44217d3d025760b8529378392c6af7ce9651"),
+        ("--q 10 --k-min 2 --k-max 3 --n-max 5000 --format json",
+         "019f136658976020234f830ae70e5d357ed0ab1a1de32d37730173488dabae52"),
+        ("--q 6 --k-min 6 --k-max 8 --n-max 1916 --format markdown",
+         "add46cfbfcbe9571c77d74759be394eedb7e91138afb4eac4de0ba813c672d90"),
+        ("--q 1 --k-min 2 --k-max 4 --n-max 400 --format json",
+         "aa3f411dd4e82a16fab8fa139d9fb1b37f6c112ee9959f63b65b335e433e955b"),
+    ])
+    def test_digest(self, capsys, tmp_path, argv, digest):
+        code, out, _ = run_cli(capsys, "table", *argv.split())
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+        target = tmp_path / "table.out"
+        code, out, _ = run_cli(capsys, "table", *argv.split(), "--output", str(target))
+        assert (code, out) == (0, "")
+        assert hashlib.sha256(target.read_bytes()).hexdigest() == digest
+
+
+class TestExactDecimal:
+    """The table and term printers compute in Decimal; nothing may round."""
+
+    def test_narrow_context_raises(self):
+        # F_2000 at (6, 8) has about 1,640 digits; a 50-digit context with
+        # the printers' traps must refuse it, not round it
+        narrow = decimal.Context(
+            prec=50, traps=[decimal.Inexact, decimal.Rounded, decimal.Overflow])
+        with decimal.localcontext(narrow), pytest.raises(decimal.DecimalException) as info:
+            term_table(SequenceParams(6, 8), 2000, decimal.Decimal(1))
+        # the C decimal module raises the first trapped signal and lists all
+        assert decimal.Rounded in info.value.args[0]
+
+    def test_cli_context_cannot_round(self):
+        exact = cli._EXACT
+        assert exact.prec == decimal.MAX_PREC
+        assert exact.traps[decimal.Inexact] and exact.traps[decimal.Rounded]
+        with decimal.localcontext(exact):
+            values = term_table(SequenceParams(6, 8), 2000, decimal.Decimal(1))
+        assert values == term_table(SequenceParams(6, 8), 2000)
+
+    # F_1500 at (3, 2) has 2,584 bits, so _int_str splits it
+    @pytest.mark.parametrize("argv, expected", [
+        (("table", "--q", "6", "--k-min", "7", "--k-max", "8", "--n-max", "300"),
+         table_text(6, 7, 8, 300, "csv")),
+        (("term", "--q", "3", "--k", "2", "--n", "1500", "--method", "fast"),
+         f"{term_definition(SequenceParams(3, 2), 1500)}\n"),
+    ], ids=("table", "term"))
+    def test_caller_context_unchanged(self, argv, expected):
+        with decimal.localcontext() as caller:
+            caller.prec = 17
+            caller.traps[decimal.Inexact] = False
+            caller.traps[decimal.Rounded] = False
+            before = (caller.prec, dict(caller.traps))
+            code, out, _ = run_captured(*argv)
+            after = decimal.getcontext()
+            assert (after.prec, dict(after.traps)) == before
+        assert (code, out) == (0, expected)
+
+    @given(n=st.builds(
+        lambda bits, rng, sign: sign * rng.getrandbits(bits),
+        st.integers(0, 200_000), st.randoms(use_true_random=False),
+        st.sampled_from((1, -1))))
+    @settings(max_examples=40, deadline=None)
+    @example(n=0)
+    @example(n=2**2048 - 1)
+    @example(n=2**2048)
+    @example(n=2**2048 + 1)
+    @example(n=-(2**4097 + 1))
+    @example(n=10**617)
+    @example(n=10**4300)
+    @example(n=10**60000)
+    def test_int_str_matches_str(self, n):
+        with no_digit_limit():
+            assert cli._int_str(n) == str(n)
+
 
 class TestRoot:
     def test_enclosure_contains_known_root(self, capsys):
@@ -411,6 +529,28 @@ class TestBench:
             "def", "shortcut", "fast",
         ]
 
+    @pytest.mark.parametrize("methods, rows", [
+        (("fast",), ["fast"]),
+        # once each, in the order asked
+        (("fast", "def", "fast"), ["fast", "def"]),
+    ])
+    def test_method_selects_routes(self, capsys, methods, rows):
+        argv = ["bench", "--q", "3", "--k", "2", "--n", "200", "--reps", "1"]
+        for method in methods:
+            argv += ["--method", method]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert [line.split(",")[0] for line in out.strip().split("\n")[1:]] == rows
+
+    def test_agreement_checked_only_between_routes(self, capsys, monkeypatch):
+        monkeypatch.setitem(cli._ALL_Q_ROUTES, "shortcut", lambda params, n: -1)
+        argv = ("bench", "--q", "3", "--k", "2", "--n", "50", "--reps", "1")
+        code, _, _ = run_cli(capsys, *argv, "--method", "shortcut")
+        assert code == 0
+        code, _, err = run_cli(capsys, *argv, "--method", "def", "--method", "shortcut")
+        assert code == 2
+        assert err == "error: strategy shortcut disagrees at n=50\n"
+
     @pytest.mark.parametrize("reps", ["0", "-1"])
     def test_reps_below_one_exit_2(self, capsys, reps):
         code, out, err = run_cli(
@@ -505,6 +645,8 @@ def cli_argv(draw):
         if draw(st.integers(0, 9)) == 0:
             missing = os.path.join(os.path.dirname(__file__), "no-such-dir", "t.csv")
             argv += ["--output", missing]
+    elif command == "bench" and draw(st.booleans()):
+        argv += ["--method", draw(st.sampled_from(("def", "shortcut", "fast", "bogus")))]
     elif command == "verify":
         argv += ["--law", draw(st.sampled_from(
             ("all", "identities", "lemma1", "lemma2", "error-bound", "growth", "bogus")))]
