@@ -175,8 +175,11 @@ def _cmd_root(args) -> int:
 
 
 def _cmd_series(args) -> int:
-    for c in series_coefficients(SequenceParams(args.q, args.k), args.count):
-        print(c)
+    # exact Decimals, as in table, so each str() is linear in its digits
+    with decimal.localcontext(_EXACT):
+        for c in series_coefficients(SequenceParams(args.q, args.k), args.count,
+                                     decimal.Decimal(1)):
+            print(c)
     return 0
 
 

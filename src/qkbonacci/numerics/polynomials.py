@@ -1,8 +1,11 @@
 """The characteristic polynomial and its auxiliary multiple, exactly.
 
-Coefficients are integers stored in ascending order (c_0 first).  Exact
-rational evaluation backs the sign certificates used by root isolation;
-``sign_at_dyadic`` avoids Fraction overhead inside the bisection loop.
+Coefficients are integers stored in ascending order (c_0 first).
+``eval`` is exact rational Horner.  ``sign_at_dyadic`` backs the sign
+certificates of root isolation without Fractions: a fixed-point Horner
+at 2^-(scale + 64), with a certified bound on its rounding, decides the
+sign, and exact integer Horner runs only where that bound cannot, at a
+negative point or at a scale of at most 64 bits.
 """
 from __future__ import annotations
 
@@ -35,16 +38,47 @@ class _IntPoly:
         return tuple(i * c for i, c in enumerate(self.coefficients) if i > 0)
 
     def sign_at_dyadic(self, num: int, scale: int) -> int:
-        """Sign at the dyadic point num * 2^-scale, pure integer Horner.
+        """Sign at the dyadic point t = num * 2^-scale.
 
-        Works on the value scaled by 2^(degree*scale), which shares the
-        sign of the true value.
+        For num >= 0, scale > 64 and degree >= 2 this is Horner in fixed
+        point.  The first step is exact at 2^-scale.  Each later step but
+        the last is rounded down to 2^-p, p = scale + 64, which is shorter
+        than the exact product.  The last step is exact, so degree 2 is
+        exact throughout.  A rounded step loses less than 2^-p and
+        multiplies the loss before it by t <= ceil(t), so the final v at
+        2^-e has v <= Phi(t) * 2^e <= v + E, where E is num times the sum
+        of ceil(t)^j over the rounded steps.  v > 0 gives +1 and v + E < 0
+        gives -1.  Otherwise Phi(t) is within the rounding bound of zero,
+        an exact zero included, and exact integer Horner decides, as it
+        does for num < 0 and for scales up to 64, where its numbers are
+        short anyway.
         """
-        deg = self.degree
-        acc = self.coefficients[-1]
-        for i in range(deg - 1, -1, -1):
-            acc = acc * num + (self.coefficients[i] << ((deg - i) * scale))
-        return (acc > 0) - (acc < 0)
+        coeffs = self.coefficients
+        if num >= 0 and scale > 64 and len(coeffs) > 2:
+            p = scale + 64
+            acc, exp = coeffs[-1] * num + (coeffs[-2] << scale), scale
+            for c in coeffs[-3:0:-1]:
+                acc = (acc * num >> (exp - 64)) + (c << p)
+                exp = p
+            acc = acc * num + (coeffs[0] << (exp + scale))
+            if acc > 0:
+                return 1
+            ceil_t, err = -(-num >> scale), 0
+            for _ in range(len(coeffs) - 3):
+                err = err * ceil_t + 1
+            if acc + err * num < 0:
+                return -1
+        return _exact_sign(coeffs, num, scale)
+
+
+def _exact_sign(coeffs: tuple, num: int, scale: int) -> int:
+    """Sign at num * 2^-scale by integer Horner on the value scaled by
+    2^(degree*scale), which is exact and shares the true value's sign."""
+    deg = len(coeffs) - 1
+    acc = coeffs[-1]
+    for i in range(deg - 1, -1, -1):
+        acc = acc * num + (coeffs[i] << ((deg - i) * scale))
+    return (acc > 0) - (acc < 0)
 
 
 @dataclass(frozen=True)

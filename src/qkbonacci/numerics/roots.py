@@ -3,8 +3,8 @@
 Two deliberately different routes:
 
 * the dominant root gets a certified enclosure from pure bisection with
-  exact integer sign tests (unconditionally convergent inside the
-  (q, q+1) bracket, which the polynomial family guarantees);
+  integer sign tests whose answer is exact (unconditionally convergent
+  inside the (q, q+1) bracket, which the polynomial family guarantees);
 * the remaining roots are isolated by simultaneous Aberth-Ehrlich
   iteration in floats, then each is polished by Newton steps in integer
   fixed-point complex arithmetic at the requested precision, and
@@ -45,8 +45,8 @@ class RootEnclosure:
     """Certified bracket around the single root larger than one.
 
     The sign pair (negative at lo, positive at hi) is the certificate: it
-    is established by exact integer evaluation, so a real root lies
-    strictly inside the interval.
+    is established by integer sign tests whose answer is exact, so a real
+    root lies strictly inside the interval.
     """
 
     params: SequenceParams
@@ -324,7 +324,9 @@ def _newton_fixed(coeffs, dcoeffs, seed, bits, accuracy_bits):
 
 def _gauss_horner(coeffs, z, scale):
     """Exact value at (a + bi) * 2^-scale, scaled by 2^(degree*scale),
-    as a Gaussian integer: the complex twin of _IntPoly.sign_at_dyadic."""
+    as a Gaussian integer: the complex twin of the exact integer Horner
+    behind _IntPoly.sign_at_dyadic.  It stays exact, since the disc radius
+    needs the value itself, not only its sign."""
     a, b = z
     degree = len(coeffs) - 1
     re, im = coeffs[-1], 0

@@ -247,20 +247,21 @@ def _theorem3_forms(params: SequenceParams, table, n_max: int) -> list[int]:
     return [un - cn for un, cn in zip(u, c)]
 
 
-def series_coefficients(params: SequenceParams, count: int) -> list[int]:
+def series_coefficients(params: SequenceParams, count: int, one=1) -> list:
     """First `count` coefficients of x / (1 - q x - x^2 - ... - x^k).
 
     Exact power-series long division over the integers; c_0 = 0 and
     c_n = F_n thereafter, which the tests use as an independent oracle.
+    `one` is the unit of the arithmetic, as in term_table.
     """
     if count < 1:
         raise DomainError(f"count must be >= 1, got {count}")
     q, k = params.q, params.k
     den = [1, -q] + [-1] * (k - 1)  # 1 - q x - x^2 - ... - x^k
     num = (0, 1)  # numerator x
-    coeffs: list[int] = []
+    coeffs: list = []
     for n in range(count):
-        acc = num[n] if n < len(num) else 0
+        acc = (num[n] if n < len(num) else 0) * one
         for i in range(1, min(n, k) + 1):
             acc -= den[i] * coeffs[n - i]
         coeffs.append(acc)  # leading denominator coefficient is 1

@@ -159,6 +159,18 @@ def dominant_root_bracket(q: int, k: int, bits: int) -> tuple[Fraction, Fraction
     return Fraction(lo, scale), Fraction(hi, scale)
 
 
+def exact_sign(coeffs, num: int, scale: int) -> int:
+    """Sign of sum c_i t^i at t = num / 2^scale, coefficients ascending.
+
+    The value times 2^(degree*scale) is the integer sum of
+    c_i num^i 2^((degree-i)*scale), summed term by term from explicit
+    powers rather than by Horner.
+    """
+    degree = len(coeffs) - 1
+    total = sum(c * num**i << (degree - i) * scale for i, c in enumerate(coeffs))
+    return (total > 0) - (total < 0)
+
+
 def char_poly_roots(q: int, k: int) -> list[complex]:
     """All k roots of x^k - q x^(k-1) - x^(k-2) - ... - 1 in floats, by
     Durand-Kerner (Weierstrass) iteration.

@@ -20,7 +20,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from qkbonacci import Grid, lawcheck, numerics, sequences
+from qkbonacci import AuxPoly, Grid, SequenceParams, lawcheck, numerics, sequences
 from qkbonacci.numerics import binet, roots
 from qkbonacci.numerics.dyadic import DyadicInterval
 from qkbonacci.numerics.polynomials import _IntPoly
@@ -91,6 +91,28 @@ def test_dominant_root_bits_argument():
     # spans.py counts dominant_root.bits_total from args[1] or kwargs["bits"]
     first, second = list(inspect.signature(roots.dominant_root).parameters)[:2]
     assert (first, second) == ("params", "bits")
+
+
+def test_sign_tests_per_dominant_root(monkeypatch):
+    # numerics.polynomials.sign_tests counts calls by the method name: two
+    # bracket checks and one per bit, and an exact fallback inside the
+    # method is not a second call
+    calls = []
+    real_sign = _IntPoly.sign_at_dyadic
+
+    def counted(self, num, scale):
+        calls.append(scale)
+        return real_sign(self, num, scale)
+
+    monkeypatch.setattr(_IntPoly, "sign_at_dyadic", counted)
+    for q, k, bits in ((1, 2, 8), (3, 8, 64), (10, 32, 256), (5, 5, 1024)):
+        calls.clear()
+        roots.dominant_root(SequenceParams(q, k), bits)
+        assert len(calls) == bits + 2, (q, k, bits)
+    calls.clear()
+    # t = 1 is an exact zero of AuxPoly, decided by the exact fallback
+    assert AuxPoly.of(SequenceParams(3, 5)).sign_at_dyadic(1 << 4096, 4096) == 0
+    assert calls == [4096]
 
 
 def test_refine_root_is_spanned(spans):

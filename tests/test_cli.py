@@ -18,6 +18,7 @@ from qkbonacci.cli import main
 from _oracles import (
     ERRATUM_CORRECT_VALUE,
     PUBLISHED_TABLE_Q3,
+    brute_force_terms,
     sqrt_approx,
     table_text,
 )
@@ -334,7 +335,9 @@ class TestExactDecimal:
          table_text(6, 7, 8, 300, "csv")),
         (("term", "--q", "3", "--k", "2", "--n", "1500", "--method", "fast"),
          f"{term_definition(SequenceParams(3, 2), 1500)}\n"),
-    ], ids=("table", "term"))
+        (("series", "--q", "4", "--k", "3", "--count", "6"),
+         "0\n1\n4\n17\n73\n313\n"),
+    ], ids=("table", "term", "series"))
     def test_caller_context_unchanged(self, argv, expected):
         with decimal.localcontext() as caller:
             caller.prec = 17
@@ -397,6 +400,17 @@ class TestSeries:
                                "--count", "6")
         assert code == 0
         assert out == "0\n1\n4\n17\n73\n313\n"
+
+    def test_coefficients_past_the_str_limit(self, capsys, default_digit_limit):
+        # c_4999 = F_4999 at (10, 2) has 5,020 digits, past the 4,300 that
+        # CPython converts by default; each line is str() of the int
+        code, out, _ = run_cli(capsys, "series", "--q", "10", "--k", "2",
+                               "--count", "5000")
+        terms = brute_force_terms(10, 2, 4999)
+        with no_digit_limit():
+            lines = ["0"] + [str(terms[n]) for n in range(1, 5000)]
+        assert len(lines[-1]) > 4300
+        assert (code, out) == (0, "\n".join(lines) + "\n")
 
 
 class TestVerify:

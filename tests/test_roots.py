@@ -88,6 +88,20 @@ class TestDominantRoot:
         with pytest.raises(DomainError):
             dominant_root(SequenceParams(3, 2), 4)
 
+    def test_cells_digest(self):
+        # every cell (lo_num, bits) for q 1-10, k 2-16, 24 and 32 at 8-1024
+        # bits, and the benchmark's four 4096-bit cells, in order: how a
+        # sign test is decided may change, the cells it bisects to may not
+        digest = hashlib.sha256()
+        cells = [(q, k, bits) for q in range(1, 11)
+                 for k in [*range(2, 17), 24, 32] for bits in (8, 64, 256, 1024)]
+        cells += [(3, 8, 4096), (4, 2, 4096), (5, 5, 4096), (1, 11, 4096)]
+        for q, k, bits in cells:
+            cell = dominant_root(SequenceParams(q, k), bits).interval
+            digest.update(f"{cell.lo_num} {cell.bits}\n".encode())
+        assert digest.hexdigest() == (
+            "c331333d37df4bff75b534500fd69ca612c89da7e48fef178fc56b01148f977a")
+
     def test_enclosure_may_end_on_the_bracket(self):
         # at q = 1 the root nears 2 = q + 1 as k grows, so a coarse
         # enclosure can end exactly there; the sign pair still certifies
