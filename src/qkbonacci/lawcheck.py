@@ -5,13 +5,15 @@ A pass verdict always means every individual comparison was settled by
 exact integer arithmetic or by certified interval separation; interval
 comparisons that cannot be separated escalate their working precision
 (doubling, capped at 16x the request) and are reported inconclusive if
-the cap is reached, never pass.
+the cap is reached, never pass.  The laws of one run_laws call read
+each (q, k) cell's terms and dominant root from one shared CellContext.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from decimal import ROUND_FLOOR
 from fractions import Fraction
+from itertools import combinations
 
 from .errors import DomainError, ReconstructionError, RegimeError, RootSolveError
 from .numerics import (
@@ -39,6 +41,7 @@ __all__ = [
     "Grid",
     "Witness",
     "LawReport",
+    "CellContext",
     "DecayProbe",
     "check_identities",
     "check_root_laws",
@@ -141,6 +144,35 @@ class LawReport:
         }
 
 
+class CellContext:
+    """The term table and the dominant-root enclosure of each (q, k) cell
+    of a grid, each made when a law first reads it."""
+
+    def __init__(self, grid: Grid, bits: int):
+        if bits < 8:
+            raise DomainError(f"bits must be >= 8, got {bits}")
+        self.grid, self.bits = grid, bits
+        self._tables, self._roots = {}, {}
+
+    def up_to(self, n_max: int) -> "CellContext":
+        """This context over its grid cut at n_max, sharing its cells."""
+        view = CellContext(replace(self.grid, n_max=min(self.grid.n_max, n_max)), self.bits)
+        view._tables, view._roots = self._tables, self._roots
+        return view
+
+    def table(self, q: int, k: int) -> list:
+        """term_table to at least grid.n_max; one a shorter view built is rebuilt."""
+        if len(self._tables.get((q, k), ())) < self.grid.n_max + k - 1:
+            self._tables[q, k] = term_table(SequenceParams(q, k), self.grid.n_max)
+        return self._tables[q, k]
+
+    def root(self, q: int, k: int):
+        """The cell's dominant_root at the context's bits; refine_root deepens it."""
+        if (q, k) not in self._roots:
+            self._roots[q, k] = dominant_root(SequenceParams(q, k), self.bits)
+        return self._roots[q, k]
+
+
 def _verdict(witnesses) -> str:
     if any(w.kind == "fail" for w in witnesses):
         return "fail"
@@ -217,14 +249,15 @@ def _require_certified_regime(grid: Grid) -> None:
 # exact-integer identities
 # ----------------------------------------------------------------------
 
-def check_identities(grid: Grid) -> list[LawReport]:
+def check_identities(cells: CellContext) -> list[LawReport]:
     """Shortcut identity, companion-pair identity, and series oracle,
     all by exact integer equality (never inconclusive)."""
+    grid = cells.grid
     _require_identities_grid(grid)
     witnesses = {law_id: [] for law_id in LAW_IDS[:3]}
     for q, k in grid.cells:
         params = SequenceParams(q, k)
-        table = term_table(params, grid.n_max)
+        table = cells.table(q, k)
         # F_n sits at n + k - 2; each check is (law id, witness prefix,
         # first n, the values it gives for F_n from there on)
         checks = [(
@@ -252,72 +285,63 @@ def check_identities(grid: Grid) -> list[LawReport]:
 # root laws (certified interval separations)
 # ----------------------------------------------------------------------
 
-def check_root_laws(grid: Grid, bits: int) -> list[LawReport]:
+def check_root_laws(cells: CellContext) -> list[LawReport]:
     """Dominant-root monotonicity in k, the alpha sandwich, the weight
     sandwich, and the asymptote ordering, all by interval separation."""
+    grid, bits = cells.grid, cells.bits
     _require_certified_regime(grid)
     reports = []
-    # one enclosure per (q, k), shared by the three laws and refined to
-    # each rung
-    enclosures = {
-        (q, k): dominant_root(SequenceParams(q, k), bits) for q, k in grid.cells
-    }
-
-    def gamma_at(q, k, work):
-        return refine_root(enclosures[q, k], work).interval
 
     def monotone(work):
         fails, unsettled = [], []
         for q in grid.q_values:
-            gammas = {k: gamma_at(q, k, work) for k in grid.k_values}
-            ks = list(grid.k_values)
-            for i, k1 in enumerate(ks):
-                for k2 in ks[i + 1:]:
-                    order = _order(gammas[k1], gammas[k2])
-                    if order < 0:
-                        fails.append(Witness(
-                            q, k2, None, "fail",
-                            f"gamma_{k2} certified below gamma_{k1}",
-                        ))
-                    elif order == 0:
-                        unsettled.append(Witness(
-                            q, k2, None, "inconclusive",
-                            f"gamma_{k1} vs gamma_{k2} not separated at {work} bits",
-                        ))
+            gammas = {k: refine_root(cells.root(q, k), work).interval for k in grid.k_values}
+            for k1, k2 in combinations(grid.k_values, 2):
+                order = _order(gammas[k1], gammas[k2])
+                if order < 0:
+                    fails.append(Witness(
+                        q, k2, None, "fail",
+                        f"gamma_{k2} certified below gamma_{k1}",
+                    ))
+                elif order == 0:
+                    unsettled.append(Witness(
+                        q, k2, None, "inconclusive",
+                        f"gamma_{k1} vs gamma_{k2} not separated at {work} bits",
+                    ))
         return (fails + unsettled,)
 
-    def sandwich(work):
-        fails, unsettled = [], []
-        for q in grid.q_values:
-            alpha = quadratic_roots(q, work).alpha
-            for k in grid.k_values:
-                gamma = gamma_at(q, k, work)
-                _chain((
-                    ("bracket q < gamma", q, gamma),
-                    ("bracket gamma < q+1", gamma, q + 1),
-                    ("alpha(1 - q^-k) < gamma", alpha * Fraction(q**k - 1, q**k), gamma),
-                    ("gamma < alpha", gamma, alpha),
-                ), q, k, None, work, fails, unsettled)
-        return (fails + unsettled,)
+    def sandwich(q, k, gamma, work):
+        alpha = quadratic_roots(q, work).alpha
+        return (
+            ("bracket q < gamma", q, gamma),
+            ("bracket gamma < q+1", gamma, q + 1),
+            ("alpha(1 - q^-k) < gamma", alpha * Fraction(q**k - 1, q**k), gamma),
+            ("gamma < alpha", gamma, alpha),
+        )
 
-    def weight(work):
-        fails, unsettled = [], []
-        for q in grid.q_values:
-            for k in grid.k_values:
-                params = SequenceParams(q, k)
-                gamma = gamma_at(q, k, work)
-                gval = g_eval(params, gamma)
-                _chain((
-                    ("1/(q+1) < g(gamma)", Fraction(1, q + 1), gval),
-                    ("g(gamma) < 1/q", gval, Fraction(1, q)),
-                    ("c < gamma", asymptote_c(params, work), gamma),
-                ), q, k, None, work, fails, unsettled)
-        return (fails + unsettled,)
+    def weight(q, k, gamma, work):
+        params = SequenceParams(q, k)
+        gval = g_eval(params, gamma)
+        return (
+            ("1/(q+1) < g(gamma)", Fraction(1, q + 1), gval),
+            ("g(gamma) < 1/q", gval, Fraction(1, q)),
+            ("c < gamma", asymptote_c(params, work), gamma),
+        )
+
+    def chained(checks):
+        # each cell's (label, a, b) checks at the rung, certified as a < b
+        def compare(work):
+            fails, unsettled = [], []
+            for q, k in grid.cells:
+                gamma = refine_root(cells.root(q, k), work).interval
+                _chain(checks(q, k, gamma, work), q, k, None, work, fails, unsettled)
+            return (fails + unsettled,)
+        return compare
 
     for law_id, compare in (
         ("lemma1-monotone", monotone),
-        ("lemma1-sandwich", sandwich),
-        ("lemma2-sandwich", weight),
+        ("lemma1-sandwich", chained(sandwich)),
+        ("lemma2-sandwich", chained(weight)),
     ):
         (witnesses,), used = _climb(_rungs(bits), compare)
         reports.append(_report(law_id, grid, witnesses, used))
@@ -338,22 +362,22 @@ _GROWTH_LINKS = (
 )
 
 
-def check_term_bounds(grid: Grid, bits: int) -> list[LawReport]:
+def check_term_bounds(cells: CellContext) -> list[LawReport]:
     """|E_n| <= 1/q for n in [2-k, n_max] and the growth chain
     gamma^(n-2) < gamma^(n-1)(q-1)/q < F_n < gamma^(n-1)(q+2)/q < gamma^n
     for n in [1, n_max], certified against exact integers.
 
     Both laws compare integer mantissas at the enclosure's scale 2^-w:
     the dominant-term sweep's rows, and F_n * 2^w."""
+    grid, bits = cells.grid, cells.bits
     _require_certified_regime(grid)
     error_witnesses, growth_witnesses = [], []
     used = bits
     error_strict = True
 
     for q, k in grid.cells:
-        params = SequenceParams(q, k)
-        table = term_table(params, grid.n_max)
-        first, lowest = params.min_index, min(params.min_index, -1)
+        table = cells.table(q, k)
+        first, lowest = 2 - k, min(2 - k, -1)
 
         def attempt(enclosure):
             nonlocal error_strict
@@ -402,7 +426,7 @@ def check_term_bounds(grid: Grid, bits: int) -> list[LawReport]:
 
         # a rung whose E_{n_max} enclosure is wider than 2/q cannot settle
         # that n, so it could only climb on
-        ladder = _root_ladder(params, grid.n_max, bits, Fraction(2, q))
+        ladder = _root_ladder(cells.root(q, k), grid.n_max, Fraction(2, q))
         (cell_error, cell_growth), enclosure = _climb(ladder, attempt)
         error_witnesses += cell_error
         growth_witnesses += cell_growth
@@ -418,15 +442,15 @@ def check_term_bounds(grid: Grid, bits: int) -> list[LawReport]:
 # full-roots reconstruction
 # ----------------------------------------------------------------------
 
-def check_reconstruction(grid: Grid, bits: int) -> list[LawReport]:
-    """Rounded full-roots sums equal the exact terms across the grid."""
+def check_reconstruction(cells: CellContext) -> list[LawReport]:
+    """Rounded full-roots sums equal the exact terms, at 256 bits or more."""
+    grid, bits = cells.grid, max(cells.bits, RECONSTRUCTION_MIN_BITS)
     _require_certified_regime(grid)
     witnesses = []
     for q, k in grid.cells:
-        params = SequenceParams(q, k)
-        table = term_table(params, grid.n_max)
+        table = cells.table(q, k)
         try:
-            sweep = reconstruction_sweep(params, params.min_index, grid.n_max, bits)
+            sweep = reconstruction_sweep(cells.root(q, k), 2 - k, grid.n_max, bits)
             for n, rec, radius in sweep:
                 if rec is None:
                     witnesses.append(Witness(q, k, n, "inconclusive", "certified radius "
@@ -522,15 +546,13 @@ def run_laws(selection: str, grid: Grid, bits: int) -> list[LawReport]:
     if selection not in _SELECTORS:
         raise DomainError(f"unknown law selector {selection!r}")
     wanted = set(_SELECTORS[selection])
+    cells = CellContext(grid, bits)
     # each checker with the slice of LAW_IDS it reports
     checkers = (
-        (LAW_IDS[0:3], lambda: check_identities(
-            Grid(grid.q_values, grid.k_values, min(grid.n_max, 500)))),
-        (LAW_IDS[3:6], lambda: check_root_laws(grid, bits)),
-        (LAW_IDS[6:8], lambda: check_term_bounds(grid, bits)),
-        (LAW_IDS[8:9], lambda: check_reconstruction(
-            Grid(grid.q_values, grid.k_values, min(grid.n_max, RECONSTRUCTION_N_CAP)),
-            max(bits, RECONSTRUCTION_MIN_BITS))),
+        (LAW_IDS[0:3], lambda: check_identities(cells.up_to(500))),
+        (LAW_IDS[3:6], lambda: check_root_laws(cells)),
+        (LAW_IDS[6:8], lambda: check_term_bounds(cells)),
+        (LAW_IDS[8:9], lambda: check_reconstruction(cells.up_to(RECONSTRUCTION_N_CAP))),
     )
     reports: list[LawReport] = []
     for law_ids, check in checkers:

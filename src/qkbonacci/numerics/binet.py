@@ -23,7 +23,7 @@ from .roots import (
     _cmul,
     _cpow,
     _round_shift,
-    all_roots,
+    _secondary_discs,
     dominant_root,
     quadratic_roots,
     refine_root,
@@ -58,11 +58,11 @@ def _rungs(bits: int) -> list[int]:
     return rungs
 
 
-def _root_ladder(params: SequenceParams, n: int, bits: int, limit: Fraction):
-    """The dominant-root enclosure at each rung of _rungs(bits), bisected
-    once at bits and refined up the rungs, less the leading rungs at which
-    the g(gamma) * gamma^n enclosure is certainly wider than limit; the
-    cap rung always stays.
+def _root_ladder(enclosure: RootEnclosure, n: int, limit: Fraction):
+    """The given dominant-root enclosure, at bits, refined up each rung of
+    _rungs(bits) without a bisection from the bracket, less the leading
+    rungs at which the g(gamma) * gamma^n enclosure is certainly wider
+    than limit; the cap rung always stays.
 
     A rung-w root enclosure [a, b] is exactly 2^-w wide and lies inside
     every coarser one, outward-rounded powers are at least b^n - a^n >=
@@ -71,7 +71,7 @@ def _root_ladder(params: SequenceParams, n: int, bits: int, limit: Fraction):
     the term is at least g_lo n a^(n-1) 2^-w wide, and adding an exact
     integer keeps that width.
     """
-    enclosure = dominant_root(params, bits)
+    params, bits = enclosure.params, enclosure.interval.bits
     rungs = _rungs(bits)
     if n >= 1:
         gamma = refine_root(enclosure, min(bits, 64)).interval
@@ -166,7 +166,8 @@ def binet_dominant(params: SequenceParams, n: int, bits: int) -> DominantTerm:
     if params.q < 3:
         raise RegimeError(f"binet_dominant requires q >= 3, got q={params.q}")
     _check_index(params, n)
-    for enclosure in _root_ladder(params, n, bits, Fraction(1, 1 << WIDTH_TARGET_BITS)):
+    ladder = _root_ladder(dominant_root(params, bits), n, Fraction(1, 1 << WIDTH_TARGET_BITS))
+    for enclosure in ladder:
         gamma = enclosure.interval
         term = g_eval(params, gamma) * gamma**n
         if (term.hi_num - term.lo_num) << WIDTH_TARGET_BITS <= 1 << term.bits:
@@ -292,7 +293,7 @@ def reconstruct_detailed(params: SequenceParams, n: int, bits: int) -> Reconstru
     or raise ReconstructionError when the sum's certified radius is not
     below 1/2.  Valid for every q >= 1: the expansion only needs the
     roots to be simple."""
-    ((_, rec, radius),) = reconstruction_sweep(params, n, n, bits)
+    ((_, rec, radius),) = reconstruction_sweep(dominant_root(params, bits), n, n, bits)
     if rec is None:
         raise ReconstructionError(
             f"full-roots sum at (q={params.q}, k={params.k}, n={n}) has radius "
@@ -305,29 +306,30 @@ def binet_reconstruct(params: SequenceParams, n: int, bits: int = 256) -> int:
     return reconstruct_detailed(params, n, bits).value
 
 
-def reconstruction_sweep(params: SequenceParams, n_lo: int, n_hi: int, bits: int):
+def reconstruction_sweep(enclosure: RootEnclosure, n_lo: int, n_hi: int, bits: int):
     """Yield (n, Reconstruction | None, radius) for every n in [n_lo, n_hi],
     None when the certified radius is not below 1/2.
 
     The dominant term is a dominant_term_sweep row (its midpoint to the
-    centre, half its width to the radius) at all_roots' enclosure refined
+    centre, half its width to the radius) at the given enclosure refined
     to a precision that follows n_hi and q.  The k-1 secondary terms are
-    summed in fixed point at the disc centres, whose precision `bits`
-    sets, and add one radius (_secondary_term's) for the whole sweep.
+    summed in fixed point at all_roots' disc centres, whose precision
+    `bits` sets, and add one radius (_secondary_term's) for the whole sweep.
     """
+    params = enclosure.params
     _check_index(params, n_lo)
     if n_hi < n_lo:
         return
-    roots = all_roots(params, bits)
-    work = roots.secondary[0].bits
+    discs = _secondary_discs(params, bits)
+    work = discs[0].bits
     # the row for n is about n gamma^(n-1) 2^-w wide with gamma < q + 1;
     # 16 bits more cover the weight and the rows' rounding
     growth = ((params.q + 1) ** max(n_hi - 1, 0) - 1).bit_length()
-    gamma = refine_root(roots.dominant, max(bits, growth + n_hi.bit_length() + 16))
+    gamma = refine_root(enclosure, max(bits, growth + n_hi.bit_length() + 16))
     _, _, term_lo, term_hi = dominant_term_sweep(gamma, n_hi)
     w = gamma.interval.bits
-    weights, radii = zip(*(_secondary_term(params, s, n_lo, n_hi) for s in roots.secondary))
-    points = [(s.re_num, s.im_num) for s in roots.secondary]
+    weights, radii = zip(*(_secondary_term(params, s, n_lo, n_hi) for s in discs))
+    points = [(s.re_num, s.im_num) for s in discs]
     powers = [_cpow(z, n_lo, work) for z in points]
     # centre and radius at 2^-scale: a row midpoint needs one more bit
     scale = max(w, work) + 1

@@ -105,11 +105,12 @@ class RootSet:
     def certified_inside_unit_circle(self) -> bool:
         """True when every secondary disc lies inside the unit circle,
         |centre| + radius < 1, so the true roots provably have modulus < 1."""
-        return all(
-            s.radius_num < 1 << s.bits
-            and _cabs2((s.re_num, s.im_num)) < ((1 << s.bits) - s.radius_num) ** 2
-            for s in self.secondary
-        )
+        return all(map(_inside_unit_circle, self.secondary))
+
+
+def _inside_unit_circle(s: SecondaryRoot) -> bool:
+    return (s.radius_num < 1 << s.bits
+            and _cabs2((s.re_num, s.im_num)) < ((1 << s.bits) - s.radius_num) ** 2)
 
 
 def _bisect(params: SequenceParams, lo: int, scale: int, bits: int) -> RootEnclosure:
@@ -367,7 +368,12 @@ def _inclusion_radius(params, z, scale):
 
 
 def all_roots(params: SequenceParams, bits: int) -> RootSet:
-    """Dominant enclosure plus k-1 certified inclusion discs.
+    """Dominant enclosure plus k-1 certified inclusion discs."""
+    return RootSet(params, bits, dominant_root(params, bits), _secondary_discs(params, bits))
+
+
+def _secondary_discs(params: SequenceParams, bits: int) -> tuple:
+    """The k-1 certified inclusion discs, sorted by centre.
 
     The k-1 points inside the unit circle get discs of radius
     k|Phi|/|Phi'|, each holding at least one root.  They must be pairwise
@@ -378,7 +384,6 @@ def all_roots(params: SequenceParams, bits: int) -> RootSet:
     """
     poly = CharPoly.of(params)
     coeffs, dcoeffs = poly.coefficients, poly.derivative_coefficients()
-    enclosure = dominant_root(params, bits)
     work = bits + 64
 
     seeds = _aberth_float(coeffs, dcoeffs)
@@ -396,15 +401,14 @@ def all_roots(params: SequenceParams, bits: int) -> RootSet:
         for z in refined
     ]
     secondary.sort(key=lambda r: (r.re_num, r.im_num))
-    root_set = RootSet(params, bits, enclosure, tuple(secondary))
     overlap = any(
         _cabs2((s.re_num - t.re_num, s.im_num - t.im_num))
         <= (s.radius_num + t.radius_num) ** 2
         for i, s in enumerate(secondary) for t in secondary[i + 1:]
     )
-    if overlap or not root_set.certified_inside_unit_circle():
+    if overlap or not all(map(_inside_unit_circle, secondary)):
         raise RootSolveError(
             "two inclusion discs overlap" if overlap
             else "an inclusion disc reaches the unit circle"
         )
-    return root_set
+    return tuple(secondary)

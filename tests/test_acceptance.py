@@ -37,6 +37,7 @@ from qkbonacci import (
     u_closed_form,
 )
 from qkbonacci.cli import main
+from qkbonacci.lawcheck import CellContext
 
 from _oracles import (
     ERRATUM_CELL,
@@ -58,7 +59,7 @@ def announce(tag: str, ok: bool, detail: str = "") -> None:
 
 @pytest.fixture(scope="module")
 def term_bound_reports():
-    return {r.law_id: r for r in check_term_bounds(DEFAULT_GRID, 192)}
+    return {r.law_id: r for r in check_term_bounds(CellContext(DEFAULT_GRID, 192))}
 
 
 def test_criterion_1_published_table_regression(capsys):
@@ -129,7 +130,7 @@ def test_criterion_2_cross_strategy_equivalence():
 
 def test_criterion_3_binet_reconstruction():
     grid = Grid((3, 4, 5), tuple(range(2, 9)), 60)
-    (report,) = check_reconstruction(grid, 256)
+    (report,) = check_reconstruction(CellContext(grid, 256))
     ok = report.verdict == "pass"
     announce("3: full-roots reconstruction", ok,
              "n in [2-k, 60] at 256 bits; certified radius < 1/2")
@@ -194,7 +195,7 @@ def test_criterion_5_growth_chain(term_bound_reports):
 
 
 def test_criterion_6_root_laws():
-    reports = check_root_laws(DEFAULT_GRID, 192)
+    reports = check_root_laws(CellContext(DEFAULT_GRID, 192))
     verdicts = {r.law_id: r.verdict for r in reports}
     bracket_ok = True
     unit_circle_ok = True

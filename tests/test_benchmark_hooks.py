@@ -130,11 +130,11 @@ def test_term_sweep_is_spanned_once_per_rung(spans, monkeypatch):
     attempted, swept = [], []
     real_sweep = lawcheck.dominant_term_sweep
 
-    def full_ladder(params, n, bits, limit):
+    def full_ladder(enclosure, n, limit):
         # every rung, none skipped, so that cells climb
-        for work in binet._rungs(bits):
-            attempted.append((params, work))
-            yield roots.dominant_root(params, work)
+        for work in binet._rungs(enclosure.interval.bits):
+            attempted.append((enclosure.params, work))
+            yield roots.dominant_root(enclosure.params, work)
 
     def sweep(enclosure, n_max):
         swept.append((enclosure.params, enclosure.interval.bits))
@@ -143,6 +143,6 @@ def test_term_sweep_is_spanned_once_per_rung(spans, monkeypatch):
     monkeypatch.setattr(lawcheck, "_root_ladder", full_ladder)
     monkeypatch.setattr(lawcheck, "dominant_term_sweep", sweep)
     grid = Grid((3, 7), (2, 9), 300)
-    lawcheck.check_term_bounds(grid, 8)
+    lawcheck.check_term_bounds(lawcheck.CellContext(grid, 8))
     assert swept == attempted
     assert len(swept) > len(grid.cells)

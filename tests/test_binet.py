@@ -29,6 +29,7 @@ from qkbonacci import (
     term_definition,
     u_closed_form,
 )
+from qkbonacci.lawcheck import CellContext
 from qkbonacci.numerics import binet, dominant_term_sweep
 from qkbonacci.numerics.binet import _root_ladder, _rungs
 from qkbonacci.numerics.roots import _cmul, _cpow
@@ -191,7 +192,7 @@ class TestRungSkipping:
         # g(gamma) gamma^300 for (5, 8) has ~760 integer bits: the 192 and
         # 384 bit rungs cannot reach 2^-32 and are skipped; 768 can
         params = SequenceParams(5, 8)
-        ladder = _root_ladder(params, 300, 192, Fraction(1, 2**32))
+        ladder = _root_ladder(dominant_root(params, 192), 300, Fraction(1, 2**32))
         assert [enclosure.interval.bits for enclosure in ladder] == [768, 1536, 3072]
         term = binet_dominant(params, 300, 192)
         assert (term.interval, term.bits_used, term.capped) == full_climb(params, 300, 192)
@@ -343,23 +344,22 @@ class TestReconstruction:
         # discs a quarter of their centre's modulus wide still bound every
         # term, but the certified radius passes 1/2: the call must refuse,
         # and the law must report that as inconclusive, never pass
-        real_all_roots = binet.all_roots
+        real_discs = binet._secondary_discs
 
-        def wide_roots(params, bits):
-            roots = real_all_roots(params, bits)
-            return replace(roots, secondary=tuple(
+        def wide_discs(params, bits):
+            return tuple(
                 replace(s, radius_num=isqrt(s.re_num**2 + s.im_num**2) // 4)
-                for s in roots.secondary))
+                for s in real_discs(params, bits))
 
-        monkeypatch.setattr(binet, "all_roots", wide_roots)
+        monkeypatch.setattr(binet, "_secondary_discs", wide_discs)
         with pytest.raises(ReconstructionError, match="not below 1/2"):
             reconstruct_detailed(SequenceParams(3, 2), 40, 256)
-        (report,) = check_reconstruction(Grid((3,), (2,), 40), 256)
+        (report,) = check_reconstruction(CellContext(Grid((3,), (2,), 40), 256))
         assert report.verdict == "inconclusive"
         assert {w.kind for w in report.witnesses} == {"inconclusive"}
 
     def test_coarse_dominant_enclosure_is_refused(self, monkeypatch):
-        # all_roots' 64-bit enclosure of gamma, not refined for n = 155,
+        # the 64-bit enclosure of gamma, not refined for n = 155,
         # makes the dominant row far wider than 1: refused, never rounded
         monkeypatch.setattr(binet, "refine_root", lambda enclosure, bits: enclosure)
         with pytest.raises(ReconstructionError, match="not below 1/2"):
@@ -377,7 +377,7 @@ class TestReconstruction:
                     [t + one for t in term_hi])
 
         monkeypatch.setattr(binet, "dominant_term_sweep", shifted_sweep)
-        (report,) = check_reconstruction(Grid((3,), (2,), 10), 256)
+        (report,) = check_reconstruction(CellContext(Grid((3,), (2,), 10), 256))
         assert report.verdict == "fail"
         assert len(report.witnesses) == 11
 

@@ -1,12 +1,15 @@
 import contextlib
 import decimal
 import hashlib
+import importlib.util
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -528,6 +531,36 @@ class TestVerify:
         reports = json.loads(out)
         assert len(reports) == 9
         assert all(r["verdict"] == "pass" for r in reports)
+
+    @pytest.mark.parametrize("law", [
+        "identities", "lemma1", "lemma2", "error-bound", "growth", "reconstruction", "all",
+    ])
+    def test_bits_below_eight_exit_2(self, capsys, law):
+        # refused before any law runs, whether or not the law bisects
+        code, out, err = run_cli(
+            capsys, "verify", "--law", law, "--q", "3", "--k-min", "2",
+            "--k-max", "2", "--n-max", "10", "--bits", "7")
+        assert (code, out) == (2, "")
+        assert err == "error: bits must be >= 8, got 7\n"
+
+    def test_benchmark_menu_digest(self):
+        # every verify request of the benchmark's verify menu, in label
+        # order: pins each exit code and every stdout byte
+        path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("perfbench_workloads_menu", path)
+        workloads = importlib.util.module_from_spec(spec)
+        # dataclasses look their module up by name
+        sys.modules[spec.name] = workloads
+        spec.loader.exec_module(workloads)
+        menu = sorted((req for req in workloads.verify_menu(random.Random(1))
+                       if req.kind.startswith("verify:")), key=lambda req: req.label)
+        assert len(menu) == 36
+        digest = hashlib.sha256()
+        for req in menu:
+            code, out, _ = run_captured(*req.args[-1])
+            digest.update(f"{req.label}\n{code}\n{out}".encode())
+        assert digest.hexdigest() == (
+            "bd3db59a742dfae70e99c6d4779812dc78bfc9d1248e010fedfe91578b1d2807")
 
 
 class TestBench:

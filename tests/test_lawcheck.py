@@ -1,4 +1,5 @@
 import hashlib
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -18,8 +19,10 @@ from qkbonacci import (
     term_table,
 )
 from qkbonacci import lawcheck
-from qkbonacci.lawcheck import LAW_IDS
+from qkbonacci.lawcheck import LAW_IDS, CellContext
+from qkbonacci.numerics import binet, roots
 from qkbonacci.numerics.binet import _rungs
+from qkbonacci.numerics.polynomials import _IntPoly
 
 from _oracles import (
     ERRATUM_CELL,
@@ -49,7 +52,7 @@ class TestGrid:
 
 class TestIdentities:
     def test_paper_grid_passes(self):
-        reports = check_identities(Grid((3, 4), (2, 3, 4, 5), 9))
+        reports = check_identities(CellContext(Grid((3, 4), (2, 3, 4, 5), 9), 192))
         assert [r.law_id for r in reports] == [
             "identity-theorem2", "identity-theorem3", "series-oracle",
         ]
@@ -71,7 +74,7 @@ class TestIdentities:
                         assert computed == value
 
     def test_fibonacci_cross_check(self):
-        reports = check_identities(Grid((1,), (2,), 20))
+        reports = check_identities(CellContext(Grid((1,), (2,), 20), 192))
         assert all(r.verdict == "pass" for r in reports)
         # the shortcut reads F_n = 2F_{n-1} - 0*F_{n-2} - F_{n-3} here
         for n in range(3, 21):
@@ -84,11 +87,11 @@ class TestIdentities:
                 Grid(q_values, k_values, n_max)
         # the shortcut identity starts at n = 3
         with pytest.raises(DomainError):
-            check_identities(Grid((3,), (2,), 2))
+            check_identities(CellContext(Grid((3,), (2,), 2), 192))
 
     def test_whole_domain_passes(self):
         # every grid the identity checks accept lies inside this one
-        reports = check_identities(Grid(range(1, 11), range(2, 17), 500))
+        reports = check_identities(CellContext(Grid(range(1, 11), range(2, 17), 500), 192))
         assert [(r.verdict, r.witnesses) for r in reports] == [("pass", ())] * 3
 
     def test_one_wrong_term_is_caught(self, monkeypatch):
@@ -101,7 +104,7 @@ class TestIdentities:
             return table
 
         monkeypatch.setattr(lawcheck, "term_table", off_by_one)
-        reports = check_identities(Grid((3, 4), (2, 3, 4, 5), 100))
+        reports = check_identities(CellContext(Grid((3, 4), (2, 3, 4, 5), 100), 192))
         # F_40 feeds the shortcut at n = 40, 41, 42, 45 and the companion
         # sum at every n >= 45; counts and texts were pinned from the
         # companion sum taken term by term
@@ -125,16 +128,16 @@ class TestIdentities:
 
     def test_grid_preconditions(self):
         with pytest.raises(DomainError):
-            check_identities(Grid((11,), (2,), 9))
+            check_identities(CellContext(Grid((11,), (2,), 9), 192))
         with pytest.raises(DomainError):
-            check_identities(Grid((3,), (17,), 9))
+            check_identities(CellContext(Grid((3,), (17,), 9), 192))
         with pytest.raises(DomainError):
-            check_identities(Grid((3,), (2,), 501))
+            check_identities(CellContext(Grid((3,), (2,), 501), 192))
 
 
 class TestRootLaws:
     def test_default_style_grid_passes(self):
-        reports = check_root_laws(Grid((3,), tuple(range(2, 9)), 10), 128)
+        reports = check_root_laws(CellContext(Grid((3,), tuple(range(2, 9)), 10), 128))
         assert [r.law_id for r in reports] == [
             "lemma1-monotone", "lemma1-sandwich", "lemma2-sandwich",
         ]
@@ -144,7 +147,7 @@ class TestRootLaws:
 
     def test_wide_k_grid_passes(self):
         # the monotonicity and sandwich claims hold out to k = 10
-        reports = check_root_laws(Grid((3, 4, 5), tuple(range(2, 11)), 10), 128)
+        reports = check_root_laws(CellContext(Grid((3, 4, 5), tuple(range(2, 11)), 10), 128))
         assert all(r.verdict == "pass" for r in reports)
 
     def test_sandwich_endpoints_3_2(self):
@@ -155,7 +158,7 @@ class TestRootLaws:
 
     def test_regime_gate(self):
         with pytest.raises(RegimeError):
-            check_root_laws(Grid((2, 3), (2,), 10), 64)
+            check_root_laws(CellContext(Grid((2, 3), (2,), 10), 64))
 
     def test_one_bracket_bisection_per_cell(self, monkeypatch):
         # the three laws share one enclosure per (q, k) and refine it
@@ -167,14 +170,14 @@ class TestRootLaws:
 
         monkeypatch.setattr(lawcheck, "dominant_root", counted)
         grid = Grid.default()
-        reports = check_root_laws(grid, 192)
+        reports = check_root_laws(CellContext(grid, 192))
         assert all(r.verdict == "pass" for r in reports)
         assert sorted(calls) == grid.cells
 
     def test_unseparated_witness_text(self):
         # at q = 10, gamma_39, gamma_40 and alpha lie within about 7e-40
         # of each other, finer than the 8-bit request's 128-bit cap
-        reports = check_root_laws(Grid((10,), (39, 40), 10), 8)
+        reports = check_root_laws(CellContext(Grid((10,), (39, 40), 10), 8))
         by_id = {r.law_id: r for r in reports}
         monotone = by_id["lemma1-monotone"]
         assert (monotone.verdict, monotone.bits_used) == ("inconclusive", 128)
@@ -197,7 +200,7 @@ class TestRootLaws:
 
 class TestTermBounds:
     def test_small_grid_passes(self):
-        reports = check_term_bounds(Grid((3, 4), (2, 3), 60), 128)
+        reports = check_term_bounds(CellContext(Grid((3, 4), (2, 3), 60), 128))
         by_id = {r.law_id: r for r in reports}
         assert by_id["error-bound"].verdict == "pass"
         assert by_id["growth-bounds"].verdict == "pass"
@@ -205,16 +208,16 @@ class TestTermBounds:
 
     def test_n_zero_and_one_cases(self):
         # |E_0| = g(gamma) < 1/q and |1 - g(gamma)gamma| <= 1/q
-        reports = check_term_bounds(Grid((3,), (2, 5), 1), 128)
+        reports = check_term_bounds(CellContext(Grid((3,), (2, 5), 1), 128))
         assert all(r.verdict == "pass" for r in reports)
 
     def test_regime_gate(self):
         with pytest.raises(RegimeError):
-            check_term_bounds(Grid((1,), (2,), 10), 64)
+            check_term_bounds(CellContext(Grid((1,), (2,), 10), 64))
 
     def test_inconclusive_at_starved_precision(self):
         # 8-bit request caps at 128 bits, far too little for n = 300
-        reports = check_term_bounds(Grid((3,), (2,), 300), 8)
+        reports = check_term_bounds(CellContext(Grid((3,), (2,), 300), 8))
         by_id = {r.law_id: r for r in reports}
         assert by_id["error-bound"].verdict == "inconclusive"
         assert all(w.kind == "inconclusive" for w in by_id["error-bound"].witnesses)
@@ -236,7 +239,7 @@ class TestTermBounds:
             return table
 
         monkeypatch.setattr(lawcheck, "term_table", wrong)
-        reports = check_term_bounds(Grid((3, 4), (2, 3, 4, 5), 100), 192)
+        reports = check_term_bounds(CellContext(Grid((3, 4), (2, 3, 4, 5), 100), 192))
         # F_40 + 1 breaks only the error bound; 2 F_60 passes the upper
         # growth bound and 3/4 F_80 falls below the lower one. Texts were
         # pinned from the interval-object checker
@@ -273,7 +276,7 @@ class TestTermBounds:
             return table
 
         monkeypatch.setattr(lawcheck, "term_table", planted)
-        error, growth = check_term_bounds(Grid((3, 4), (2, 3, 4, 5), 100), 192)
+        error, growth = check_term_bounds(CellContext(Grid((3, 4), (2, 3, 4, 5), 100), 192))
         assert (growth.verdict, growth.bits_used) == ("fail", 384)
         assert [(w.q, w.k, w.n, w.detail) for w in growth.witnesses] == [
             (3, 4, 70, "gamma^(n-1)(q-1)/q < F_n certified false")]
@@ -293,22 +296,22 @@ class TestTermBounds:
     def test_reports_equal_full_climb(self, monkeypatch, grid, bits):
         # rungs skipped as hopeless would only have been inconclusive, so
         # every report field matches a climb over the whole ladder
-        reports = check_term_bounds(grid, bits)
-        monkeypatch.setattr(lawcheck, "_root_ladder", lambda params, n, bits, limit: (
-            dominant_root(params, work) for work in _rungs(bits)))
-        assert reports == check_term_bounds(grid, bits)
+        reports = check_term_bounds(CellContext(grid, bits))
+        monkeypatch.setattr(lawcheck, "_root_ladder", lambda enclosure, n, limit: (
+            dominant_root(enclosure.params, work) for work in _rungs(enclosure.interval.bits)))
+        assert reports == check_term_bounds(CellContext(grid, bits))
 
 
 class TestReconstructionLaw:
     def test_small_grid_passes(self):
-        reports = check_reconstruction(Grid((3, 4), (2, 3, 6), 60), 256)
+        reports = check_reconstruction(CellContext(Grid((3, 4), (2, 3, 6), 60), 256))
         (report,) = reports
         assert report.law_id == "reconstruction"
         assert report.verdict == "pass"
         assert report.bits_used == 256
 
     def test_covers_negative_indices(self):
-        (report,) = check_reconstruction(Grid((3,), (8,), 5), 256)
+        (report,) = check_reconstruction(CellContext(Grid((3,), (8,), 5), 256))
         assert report.verdict == "pass"
 
 
@@ -326,15 +329,73 @@ class TestDecayProbe:
         assert witness.n == 40
 
 
+class TestCellContext:
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = Counter()
+
+        def count(owner, name):
+            real = getattr(owner, name)
+
+            def counted(*args):
+                counts[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(owner, name, counted)
+
+        # every module binding of dominant_root, as the benchmark's tracer
+        # wraps them; all_roots reaches it through roots' own
+        for module in (lawcheck, binet, roots):
+            count(module, "dominant_root")
+        for name in ("term_table", "check_identities", "check_root_laws",
+                     "check_term_bounds", "check_reconstruction"):
+            count(lawcheck, name)
+        count(_IntPoly, "sign_at_dyadic")
+        return counts
+
+    def test_one_table_and_one_bisection_per_cell(self, counts):
+        grid = Grid.default()
+        reports = run_laws("all", grid, 192)
+        assert all(r.verdict == "pass" for r in reports)
+        cells = len(grid.cells)
+        assert (counts["dominant_root"], counts["term_table"]) == (cells, cells) == (21, 21)
+        for name in ("check_identities", "check_root_laws", "check_term_bounds",
+                     "check_reconstruction"):
+            assert counts[name] == 1, name
+        # a bracket bisection per law and cell made 25,914 sign tests
+        assert counts["sign_at_dyadic"] < 25_914
+
+    def test_laws_read_only_what_they_need(self, counts):
+        run_laws("identities", Grid.default(), 192)
+        assert (counts["term_table"], counts["dominant_root"]) == (21, 0)
+        counts.clear()
+        run_laws("lemma1", Grid.default(), 192)
+        assert (counts["term_table"], counts["dominant_root"]) == (0, 21)
+
+    def test_views_share_cells(self, counts):
+        # a view cut by up_to reads the cells its parent made, and a reader
+        # of a longer grid after a shorter one still gets every term
+        params = SequenceParams(3, 5)
+        cells = CellContext(Grid((3,), (5,), 40), 64)
+        short = cells.up_to(10)
+        assert (short.grid, short.bits) == (Grid((3,), (5,), 10), 64)
+        assert short.table(3, 5) == term_table(params, 10)
+        assert cells.table(3, 5) == term_table(params, 40)
+        assert short.table(3, 5)[:14] == term_table(params, 10)
+        assert short.root(3, 5) is cells.root(3, 5)
+        assert cells.root(3, 5) == dominant_root(params, 64)
+        assert (counts["term_table"], counts["dominant_root"]) == (2, 1)
+
+
 class TestReports:
     def test_deterministic(self):
         grid = Grid((3,), (2, 4), 40)
-        first = [r.to_json() for r in check_root_laws(grid, 96)]
-        second = [r.to_json() for r in check_root_laws(grid, 96)]
+        first = [r.to_json() for r in check_root_laws(CellContext(grid, 96))]
+        second = [r.to_json() for r in check_root_laws(CellContext(grid, 96))]
         assert first == second
 
     def test_json_schema_fields(self):
-        (report,) = check_reconstruction(Grid((3,), (2,), 10), 256)
+        (report,) = check_reconstruction(CellContext(Grid((3,), (2,), 10), 256))
         payload = report.to_json()
         assert list(payload) == ["law_id", "grid", "verdict", "witnesses", "bits_used"]
         assert payload["law_id"] in LAW_IDS
