@@ -10,7 +10,7 @@ each (q, k) cell's terms and dominant root from one shared CellContext.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from decimal import ROUND_FLOOR
 from fractions import Fraction
 from itertools import combinations
@@ -112,8 +112,7 @@ class Witness:
     detail: str
 
     def to_json(self) -> dict:
-        return {"q": self.q, "k": self.k, "n": self.n, "kind": self.kind,
-                "detail": self.detail}
+        return asdict(self)
 
 
 def _sorted_witnesses(witnesses) -> tuple:
@@ -152,18 +151,20 @@ class CellContext:
         if bits < 8:
             raise DomainError(f"bits must be >= 8, got {bits}")
         self.grid, self.bits = grid, bits
-        self._tables, self._roots = {}, {}
+        # views cut by up_to build their tables to this length too, so a
+        # shorter view read first never leaves a table to be built again
+        self._tables, self._roots, self._n_table = {}, {}, grid.n_max
 
     def up_to(self, n_max: int) -> "CellContext":
         """This context over its grid cut at n_max, sharing its cells."""
         view = CellContext(replace(self.grid, n_max=min(self.grid.n_max, n_max)), self.bits)
-        view._tables, view._roots = self._tables, self._roots
+        view._tables, view._roots, view._n_table = self._tables, self._roots, self._n_table
         return view
 
     def table(self, q: int, k: int) -> list:
-        """term_table to at least grid.n_max; one a shorter view built is rebuilt."""
-        if len(self._tables.get((q, k), ())) < self.grid.n_max + k - 1:
-            self._tables[q, k] = term_table(SequenceParams(q, k), self.grid.n_max)
+        """term_table to the n_max of the context the view was cut from."""
+        if (q, k) not in self._tables:
+            self._tables[q, k] = term_table(SequenceParams(q, k), self._n_table)
         return self._tables[q, k]
 
     def root(self, q: int, k: int):
@@ -292,11 +293,14 @@ def check_root_laws(cells: CellContext) -> list[LawReport]:
     _require_certified_regime(grid)
     reports = []
 
+    # a single k is compared with k + 1, so the law never passes unchecked
+    ks = grid.k_values if len(grid.k_values) > 1 else (grid.k_values[0], grid.k_values[0] + 1)
+
     def monotone(work):
         fails, unsettled = [], []
         for q in grid.q_values:
-            gammas = {k: refine_root(cells.root(q, k), work).interval for k in grid.k_values}
-            for k1, k2 in combinations(grid.k_values, 2):
+            gammas = {k: refine_root(cells.root(q, k), work).interval for k in ks}
+            for k1, k2 in combinations(ks, 2):
                 order = _order(gammas[k1], gammas[k2])
                 if order < 0:
                     fails.append(Witness(
@@ -451,14 +455,14 @@ def check_reconstruction(cells: CellContext) -> list[LawReport]:
         table = cells.table(q, k)
         try:
             sweep = reconstruction_sweep(cells.root(q, k), 2 - k, grid.n_max, bits)
-            for n, rec, radius in sweep:
-                if rec is None:
+            for n, value, radius in sweep:
+                if value is None:
                     witnesses.append(Witness(q, k, n, "inconclusive", "certified radius "
                                              f"{_float_text(radius, '.3g')} is not below 1/2"))
-                elif rec.value != table[n + k - 2]:
+                elif value != table[n + k - 2]:
                     witnesses.append(Witness(
                         q, k, n, "fail",
-                        f"reconstruction {rec.value} != exact {table[n + k - 2]} "
+                        f"reconstruction {value} != exact {table[n + k - 2]} "
                         f"(radius {_float_text(radius, '.3g')})",
                     ))
         except RootSolveError as exc:
@@ -477,11 +481,7 @@ def check_reconstruction(cells: CellContext) -> list[LawReport]:
 class DecayProbe:
     """Certified spot check that |E_n| is already tiny at a probe index."""
 
-    grid: Grid
-    bits: int
-    n_probe: int
-    threshold: Fraction
-    failures: tuple = field(default_factory=tuple)
+    failures: tuple
 
     @property
     def passed(self) -> bool:
@@ -522,7 +522,7 @@ def error_decay_probe(
                 q, k, n_probe, "inconclusive",
                 f"E_{n_probe} enclosure too wide at {err.bits_used} bits",
             ))
-    return DecayProbe(grid, bits, n_probe, threshold, _sorted_witnesses(failures))
+    return DecayProbe(_sorted_witnesses(failures))
 
 
 # ----------------------------------------------------------------------

@@ -15,14 +15,12 @@ from .roots import (
 from .binet import (
     DominantTerm,
     ErrorEnclosure,
-    Reconstruction,
     asymptote_c,
     binet_dominant,
     binet_reconstruct,
     dominant_term_sweep,
     error_term,
     g_eval,
-    reconstruct_detailed,
     reconstruction_sweep,
     u_closed_form,
 )
@@ -41,14 +39,12 @@ __all__ = [
     "refine_root",
     "DominantTerm",
     "ErrorEnclosure",
-    "Reconstruction",
     "asymptote_c",
     "binet_dominant",
     "binet_reconstruct",
     "dominant_term_sweep",
     "error_term",
     "g_eval",
-    "reconstruct_detailed",
     "reconstruction_sweep",
     "u_closed_form",
 ]

@@ -5,6 +5,8 @@ root power, contained by construction.  The full reconstruction adds the
 k-1 secondary terms, summed in fixed point at the inclusion-disc centres,
 to the dominant term's rows; a certified radius covers the discs and
 every rounding, and the sum is rounded only when that radius is below 1/2.
+reconstruction_sweep yields plain (n, value, radius) triples for a range
+of n, and binet_reconstruct takes a single n from a one-item sweep.
 """
 from __future__ import annotations
 
@@ -32,14 +34,12 @@ from .roots import (
 __all__ = [
     "DominantTerm",
     "ErrorEnclosure",
-    "Reconstruction",
     "g_eval",
     "asymptote_c",
     "u_closed_form",
     "binet_dominant",
     "error_term",
     "binet_reconstruct",
-    "reconstruct_detailed",
     "dominant_term_sweep",
     "reconstruction_sweep",
 ]
@@ -179,7 +179,6 @@ def binet_dominant(params: SequenceParams, n: int, bits: int) -> DominantTerm:
 class ErrorEnclosure:
     """Enclosure of E_n = F_n - g(gamma) * gamma^n."""
 
-    n: int
     interval: DyadicInterval
     bits_used: int
     capped: bool
@@ -189,9 +188,7 @@ def error_term(params: SequenceParams, n: int, bits: int) -> ErrorEnclosure:
     """E_n as exact integer minus the certified dominant enclosure."""
     dominant = binet_dominant(params, n, bits)
     exact = term_definition(params, n)
-    return ErrorEnclosure(
-        n, (-dominant.interval) + exact, dominant.bits_used, dominant.capped
-    )
+    return ErrorEnclosure((-dominant.interval) + exact, dominant.bits_used, dominant.capped)
 
 
 def _power_rows(lo: int, hi: int, count: int, bits: int):
@@ -243,15 +240,6 @@ def dominant_term_sweep(enclosure: RootEnclosure, n_max: int):
 # full reconstruction over all k roots
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Reconstruction:
-    """A certified full-roots sum: the term's value and the radius, below
-    1/2, of the disc around the computed sum that holds the exact sum."""
-
-    value: int
-    radius: Fraction
-
-
 def _secondary_term(params: SequenceParams, root, n_lo: int, n_hi: int):
     """The fixed-point weight g(c) at the disc centre c and a radius bounding
     |g(r) r^n - _cmul(weight, p_n)| for the disc's root r and every n in
@@ -288,27 +276,24 @@ def _secondary_term(params: SequenceParams, root, n_lo: int, n_hi: int):
     return weight, _ceil_shift(power * inner, w) + 1
 
 
-def reconstruct_detailed(params: SequenceParams, n: int, bits: int) -> Reconstruction:
-    """Sum g(root) * root^n over all k roots and round to the exact term,
-    or raise ReconstructionError when the sum's certified radius is not
-    below 1/2.  Valid for every q >= 1: the expansion only needs the
+def binet_reconstruct(params: SequenceParams, n: int, bits: int = 256) -> int:
+    """Sum g(root) * root^n over all k roots and round it to the exact
+    term, or raise ReconstructionError when the sum's certified radius is
+    not below 1/2.  Valid for every q >= 1: the expansion only needs the
     roots to be simple."""
-    ((_, rec, radius),) = reconstruction_sweep(dominant_root(params, bits), n, n, bits)
-    if rec is None:
+    ((_, value, radius),) = reconstruction_sweep(dominant_root(params, bits), n, n, bits)
+    if value is None:
         raise ReconstructionError(
             f"full-roots sum at (q={params.q}, k={params.k}, n={n}) has radius "
             f"{_float_text(radius, '.3g')}, not below 1/2; increase the working precision")
-    return rec
-
-
-def binet_reconstruct(params: SequenceParams, n: int, bits: int = 256) -> int:
-    """The full-roots sum rounded to the exact term (certified)."""
-    return reconstruct_detailed(params, n, bits).value
+    return value
 
 
 def reconstruction_sweep(enclosure: RootEnclosure, n_lo: int, n_hi: int, bits: int):
-    """Yield (n, Reconstruction | None, radius) for every n in [n_lo, n_hi],
-    None when the certified radius is not below 1/2.
+    """Yield (n, value, radius) for every n in [n_lo, n_hi]: value is the
+    full-roots sum rounded to an int, or None when the certified radius
+    of the disc around the computed sum that holds the exact sum is not
+    below 1/2.
 
     The dominant term is a dominant_term_sweep row (its midpoint to the
     centre, half its width to the radius) at the given enclosure refined
@@ -341,6 +326,5 @@ def reconstruction_sweep(enclosure: RootEnclosure, n_lo: int, n_hi: int, bits: i
         centre = (lo + hi) << (scale - w - 1)
         centre += sum(_cmul(g, p, work)[0] for g, p in zip(weights, powers)) << (scale - work)
         half = ((hi - lo) << (scale - w - 1)) + secondary
-        radius = Fraction(half, 1 << scale)
-        certified = 2 * half < 1 << scale
-        yield n, Reconstruction(_round_shift(centre, scale), radius) if certified else None, radius
+        value = _round_shift(centre, scale) if 2 * half < 1 << scale else None
+        yield n, value, Fraction(half, 1 << scale)

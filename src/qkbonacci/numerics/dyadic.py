@@ -204,9 +204,7 @@ class DyadicInterval:
     __radd__ = __add__
 
     def __sub__(self, other) -> "DyadicInterval":
-        if isinstance(other, DyadicInterval):
-            return self + (-other)
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, (DyadicInterval, int, Fraction)):
             return self + (-other)
         return NotImplemented
 

@@ -25,12 +25,11 @@ from qkbonacci import (
     error_term,
     g_eval,
     quadratic_roots,
-    reconstruct_detailed,
     term_definition,
     u_closed_form,
 )
 from qkbonacci.lawcheck import CellContext
-from qkbonacci.numerics import binet, dominant_term_sweep
+from qkbonacci.numerics import binet, dominant_term_sweep, reconstruction_sweep
 from qkbonacci.numerics.binet import _root_ladder, _rungs
 from qkbonacci.numerics.roots import _cmul, _cpow
 
@@ -336,9 +335,10 @@ class TestReconstruction:
         assert binet_reconstruct(SequenceParams(3, 3), 0, 256) == 0
 
     def test_guard_magnitudes_reported(self):
-        rec = reconstruct_detailed(SequenceParams(3, 4), 20, 256)
-        assert rec.value == term_definition(SequenceParams(3, 4), 20)
-        assert rec.radius < Fraction(1, 2)
+        p = SequenceParams(3, 4)
+        ((_, value, radius),) = reconstruction_sweep(dominant_root(p, 256), 20, 20, 256)
+        assert value == term_definition(SequenceParams(3, 4), 20)
+        assert radius < Fraction(1, 2)
 
     def test_wide_discs_are_refused(self, monkeypatch):
         # discs a quarter of their centre's modulus wide still bound every
@@ -353,7 +353,7 @@ class TestReconstruction:
 
         monkeypatch.setattr(binet, "_secondary_discs", wide_discs)
         with pytest.raises(ReconstructionError, match="not below 1/2"):
-            reconstruct_detailed(SequenceParams(3, 2), 40, 256)
+            binet_reconstruct(SequenceParams(3, 2), 40, 256)
         (report,) = check_reconstruction(CellContext(Grid((3,), (2,), 40), 256))
         assert report.verdict == "inconclusive"
         assert {w.kind for w in report.witnesses} == {"inconclusive"}
@@ -363,7 +363,19 @@ class TestReconstruction:
         # makes the dominant row far wider than 1: refused, never rounded
         monkeypatch.setattr(binet, "refine_root", lambda enclosure, bits: enclosure)
         with pytest.raises(ReconstructionError, match="not below 1/2"):
-            reconstruct_detailed(SequenceParams(3, 2), 155, 64)
+            binet_reconstruct(SequenceParams(3, 2), 155, 64)
+
+    def test_sweep_values_are_plain_ints(self, monkeypatch):
+        # the coarse 64-bit enclosure certifies the small n and refuses the
+        # large ones: a value is an int exactly when its radius is below 1/2
+        monkeypatch.setattr(binet, "refine_root", lambda enclosure, bits: enclosure)
+        p = SequenceParams(3, 2)
+        sweep = list(reconstruction_sweep(dominant_root(p, 64), 0, 155, 64))
+        assert [n for n, _, _ in sweep] == list(range(156))
+        for n, value, radius in sweep:
+            assert (value is None) == (radius >= Fraction(1, 2))
+            assert value is None or (type(value) is int and value == term_definition(p, n))
+        assert {value is None for _, value, _ in sweep} == {False, True}
 
     def test_certified_wrong_value_fails_the_law(self, monkeypatch):
         # a dominant row moved by exactly one certifies a value one off the

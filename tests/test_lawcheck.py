@@ -174,6 +174,18 @@ class TestRootLaws:
         assert all(r.verdict == "pass" for r in reports)
         assert sorted(calls) == grid.cells
 
+    def test_single_k_monotone_is_never_vacuous(self):
+        # one k compares gamma_k with gamma_(k+1); at q = 10 those lie
+        # about 5e-61 apart, so the 8-bit request's 128-bit cap cannot
+        # separate them and the law is not a pass
+        reports = run_laws("lemma1", Grid((10,), (60,), 5), 8)
+        monotone = reports[0]
+        assert (monotone.law_id, monotone.verdict, monotone.bits_used) == (
+            "lemma1-monotone", "inconclusive", 128)
+        assert [(w.k, w.detail) for w in monotone.witnesses] == [
+            (61, "gamma_60 vs gamma_61 not separated at 128 bits"),
+        ]
+
     def test_unseparated_witness_text(self):
         # at q = 10, gamma_39, gamma_40 and alpha lie within about 7e-40
         # of each other, finer than the 8-bit request's 128-bit cap
@@ -373,18 +385,29 @@ class TestCellContext:
         assert (counts["term_table"], counts["dominant_root"]) == (0, 21)
 
     def test_views_share_cells(self, counts):
-        # a view cut by up_to reads the cells its parent made, and a reader
-        # of a longer grid after a shorter one still gets every term
+        # a view cut by up_to reads the cells its parent made, and a table
+        # a shorter view builds first already reaches the parent's n_max
         params = SequenceParams(3, 5)
         cells = CellContext(Grid((3,), (5,), 40), 64)
         short = cells.up_to(10)
         assert (short.grid, short.bits) == (Grid((3,), (5,), 10), 64)
-        assert short.table(3, 5) == term_table(params, 10)
-        assert cells.table(3, 5) == term_table(params, 40)
         assert short.table(3, 5)[:14] == term_table(params, 10)
+        assert cells.table(3, 5) == term_table(params, 40)
+        assert short.table(3, 5) is cells.table(3, 5)
         assert short.root(3, 5) is cells.root(3, 5)
         assert cells.root(3, 5) == dominant_root(params, 64)
-        assert (counts["term_table"], counts["dominant_root"]) == (2, 1)
+        assert (counts["term_table"], counts["dominant_root"]) == (1, 1)
+
+    def test_one_table_per_cell_past_the_identity_cap(self, counts):
+        # the identity laws read a view cut at n = 500 before the growth
+        # chain reads n_max: the view's table must already reach n_max
+        run_laws("all", Grid((3,), (2, 3), 600), 192)
+        assert counts["term_table"] == 2
+
+    def test_single_k_monotone_compares_the_next_k(self, counts):
+        reports = run_laws("lemma1", Grid((3, 4), (5,), 10), 96)
+        assert all(r.verdict == "pass" for r in reports)
+        assert counts["dominant_root"] == 4
 
 
 class TestReports:
