@@ -301,17 +301,8 @@ def check_root_laws(cells: CellContext) -> list[LawReport]:
         for q in grid.q_values:
             gammas = {k: refine_root(cells.root(q, k), work).interval for k in ks}
             for k1, k2 in combinations(ks, 2):
-                order = _order(gammas[k1], gammas[k2])
-                if order < 0:
-                    fails.append(Witness(
-                        q, k2, None, "fail",
-                        f"gamma_{k2} certified below gamma_{k1}",
-                    ))
-                elif order == 0:
-                    unsettled.append(Witness(
-                        q, k2, None, "inconclusive",
-                        f"gamma_{k1} vs gamma_{k2} not separated at {work} bits",
-                    ))
+                _chain(((f"gamma_{k1} vs gamma_{k2}", gammas[k1], gammas[k2]),),
+                       q, k2, None, work, fails, unsettled)
         return (fails + unsettled,)
 
     def sandwich(q, k, gamma, work):

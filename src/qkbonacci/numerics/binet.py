@@ -1,12 +1,12 @@
 """Dominant-term approximation, error term, and full-roots reconstruction.
 
 The dominant route is fully certified: interval weight times interval
-root power, contained by construction.  The full reconstruction adds the
-k-1 secondary terms, summed in fixed point at the inclusion-disc centres,
-to the dominant term's rows; a certified radius covers the discs and
-every rounding, and the sum is rounded only when that radius is below 1/2.
-reconstruction_sweep yields plain (n, value, radius) triples for a range
-of n, and binet_reconstruct takes a single n from a one-item sweep.
+root power, contained by construction.  The full reconstruction takes
+each of the k terms as one power at the first n and one product per later
+n, the k-1 secondary ones in fixed point at the inclusion-disc centres; a
+certified radius covers the discs and every rounding, and the sum is
+rounded only when that radius is below 1/2.  reconstruction_sweep yields
+(n, value, radius) triples, and binet_reconstruct reads a one-item sweep.
 """
 from __future__ import annotations
 
@@ -99,6 +99,9 @@ def g_eval(params: SequenceParams, x: DyadicInterval) -> DyadicInterval:
     The denominator's sign must be constant on the interval; that is
     decided exactly (endpoint values plus the parabola vertex), and a
     non-constant sign raises PoleInIntervalError.
+
+    On an enclosure of the dominant root the image is nonnegative: there
+    x >= q >= 1, and D > 0 as gamma^(k-2) D(gamma) = (gamma-1) Phi'(gamma) > 0.
     """
     q, k = params.q, params.k
     a, b = x.lo, x.hi
@@ -220,19 +223,17 @@ def dominant_term_sweep(enclosure: RootEnclosure, n_max: int):
     w = gamma.bits
     # the growth chain reaches gamma^(n-2) at n = 1, so always go to -1
     lowest = min(params.min_index, -1)
-    # gamma lies in its bracket (q, q+1), so every power is positive
+    # gamma lies in its bracket (q, q+1), so every power is positive,
+    # and so is the weight (see g_eval): ends multiply ends
     up_lo, up_hi = _power_rows(gamma.lo_num, gamma.hi_num, n_max, w)
     inverse = gamma.reciprocal()
     down_lo, down_hi = _power_rows(inverse.lo_num, inverse.hi_num, -lowest, w)
     size = n_max - lowest + 1
     power_lo = (down_lo[:0:-1] + up_lo)[:size]
     power_hi = (down_hi[:0:-1] + up_hi)[:size]
-    # with nonnegative powers, each end of the weight picks its extreme
-    weight = g_eval(params, gamma)
-    g_lo, g_hi = weight.lo_num, weight.hi_num
-    first = params.min_index - lowest
-    term_lo = [(g_lo * p) >> w for p in (power_lo if g_lo >= 0 else power_hi)[first:]]
-    term_hi = [-((-g_hi * p) >> w) for p in (power_hi if g_hi >= 0 else power_lo)[first:]]
+    weight, first = g_eval(params, gamma), params.min_index - lowest
+    term_lo = [(weight.lo_num * p) >> w for p in power_lo[first:]]
+    term_hi = [-((-weight.hi_num * p) >> w) for p in power_hi[first:]]
     return power_lo, power_hi, term_lo, term_hi
 
 
@@ -295,11 +296,11 @@ def reconstruction_sweep(enclosure: RootEnclosure, n_lo: int, n_hi: int, bits: i
     of the disc around the computed sum that holds the exact sum is not
     below 1/2.
 
-    The dominant term is a dominant_term_sweep row (its midpoint to the
-    centre, half its width to the radius) at the given enclosure refined
-    to a precision that follows n_hi and q.  The k-1 secondary terms are
-    summed in fixed point at all_roots' disc centres, whose precision
-    `bits` sets, and add one radius (_secondary_term's) for the whole sweep.
+    The dominant term is g(gamma) * gamma**n_lo, then stepped up by gamma
+    with outward rounding, at the given enclosure refined to a precision
+    that follows n_hi and q.  The k-1 secondary terms are summed in fixed
+    point at all_roots' disc centres, whose precision `bits` sets, and add
+    one radius (_secondary_term's) for the whole sweep.
     """
     params = enclosure.params
     _check_index(params, n_lo)
@@ -307,22 +308,25 @@ def reconstruction_sweep(enclosure: RootEnclosure, n_lo: int, n_hi: int, bits: i
         return
     discs = _secondary_discs(params, bits)
     work = discs[0].bits
-    # the row for n is about n gamma^(n-1) 2^-w wide with gamma < q + 1;
-    # 16 bits more cover the weight and the rows' rounding
+    # the term for n is about n gamma^(n-1) 2^-w wide with gamma < q + 1;
+    # 16 bits more cover the weight and the chain's rounding
     growth = ((params.q + 1) ** max(n_hi - 1, 0) - 1).bit_length()
-    gamma = refine_root(enclosure, max(bits, growth + n_hi.bit_length() + 16))
-    _, _, term_lo, term_hi = dominant_term_sweep(gamma, n_hi)
-    w = gamma.interval.bits
+    gamma = refine_root(enclosure, max(bits, growth + n_hi.bit_length() + 16)).interval
+    # each step multiplies the rounding of gamma^n_lo >= (q+1)^n_lo by gamma,
+    # which exact finer mantissas make up for; all ends are >= 0 (see g_eval)
+    gamma = gamma.rescaled(gamma.bits + ((params.q + 1) ** max(-n_lo, 0)).bit_length())
+    dominant = g_eval(params, gamma) * gamma**n_lo
+    lo, hi, w = dominant.lo_num, dominant.hi_num, dominant.bits
     weights, radii = zip(*(_secondary_term(params, s, n_lo, n_hi) for s in discs))
     points = [(s.re_num, s.im_num) for s in discs]
     powers = [_cpow(z, n_lo, work) for z in points]
-    # centre and radius at 2^-scale: a row midpoint needs one more bit
+    # centre and radius at 2^-scale: a midpoint needs one more bit
     scale = max(w, work) + 1
     secondary = sum(radii) << (scale - work)
     for n in range(n_lo, n_hi + 1):
         if n > n_lo:
             powers = [_cmul(p, z, work) for p, z in zip(powers, points)]
-        lo, hi = term_lo[n - params.min_index], term_hi[n - params.min_index]
+            lo, hi = (lo * gamma.lo_num) >> w, -((-hi * gamma.hi_num) >> w)
         centre = (lo + hi) << (scale - w - 1)
         centre += sum(_cmul(g, p, work)[0] for g, p in zip(weights, powers)) << (scale - work)
         half = ((hi - lo) << (scale - w - 1)) + secondary

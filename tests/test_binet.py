@@ -26,10 +26,11 @@ from qkbonacci import (
     g_eval,
     quadratic_roots,
     term_definition,
+    term_fast,
     u_closed_form,
 )
 from qkbonacci.lawcheck import CellContext
-from qkbonacci.numerics import binet, dominant_term_sweep, reconstruction_sweep
+from qkbonacci.numerics import binet, dominant_term_sweep, reconstruction_sweep, refine_root
 from qkbonacci.numerics.binet import _root_ladder, _rungs
 from qkbonacci.numerics.roots import _cmul, _cpow
 
@@ -244,6 +245,19 @@ def sweep_cases(draw):
     return SequenceParams(q, k), draw(st.integers(1, 600)), draw(st.integers(8, 512))
 
 
+class TestWeightSign:
+    def test_nonnegative_on_dominant_enclosures(self):
+        # g(gamma) >= 0, which the dominant rows and the full-roots sum's
+        # stepped term rely on; coarser enclosures are the 256-bit one's
+        # ancestors, as refine_root gives them
+        for q in range(1, 11):
+            for k in (*range(2, 17), 24, 32, 48, 64):
+                enclosure = dominant_root(SequenceParams(q, k), 256)
+                for bits in (8, 64, 256):
+                    gamma = refine_root(enclosure, bits).interval
+                    assert g_eval(SequenceParams(q, k), gamma).lo_num >= 0, (q, k, bits)
+
+
 class TestDominantTermSweep:
     @given(case=sweep_cases())
     @settings(max_examples=60, deadline=None)
@@ -378,20 +392,30 @@ class TestReconstruction:
         assert {value is None for _, value, _ in sweep} == {False, True}
 
     def test_certified_wrong_value_fails_the_law(self, monkeypatch):
-        # a dominant row moved by exactly one certifies a value one off the
+        # a rounded sum moved by exactly one certifies a value one off the
         # exact term, which the law must report as a fail
-        real_sweep = binet.dominant_term_sweep
-
-        def shifted_sweep(enclosure, n_max):
-            power_lo, power_hi, term_lo, term_hi = real_sweep(enclosure, n_max)
-            one = 1 << enclosure.interval.bits
-            return (power_lo, power_hi, [t + one for t in term_lo],
-                    [t + one for t in term_hi])
-
-        monkeypatch.setattr(binet, "dominant_term_sweep", shifted_sweep)
+        real_round = binet._round_shift
+        monkeypatch.setattr(binet, "_round_shift", lambda x, shift: real_round(x, shift) + 1)
         (report,) = check_reconstruction(CellContext(Grid((3,), (2,), 10), 256))
         assert report.verdict == "fail"
         assert len(report.witnesses) == 11
+
+    def test_no_dominant_rows(self, monkeypatch):
+        # the sum steps its dominant term itself; the rows serve only
+        # check_term_bounds
+        def no_rows(enclosure, n_max):
+            raise AssertionError("dominant_term_sweep called")
+
+        monkeypatch.setattr(binet, "dominant_term_sweep", no_rows)
+        p = SequenceParams(3, 4)
+        assert binet_reconstruct(p, 40, 256) == term_definition(p, 40)
+        (report,) = check_reconstruction(CellContext(Grid((3,), (2, 4), 40), 256))
+        assert (report.verdict, report.witnesses) == ("pass", ())
+
+    def test_large_n(self):
+        # one power of gamma, not a row up to n
+        p = SequenceParams(3, 5)
+        assert binet_reconstruct(p, 5000) == term_fast(p, 5000)
 
     def test_low_precision_never_silently_plausible(self):
         # the dominant term's precision follows n, and 32 bits put the

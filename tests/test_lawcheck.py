@@ -186,6 +186,19 @@ class TestRootLaws:
             (61, "gamma_60 vs gamma_61 not separated at 128 bits"),
         ]
 
+    def test_monotone_fail_text(self):
+        # hand k = 4 the enclosure of k = 2: gamma_4 then lies certified
+        # below gamma_3, and the law must fail there
+        cells = CellContext(Grid((3,), (3, 4), 10), 64)
+        real_root = cells.root
+        cells.root = lambda q, k: real_root(q, 2 if k == 4 else k)
+        monotone = check_root_laws(cells)[0]
+        assert (monotone.law_id, monotone.verdict, monotone.bits_used) == (
+            "lemma1-monotone", "fail", 64)
+        assert [(w.k, w.n, w.kind, w.detail) for w in monotone.witnesses] == [
+            (4, None, "fail", "gamma_3 vs gamma_4 certified false"),
+        ]
+
     def test_unseparated_witness_text(self):
         # at q = 10, gamma_39, gamma_40 and alpha lie within about 7e-40
         # of each other, finer than the 8-bit request's 128-bit cap
