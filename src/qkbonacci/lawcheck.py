@@ -145,15 +145,16 @@ class LawReport:
 
 class CellContext:
     """The term table and the dominant-root enclosure of each (q, k) cell
-    of a grid, each made when a law first reads it."""
+    of a grid, each made when a law first reads it.  Tables run to n_table,
+    the grid's n_max unless given: the last n any law on it will read."""
 
-    def __init__(self, grid: Grid, bits: int):
+    def __init__(self, grid: Grid, bits: int, n_table: int | None = None):
         if bits < 8:
             raise DomainError(f"bits must be >= 8, got {bits}")
         self.grid, self.bits = grid, bits
         # views cut by up_to build their tables to this length too, so a
         # shorter view read first never leaves a table to be built again
-        self._tables, self._roots, self._n_table = {}, {}, grid.n_max
+        self._tables, self._roots, self._n_table = {}, {}, n_table or grid.n_max
 
     def up_to(self, n_max: int) -> "CellContext":
         """This context over its grid cut at n_max, sharing its cells."""
@@ -162,7 +163,7 @@ class CellContext:
         return view
 
     def table(self, q: int, k: int) -> list:
-        """term_table to the n_max of the context the view was cut from."""
+        """term_table to the n_table of the context the view was cut from."""
         if (q, k) not in self._tables:
             self._tables[q, k] = term_table(SequenceParams(q, k), self._n_table)
         return self._tables[q, k]
@@ -537,16 +538,20 @@ def run_laws(selection: str, grid: Grid, bits: int) -> list[LawReport]:
     if selection not in _SELECTORS:
         raise DomainError(f"unknown law selector {selection!r}")
     wanted = set(_SELECTORS[selection])
-    cells = CellContext(grid, bits)
-    # each checker with the slice of LAW_IDS it reports
+    # each checker with the slice of LAW_IDS it reports and the n_max it
+    # reads the grid to
     checkers = (
-        (LAW_IDS[0:3], lambda: check_identities(cells.up_to(500))),
-        (LAW_IDS[3:6], lambda: check_root_laws(cells)),
-        (LAW_IDS[6:8], lambda: check_term_bounds(cells)),
-        (LAW_IDS[8:9], lambda: check_reconstruction(cells.up_to(RECONSTRUCTION_N_CAP))),
+        (LAW_IDS[0:3], min(grid.n_max, 500), check_identities),
+        (LAW_IDS[3:6], grid.n_max, check_root_laws),
+        (LAW_IDS[6:8], grid.n_max, check_term_bounds),
+        (LAW_IDS[8:9], min(grid.n_max, RECONSTRUCTION_N_CAP), check_reconstruction),
     )
+    chosen = [(n_max, check) for law_ids, n_max, check in checkers
+              if wanted.intersection(law_ids)]
+    # the root laws read no table, so tables need reach no further than
+    # the longest view a chosen checker reads
+    cells = CellContext(grid, bits, max(n_max for n_max, _ in chosen))
     reports: list[LawReport] = []
-    for law_ids, check in checkers:
-        if wanted.intersection(law_ids):
-            reports += check()
+    for n_max, check in chosen:
+        reports += check(cells.up_to(n_max))
     return [r for r in reports if r.law_id in wanted]

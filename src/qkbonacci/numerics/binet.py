@@ -328,7 +328,9 @@ def reconstruction_sweep(enclosure: RootEnclosure, n_lo: int, n_hi: int, bits: i
             powers = [_cmul(p, z, work) for p, z in zip(powers, points)]
             lo, hi = (lo * gamma.lo_num) >> w, -((-hi * gamma.hi_num) >> w)
         centre = (lo + hi) << (scale - w - 1)
-        centre += sum(_cmul(g, p, work)[0] for g, p in zip(weights, powers)) << (scale - work)
+        # only the real part of each weight * power reaches the sum
+        centre += sum(_round_shift(g[0] * p[0] - g[1] * p[1], work)
+                      for g, p in zip(weights, powers)) << (scale - work)
         half = ((hi - lo) << (scale - w - 1)) + secondary
         value = _round_shift(centre, scale) if 2 * half < 1 << scale else None
         yield n, value, Fraction(half, 1 << scale)

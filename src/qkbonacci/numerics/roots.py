@@ -2,9 +2,9 @@
 
 Two deliberately different routes:
 
-* the dominant root gets a certified enclosure from pure bisection with
-  integer sign tests whose answer is exact (unconditionally convergent
-  inside the (q, q+1) bracket, which the polynomial family guarantees);
+* the dominant root's enclosure is halved from the (q, q+1) bracket to
+  64 bits, then narrowed by Newton rungs that about double the precision,
+  each unit cell certified by integer sign tests whose answer is exact;
 * the remaining roots are isolated by simultaneous Aberth-Ehrlich
   iteration in floats, then each is polished by Newton steps in integer
   fixed-point complex arithmetic at the requested precision, and
@@ -113,10 +113,9 @@ def _inside_unit_circle(s: SecondaryRoot) -> bool:
             and _cabs2((s.re_num, s.im_num)) < ((1 << s.bits) - s.radius_num) ** 2)
 
 
-def _bisect(params: SequenceParams, lo: int, scale: int, bits: int) -> RootEnclosure:
+def _halve(poly: CharPoly, lo: int, scale: int, bits: int) -> tuple[int, int]:
     """Halve the sign-certified unit cell [lo, lo + 1] * 2^-scale down to
-    scale bits."""
-    poly = CharPoly.of(params)
+    bits, one sign test per bit; returns (lo, scale)."""
     while scale < bits:
         lo, scale = 2 * lo, scale + 1
         sign = poly.sign_at_dyadic(lo + 1, scale)
@@ -125,6 +124,52 @@ def _bisect(params: SequenceParams, lo: int, scale: int, bits: int) -> RootEnclo
             raise RuntimeError("internal error: exact dyadic root encountered")
         if sign < 0:
             lo += 1
+    return lo, scale
+
+
+def _phi_and_slope(coeffs: tuple, x: int, w: int) -> tuple[int, int]:
+    """Phi and Phi' at x * 2^-w by Horner, truncated to 2^-w."""
+    p, dp = coeffs[-1] << w, 0
+    for c in coeffs[-2::-1]:
+        dp, p = (dp * x >> w) + p, (p * x >> w) + (c << w)
+    return p, dp
+
+
+def _newton_cell(poly: CharPoly, lo: int, scale: int, bits: int) -> int | None:
+    """The sign-certified cell at bits in [lo, lo + 1] * 2^-scale, or None.
+    It is found by one Newton step from the midpoint, which lands within
+    1/8 of a cell of the root as |Phi''/2Phi'| < k/2 near gamma and
+    2 scale >= bits + bit_length(k), and at most two one-cell moves."""
+    w, shift = bits + poly.params.k.bit_length() + 16, bits - scale
+    x = (2 * lo + 1) << (w - scale - 1)
+    p, dp = _phi_and_slope(poly.coefficients, x, w)
+    if dp <= 0:
+        return None
+    # the root is inside [lo, lo + 1], so a step past it is pulled back
+    cell = min(max((x - (p << w) // dp) >> (w - bits), lo << shift), ((lo + 1) << shift) - 1)
+    below, above = poly.sign_at_dyadic(cell, bits), poly.sign_at_dyadic(cell + 1, bits)
+    for _ in range(2):
+        if below > 0:
+            cell, above, below = cell - 1, below, poly.sign_at_dyadic(cell - 1, bits)
+        elif above < 0:
+            cell, below, above = cell + 1, above, poly.sign_at_dyadic(cell + 2, bits)
+    return cell if below < 0 < above else None
+
+
+def _bisect(params: SequenceParams, lo: int, scale: int, bits: int) -> RootEnclosure:
+    """Narrow the sign-certified unit cell [lo, lo + 1] * 2^-scale to bits:
+    halving to 64 bits, then Newton rungs that about double the scale, or
+    halving where Newton finds no sign pair.  Phi has one positive root,
+    so the cell at each scale is unique, however it was found."""
+    poly = CharPoly.of(params)
+    lo, scale = _halve(poly, lo, scale, min(bits, 64))
+    rungs, slack = [], params.k.bit_length()
+    while bits > scale:
+        rungs.append(bits)
+        bits = (bits + slack + 1) // 2
+    for rung in reversed(rungs):
+        cell = _newton_cell(poly, lo, scale, rung)
+        lo, scale = (cell, rung) if cell is not None else _halve(poly, lo, scale, rung)
     # the sign pair already puts the root strictly inside, so an endpoint
     # may sit on q or q + 1 itself
     q = params.q
@@ -134,12 +179,12 @@ def _bisect(params: SequenceParams, lo: int, scale: int, bits: int) -> RootEnclo
 
 
 def dominant_root(params: SequenceParams, bits: int) -> RootEnclosure:
-    """Certified enclosure of width 2^-bits via sign-test bisection.
+    """Certified enclosure of width 2^-bits, a sign-certified unit cell.
 
     The starting bracket is (q, q+1) for every q >= 1: Phi(q) =
     -(1 + q + ... + q^(k-2)) < 0 < Phi(q+1), and by Descartes' rule of
-    signs Phi has no other positive root.  Every cell it halves is a unit
-    cell [j, j+1] * 2^-scale.
+    signs Phi has no other positive root.  Every cell it narrows to is a
+    unit cell [j, j+1] * 2^-scale.
     """
     if bits < 8:
         raise DomainError(f"bits must be >= 8, got {bits}")
@@ -155,7 +200,7 @@ def refine_root(enclosure: RootEnclosure, bits: int) -> RootEnclosure:
     that dominant_root or refine_root returned at any precision.
 
     At each scale exactly one unit cell holds the root, and each splits
-    into two, so a coarser enclosure is bisected on and a finer one gives
+    into two, so a coarser enclosure is narrowed on and a finer one gives
     its ancestor, the cell whose index is its own shifted right.  The
     enclosure must be a unit cell with the sign pair at its ends.
     """

@@ -95,7 +95,9 @@ def test_dominant_root_bits_argument():
 
 def test_sign_tests_per_dominant_root(monkeypatch):
     # numerics.polynomials.sign_tests counts calls by the method name: two
-    # bracket checks and one per bit, and an exact fallback inside the
+    # bracket checks, one per halving bit up to 64, and past that a sign
+    # pair and at most two one-cell moves for each Newton rung, of which
+    # there are at most bit_length(bits) - 5; an exact fallback inside the
     # method is not a second call
     calls = []
     real_sign = _IntPoly.sign_at_dyadic
@@ -105,10 +107,14 @@ def test_sign_tests_per_dominant_root(monkeypatch):
         return real_sign(self, num, scale)
 
     monkeypatch.setattr(_IntPoly, "sign_at_dyadic", counted)
-    for q, k, bits in ((1, 2, 8), (3, 8, 64), (10, 32, 256), (5, 5, 1024)):
+    for q, k, bits in ((1, 2, 8), (3, 8, 64), (10, 32, 256), (5, 5, 1024),
+                       (3, 8, 4096), (1, 64, 4096)):
         calls.clear()
         roots.dominant_root(SequenceParams(q, k), bits)
-        assert len(calls) == bits + 2, (q, k, bits)
+        halving = 2 + min(bits, 64)
+        assert calls[:halving] == [0, 0, *range(1, min(bits, 64) + 1)], (q, k, bits)
+        rungs = bits.bit_length() - 5 if bits > 64 else 0
+        assert len(calls) - halving <= 4 * rungs, (q, k, bits)
     calls.clear()
     # t = 1 is an exact zero of AuxPoly, decided by the exact fallback
     assert AuxPoly.of(SequenceParams(3, 5)).sign_at_dyadic(1 << 4096, 4096) == 0

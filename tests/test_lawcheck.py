@@ -417,6 +417,23 @@ class TestCellContext:
         run_laws("all", Grid((3,), (2, 3), 600), 192)
         assert counts["term_table"] == 2
 
+    def test_tables_reach_only_what_the_chosen_laws_read(self, monkeypatch):
+        # reconstruction stops at n = 60, so a grid to n = 5000 builds no
+        # term past it; the identities stop at 500
+        built, real_table = [], lawcheck.term_table
+
+        def table(params, n_max):
+            built.append((params.k, n_max))
+            return real_table(params, n_max)
+
+        monkeypatch.setattr(lawcheck, "term_table", table)
+        (report,) = run_laws("reconstruction", Grid((3,), (2, 3), 5000), 256)
+        assert (report.verdict, report.grid.n_max) == ("pass", 60)
+        assert built == [(2, 60), (3, 60)]
+        built.clear()
+        run_laws("identities", Grid((3,), (2,), 800), 192)
+        assert built == [(2, 500)]
+
     def test_single_k_monotone_compares_the_next_k(self, counts):
         reports = run_laws("lemma1", Grid((3, 4), (5,), 10), 96)
         assert all(r.verdict == "pass" for r in reports)

@@ -156,6 +156,54 @@ class TestRefineRoot:
             refine_root(dominant_root(SequenceParams(3, 2), 64), 4)
 
 
+def _halving_enclosure(params, bits):
+    # the plain halving path from the (q, q+1) bracket, no Newton rung
+    lo, scale = roots._halve(CharPoly.of(params), params.q, 0, bits)
+    return RootEnclosure(params, DyadicInterval(lo, lo + 1, scale))
+
+
+class TestNewtonRungs:
+    """The sign pair, not Newton, decides each cell: Newton only proposes."""
+
+    @given(q=st.integers(1, 10), k=st.integers(2, 64),
+           bits=st.integers(8, 4096), start=st.integers(8, 4096))
+    @example(q=1, k=64, bits=64, start=4096)
+    @example(q=3, k=8, bits=65, start=64)
+    @settings(max_examples=12, deadline=None)
+    def test_equals_pure_halving(self, q, k, bits, start):
+        # directly, and refined from a coarser or a finer enclosure
+        params = SequenceParams(q, k)
+        expected = _halving_enclosure(params, bits)
+        assert dominant_root(params, bits) == expected
+        assert refine_root(dominant_root(params, start), bits) == expected
+
+    @pytest.mark.parametrize("mislead", [
+        lambda p, dp, w: (p + (1 << w), dp),   # Phi off by one
+        lambda p, dp, w: (-p, dp),             # the step reversed
+        lambda p, dp, w: (p, 0),               # a vanishing slope
+        lambda p, dp, w: (p, -dp),             # a negative slope
+    ])
+    def test_misled_newton_falls_back_to_halving(self, monkeypatch, mislead):
+        cells = [(1, 64, 300), (3, 8, 1024), (10, 2, 200), (4, 5, 129)]
+        expected = [_halving_enclosure(SequenceParams(q, k), bits) for q, k, bits in cells]
+        real_eval, real_halve, halved = roots._phi_and_slope, roots._halve, []
+
+        def misled(coeffs, x, w):
+            return mislead(*real_eval(coeffs, x, w), w)
+
+        def halve(poly, lo, scale, bits):
+            halved.append(bits)
+            return real_halve(poly, lo, scale, bits)
+
+        monkeypatch.setattr(roots, "_phi_and_slope", misled)
+        monkeypatch.setattr(roots, "_halve", halve)
+        for (q, k, bits), enclosure in zip(cells, expected):
+            halved.clear()
+            assert dominant_root(SequenceParams(q, k), bits) == enclosure
+            # some rung was refused and halved instead, up to the last
+            assert halved[-1] == bits and len(halved) > 1
+
+
 class TestQuadraticRoots:
     def test_alpha_beta_q3(self):
         pair = quadratic_roots(3, 128)
