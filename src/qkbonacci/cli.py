@@ -230,7 +230,11 @@ def _build_parser() -> argparse.ArgumentParser:
     term.add_argument("--q", type=int, required=True)
     term.add_argument("--k", type=int, required=True)
     term.add_argument("--n", type=int, required=True)
-    term.add_argument("--method", choices=(*_ROUTES, "binet"), default="def")
+    term.add_argument(
+        "--method",
+        choices=(*_ROUTES, "binet"),
+        default="def",
+    )
     term.add_argument("--bits", type=int, default=256,
                       help="precision of the secondary-root discs for --method "
                            "binet; the dominant term's precision follows n")
@@ -259,7 +263,11 @@ def _build_parser() -> argparse.ArgumentParser:
     series.set_defaults(func=_cmd_series)
 
     verify = sub.add_parser("verify", help="run the law checker")
-    verify.add_argument("--law", choices=tuple(_SELECTORS), default="all")
+    verify.add_argument(
+        "--law",
+        choices=tuple(_SELECTORS),
+        default="all",
+    )
     verify.add_argument("--q", type=int, action="append",
                         help="grid q value (repeatable; default 3 4 5)")
     verify.add_argument("--k-min", type=int, default=2)

@@ -145,16 +145,15 @@ class LawReport:
 
 class CellContext:
     """The term table and the dominant-root enclosure of each (q, k) cell
-    of a grid, each made when a law first reads it.  Tables run to n_table,
-    the grid's n_max unless given: the last n any law on it will read."""
+    of a grid, each made when a law first reads it."""
 
-    def __init__(self, grid: Grid, bits: int, n_table: int | None = None):
+    def __init__(self, grid: Grid, bits: int):
         if bits < 8:
             raise DomainError(f"bits must be >= 8, got {bits}")
         self.grid, self.bits = grid, bits
         # views cut by up_to build their tables to this length too, so a
         # shorter view read first never leaves a table to be built again
-        self._tables, self._roots, self._n_table = {}, {}, n_table or grid.n_max
+        self._tables, self._roots, self._n_table = {}, {}, grid.n_max
 
     def up_to(self, n_max: int) -> "CellContext":
         """This context over its grid cut at n_max, sharing its cells."""
@@ -163,7 +162,7 @@ class CellContext:
         return view
 
     def table(self, q: int, k: int) -> list:
-        """term_table to the n_table of the context the view was cut from."""
+        """term_table to the n_max of the context the view was cut from."""
         if (q, k) not in self._tables:
             self._tables[q, k] = term_table(SequenceParams(q, k), self._n_table)
         return self._tables[q, k]
@@ -548,9 +547,9 @@ def run_laws(selection: str, grid: Grid, bits: int) -> list[LawReport]:
     )
     chosen = [(n_max, check) for law_ids, n_max, check in checkers
               if wanted.intersection(law_ids)]
-    # the root laws read no table, so tables need reach no further than
-    # the longest view a chosen checker reads
-    cells = CellContext(grid, bits, max(n_max for n_max, _ in chosen))
+    # the context's grid, and with it every table, is cut at the longest
+    # view a chosen checker reads
+    cells = CellContext(replace(grid, n_max=max(n_max for n_max, _ in chosen)), bits)
     reports: list[LawReport] = []
     for n_max, check in chosen:
         reports += check(cells.up_to(n_max))

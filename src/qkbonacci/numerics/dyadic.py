@@ -27,7 +27,9 @@ def _floor_shift(x: int, shift: int) -> int:
 
 
 def _ceil_shift(x: int, shift: int) -> int:
-    return x << -shift if shift <= 0 else -((-x) >> shift)
+    if shift <= 0:
+        return x << -shift
+    return -((-x) >> shift)
 
 
 def _floor_scaled(value: Fraction, bits: int) -> int:
@@ -64,8 +66,11 @@ def _float_text(value, spec: str, rounding: str = ROUND_CEILING) -> str:
 
 
 def _directed_decimal(value: Fraction, digits: int, round_up: bool) -> str:
-    num, den = (value * 10**digits).as_integer_ratio()
-    n = -(-num // den) if round_up else num // den
+    scaled = value * 10**digits
+    if round_up:
+        n = -((-scaled.numerator) // scaled.denominator)
+    else:
+        n = scaled.numerator // scaled.denominator
     sign = "-" if n < 0 else ""
     text = str(abs(n)).rjust(digits + 1, "0")
     return f"{sign}{text[:-digits]}.{text[-digits:]}" if digits else f"{sign}{text}"
@@ -173,9 +178,11 @@ class DyadicInterval:
     # ------------------------------------------------------------------
     def _aligned(self, other: "DyadicInterval"):
         bits = max(self.bits, other.bits)
-        mine, theirs = bits - self.bits, bits - other.bits
-        return (self.lo_num << mine, self.hi_num << mine,
-                other.lo_num << theirs, other.hi_num << theirs, bits)
+        a = self.lo_num << (bits - self.bits)
+        b = self.hi_num << (bits - self.bits)
+        c = other.lo_num << (bits - other.bits)
+        d = other.hi_num << (bits - other.bits)
+        return a, b, c, d, bits
 
     def __neg__(self) -> "DyadicInterval":
         return DyadicInterval(-self.hi_num, -self.lo_num, self.bits)
@@ -208,8 +215,11 @@ class DyadicInterval:
         if isinstance(other, DyadicInterval):
             a, b, c, d, bits = self._aligned(other)
             products = (a * c, a * d, b * c, b * d)
-            return DyadicInterval(_floor_shift(min(products), bits),
-                                  _ceil_shift(max(products), bits), bits)
+            return DyadicInterval(
+                _floor_shift(min(products), bits),
+                _ceil_shift(max(products), bits),
+                bits,
+            )
         if isinstance(other, int):
             if other >= 0:
                 return DyadicInterval(self.lo_num * other, self.hi_num * other, self.bits)
@@ -226,7 +236,9 @@ class DyadicInterval:
         """1/self for a sign-definite interval."""
         if self.lo_num > 0:
             one = 1 << (2 * self.bits)
-            return DyadicInterval(one // self.hi_num, -((-one) // self.lo_num), self.bits)
+            return DyadicInterval(
+                one // self.hi_num, -((-one) // self.lo_num), self.bits
+            )
         if self.hi_num < 0:
             return -((-self).reciprocal())
         raise ZeroDivisionError("reciprocal of an interval containing zero")
@@ -242,7 +254,9 @@ class DyadicInterval:
         """Integer power by repeated squaring; negative via reciprocal."""
         if exponent < 0:
             return (self ** (-exponent)).reciprocal()
-        result, base, e = DyadicInterval.from_int(1, self.bits), self, exponent
+        result = DyadicInterval.from_int(1, self.bits)
+        base = self
+        e = exponent
         while e:
             if e & 1:
                 result = result * base
@@ -258,5 +272,6 @@ class DyadicInterval:
     def rescaled(self, bits: int) -> "DyadicInterval":
         """Outward re-rounding onto the 2^-bits grid."""
         shift = self.bits - bits
-        return DyadicInterval(_floor_shift(self.lo_num, shift),
-                              _ceil_shift(self.hi_num, shift), bits)
+        return DyadicInterval(
+            _floor_shift(self.lo_num, shift), _ceil_shift(self.hi_num, shift), bits
+        )

@@ -163,10 +163,10 @@ def _bisect(params: SequenceParams, lo: int, scale: int, bits: int) -> RootEnclo
     so the cell at each scale is unique, however it was found."""
     poly = CharPoly.of(params)
     lo, scale = _halve(poly, lo, scale, min(bits, 64))
-    rungs, slack = [], params.k.bit_length()
-    while bits > scale:
-        rungs.append(bits)
-        bits = (bits + slack + 1) // 2
+    rungs, rung, slack = [], bits, params.k.bit_length()
+    while rung > scale:
+        rungs.append(rung)
+        rung = (rung + slack + 1) // 2
     for rung in reversed(rungs):
         cell = _newton_cell(poly, lo, scale, rung)
         lo, scale = (cell, rung) if cell is not None else _halve(poly, lo, scale, rung)
