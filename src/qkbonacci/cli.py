@@ -20,6 +20,7 @@ import time
 from .errors import QkError
 from .lawcheck import _SELECTORS, Grid, run_laws
 from .numerics import binet_reconstruct, dominant_root
+from .numerics.dyadic import _EXACT, _int_str
 from .sequences import (
     SequenceParams,
     series_coefficients,
@@ -52,54 +53,9 @@ _ALL_Q_ROUTES = {
 }
 _ROUTES = {**_ALL_Q_ROUTES, "theorem3": theorem3_term}
 
-# Decimal arithmetic that cannot round: any result that would need more
-# than MAX_PREC digits raises instead of printing a wrong digit.  It is
-# entered by localcontext, which works on a copy and restores the
-# caller's context.
-_EXACT = decimal.Context(
-    prec=decimal.MAX_PREC,
-    Emax=decimal.MAX_EMAX,
-    Emin=decimal.MIN_EMIN,
-    traps=[decimal.Inexact, decimal.Rounded, decimal.Overflow],
-)
-
-# ints up to this many bits go to Decimal directly; _int_str splits
-# larger ones
-_PIECE_BITS = 2048
-
-
 def _digits_for_bits(bits: int) -> int:
     # 2^-bits resolved in decimal
     return max(1, int(bits * 0.30103) + 1)
-
-
-def _int_str(n: int) -> str:
-    """str(n) without CPython's int to str, which is quadratic in the
-    digits.
-
-    n = hi * 2^w + lo is split by shifts down to pieces of at most
-    _PIECE_BITS bits, each piece is converted by Decimal(piece), and the
-    pieces are recombined as hi * 2^w + lo in exact Decimal, whose
-    products are subquadratic and whose str() is linear.
-    """
-    powers = {}  # w -> 2^w as a Decimal; each level of the split has two w
-
-    def power(w):
-        if w not in powers:
-            powers[w] = (decimal.Decimal(1 << w) if w <= _PIECE_BITS
-                         else power(w >> 1) * power(w - (w >> 1)))
-        return powers[w]
-
-    def convert(m, bits):
-        # m = hi * 2^w + lo with 0 <= lo < 2^w holds for either sign of m
-        if bits <= _PIECE_BITS:
-            return decimal.Decimal(m)
-        w = bits >> 1
-        hi = m >> w
-        return convert(hi, bits - w) * power(w) + convert(m - (hi << w), w)
-
-    with decimal.localcontext(_EXACT):
-        return str(convert(n, n.bit_length()))
 
 
 def _cmd_term(args) -> int:

@@ -87,9 +87,10 @@ def _root_ladder(enclosure: RootEnclosure, n: int, limit: Fraction):
         yield enclosure
 
 
-def _g_denominator(params: SequenceParams, x: Fraction) -> Fraction:
-    q, k = params.q, params.k
-    return (k + 1) * x * x - (q + 1) * k * x + (q - 1) * (k - 1)
+def _weight_denominator(q: int, k: int, re: int, im: int, one: int):
+    """The weight's denominator D(z) * one^2 at z = (re + im i) / one, as (real, imag) ints."""
+    return ((k + 1) * (re * re - im * im) - (q + 1) * k * re * one + (q - 1) * (k - 1) * one * one,
+            (k + 1) * 2 * re * im - (q + 1) * k * im * one)
 
 
 def g_eval(params: SequenceParams, x: DyadicInterval) -> DyadicInterval:
@@ -103,25 +104,24 @@ def g_eval(params: SequenceParams, x: DyadicInterval) -> DyadicInterval:
     On an enclosure of the dominant root the image is nonnegative: there
     x >= q >= 1, and D > 0 as gamma^(k-2) D(gamma) = (gamma-1) Phi'(gamma) > 0.
     """
-    q, k = params.q, params.k
-    a, b = x.lo, x.hi
-    den_values = [_g_denominator(params, a), _g_denominator(params, b)]
-    vertex = Fraction((q + 1) * k, 2 * (k + 1))
-    if a < vertex < b:
-        den_values.append(_g_denominator(params, vertex))
-    den_min, den_max = min(den_values), max(den_values)
+    q, k, w = params.q, params.k, x.bits
+    a, b, one = x.lo_num, x.hi_num, 1 << w
+    # D c 4^w is an integer at both ends and at the vertex, -disc 4^w there (see asymptote_c)
+    c = 4 * (k + 1)
+    dens = [c * _weight_denominator(q, k, m, 0, one)[0] for m in (a, b)]
+    if 2 * (k + 1) * a < (q + 1) * k * one < 2 * (k + 1) * b:
+        dens.append((c * (q - 1) * (k - 1) - ((q + 1) * k) ** 2) << 2 * w)
+    den_min, den_max = min(dens), max(dens)
     if den_min <= 0 <= den_max:
         raise PoleInIntervalError(
             "denominator sign is not constant on the interval "
-            f"[{_float_text(a, '', ROUND_FLOOR)}, {_float_text(b, '')}] "
+            f"[{_float_text(x.lo, '', ROUND_FLOOR)}, {_float_text(x.hi, '')}] "
             f"for (q={q}, k={k})"
         )
-    quotients = [
-        num / den
-        for num in (a - 1, b - 1)
-        for den in (den_min, den_max)
-    ]
-    return DyadicInterval.from_bounds(min(quotients), max(quotients), x.bits)
+    # (m - 1) / D on the 2^-w grid is (m - 2^w) c 4^w / d, floored or ceiled
+    nums = [(m - one) * c << 2 * w for m in (a, b)]
+    return DyadicInterval(min(n // d for n in nums for d in (den_min, den_max)),
+                          max(-(-n // d) for n in nums for d in (den_min, den_max)), w)
 
 
 def asymptote_c(params: SequenceParams, bits: int) -> DyadicInterval:
@@ -163,14 +163,14 @@ def binet_dominant(params: SequenceParams, n: int, bits: int) -> DominantTerm:
 
     Working precision starts at `bits` and doubles until the output is
     narrower than 2^-32 or the cap of 16x the request is reached; a
-    capped result is flagged, never silently degraded.  Rungs that
-    cannot reach that width are skipped (see _root_ladder).
+    capped result is flagged, never silently degraded.
     """
     if params.q < 3:
         raise RegimeError(f"binet_dominant requires q >= 3, got q={params.q}")
     _check_index(params, n)
-    ladder = _root_ladder(dominant_root(params, bits), n, Fraction(1, 1 << WIDTH_TARGET_BITS))
-    for enclosure in ladder:
+    enclosure = dominant_root(params, bits)
+    for work in _rungs(bits):
+        enclosure = refine_root(enclosure, work)
         gamma = enclosure.interval
         term = g_eval(params, gamma) * gamma**n
         if (term.hi_num - term.lo_num) << WIDTH_TARGET_BITS <= 1 << term.bits:
@@ -258,8 +258,7 @@ def _secondary_term(params: SequenceParams, root, n_lo: int, n_hi: int):
     q, k, w = params.q, params.k, root.bits
     one, rho, (cr, ci) = 1 << w, root.radius_num, (root.re_num, root.im_num)
     # D(c) exactly at 2^-2w, then the residual (c - 1) - weight D(c) at 2^-3w
-    den = ((k + 1) * (cr * cr - ci * ci) - (q + 1) * k * cr * one + (q - 1) * (k - 1) * one * one,
-           (k + 1) * 2 * cr * ci - (q + 1) * k * ci * one)
+    den = _weight_denominator(q, k, cr, ci, one)
     d1 = 2 * (k + 1) + (q + 1) * k
     lo, den_lo = isqrt(_cabs2((cr, ci))) - rho, (isqrt(_cabs2(den)) >> w) - rho * d1
     if lo <= 0 or den_lo <= 0:

@@ -14,7 +14,8 @@ Intervals are immutable and safe to share between threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from decimal import MAX_EMAX, ROUND_CEILING, ROUND_FLOOR, Context, Decimal, localcontext
+from decimal import (MAX_EMAX, MAX_PREC, MIN_EMIN, ROUND_CEILING, ROUND_FLOOR, Context, Decimal,
+                     Inexact, Overflow, Rounded, localcontext)
 from fractions import Fraction
 from math import isqrt
 
@@ -65,14 +66,57 @@ def _float_text(value, spec: str, rounding: str = ROUND_CEILING) -> str:
             return format(quotient.normalize(), f".{precision}{kind}")
 
 
-def _directed_decimal(value: Fraction, digits: int, round_up: bool) -> str:
-    scaled = value * 10**digits
-    if round_up:
-        n = -((-scaled.numerator) // scaled.denominator)
-    else:
-        n = scaled.numerator // scaled.denominator
+# Decimal arithmetic that cannot round: any result that would need more
+# than MAX_PREC digits raises instead of printing a wrong digit.  It is
+# entered by localcontext, which works on a copy and restores the
+# caller's context.
+_EXACT = Context(
+    prec=MAX_PREC,
+    Emax=MAX_EMAX,
+    Emin=MIN_EMIN,
+    traps=[Inexact, Rounded, Overflow],
+)
+
+# ints up to this many bits go to Decimal directly; _int_str splits
+# larger ones
+_PIECE_BITS = 2048
+
+
+def _int_str(n: int) -> str:
+    """str(n) without CPython's int to str, which is quadratic in the
+    digits.
+
+    n = hi * 2^w + lo is split by shifts down to pieces of at most
+    _PIECE_BITS bits, each piece is converted by Decimal(piece), and the
+    pieces are recombined as hi * 2^w + lo in exact Decimal, whose
+    products are subquadratic and whose str() is linear.
+    """
+    powers = {}  # w -> 2^w as a Decimal; each level of the split has two w
+
+    def power(w):
+        if w not in powers:
+            powers[w] = (Decimal(1 << w) if w <= _PIECE_BITS
+                         else power(w >> 1) * power(w - (w >> 1)))
+        return powers[w]
+
+    def convert(m, bits):
+        # m = hi * 2^w + lo with 0 <= lo < 2^w holds for either sign of m
+        if bits <= _PIECE_BITS:
+            return Decimal(m)
+        w = bits >> 1
+        hi = m >> w
+        return convert(hi, bits - w) * power(w) + convert(m - (hi << w), w)
+
+    with localcontext(_EXACT):
+        return str(convert(n, n.bit_length()))
+
+
+def _directed_decimal(num: int, bits: int, digits: int, round_up: bool) -> str:
+    """num * 2^-bits to `digits` decimal places, rounded down or up."""
+    scaled = num * 10**digits
+    n = _ceil_shift(scaled, bits) if round_up else _floor_shift(scaled, bits)
     sign = "-" if n < 0 else ""
-    text = str(abs(n)).rjust(digits + 1, "0")
+    text = _int_str(abs(n)).rjust(digits + 1, "0")
     return f"{sign}{text[:-digits]}.{text[-digits:]}" if digits else f"{sign}{text}"
 
 
@@ -169,8 +213,8 @@ class DyadicInterval:
     def decimal_bounds(self, digits: int) -> tuple[str, str]:
         """Decimal endpoints, lower rounded down and upper rounded up."""
         return (
-            _directed_decimal(self.lo, digits, round_up=False),
-            _directed_decimal(self.hi, digits, round_up=True),
+            _directed_decimal(self.lo_num, self.bits, digits, round_up=False),
+            _directed_decimal(self.hi_num, self.bits, digits, round_up=True),
         )
 
     # ------------------------------------------------------------------

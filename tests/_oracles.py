@@ -1,11 +1,12 @@
 """Independent oracles shared by the tests.
 
 Everything here is deliberately written against the standard library
-only (fractions + isqrt + itertools + json + complex floats + plain loops), never against the
+only (fractions + isqrt + itertools + json + sys + complex floats + plain loops), never against the
 package's own interval or root machinery, so cross-checks stay
 independent.
 """
 import json
+import sys
 from fractions import Fraction
 from itertools import compress, count, pairwise, product
 from math import isqrt
@@ -221,6 +222,50 @@ def error_term_at_bracket_ends(q: int, k: int, n: int) -> tuple[Fraction, Fracti
 
     lo, hi = dominant_root_bracket(q, k, bits)
     return at(lo), at(hi)
+
+
+def weight_mantissas(q: int, k: int, lo_num: int, hi_num: int, bits: int):
+    """Mantissas at 2^-bits of an outward-rounded image of the weight
+    g(x) = (x - 1) / D(x), D(x) = (k+1) x^2 - (q+1) k x + (q-1)(k-1), over
+    [lo_num, hi_num] * 2^-bits, or None when D's sign is not constant there.
+
+    In exact rationals: D at both ends and, when inside, at the vertex
+    (q+1)k / (2(k+1)) gives D's range; the four quotients of the ends of
+    x - 1 by the ends of that range give the image, floored and ceiled.
+    """
+    def den(x: Fraction) -> Fraction:
+        return (k + 1) * x * x - (q + 1) * k * x + (q - 1) * (k - 1)
+
+    a, b = Fraction(lo_num, 1 << bits), Fraction(hi_num, 1 << bits)
+    values = [den(a), den(b)]
+    vertex = Fraction((q + 1) * k, 2 * (k + 1))
+    if a < vertex < b:
+        values.append(den(vertex))
+    if min(values) <= 0 <= max(values):
+        return None
+    quotients = [(x - 1) / d for x in (a, b) for d in (min(values), max(values))]
+    lo, hi = min(quotients), max(quotients)
+    return ((lo.numerator << bits) // lo.denominator,
+            -((-hi.numerator << bits) // hi.denominator))
+
+
+def directed_decimal_text(value: Fraction, digits: int, round_up: bool) -> str:
+    """value to `digits` decimal places, rounded up or down, by a Fraction
+    floor or ceiling and str() with CPython's digit limit lifted."""
+    scaled = value * 10**digits
+    n = scaled.numerator // scaled.denominator
+    if round_up and n != scaled:
+        n += 1
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        text = str(abs(n)).rjust(digits + 1, "0")
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+    whole, places = text[:len(text) - digits], text[len(text) - digits:]
+    return ("-" if n < 0 else "") + whole + ("." + places if digits else "")
 
 
 # First-terms tables as published; every entry satisfies the recurrence

@@ -1,4 +1,5 @@
 from dataclasses import replace
+from decimal import ROUND_FLOOR
 from fractions import Fraction
 from math import isqrt
 
@@ -32,9 +33,10 @@ from qkbonacci import (
 from qkbonacci.lawcheck import CellContext
 from qkbonacci.numerics import binet, dominant_term_sweep, reconstruction_sweep, refine_root
 from qkbonacci.numerics.binet import _root_ladder, _rungs
+from qkbonacci.numerics.dyadic import _float_text
 from qkbonacci.numerics.roots import _cmul, _cpow
 
-from _oracles import sqrt_enclosure
+from _oracles import sqrt_enclosure, weight_mantissas
 
 
 class TestWeight:
@@ -74,6 +76,72 @@ class TestWeight:
         g2 = g_eval(SequenceParams(3, 2), x)
         g5 = g_eval(SequenceParams(3, 5), x)
         assert g2.hi < g5.lo or g5.hi < g2.lo
+
+
+@st.composite
+def weight_cases(draw):
+    """A dominant-root enclosure, or an interval of up to 200 bits about
+    the weight's vertex, either zero of its denominator, or any point of
+    [-2, q + 3], from a point to a few units wide."""
+    params = SequenceParams(draw(st.integers(1, 10)), draw(st.integers(2, 64)))
+    q, k = params.q, params.k
+    if draw(st.booleans()):
+        bits = draw(st.sampled_from((8, 9, 64, 192, 768, 3072)))
+        return params, dominant_root(params, bits).interval
+    bits = draw(st.integers(1, 200))
+    root = (k * k * (q * q - 2 * q + 5) + 4 * (q - 1)) ** 0.5
+    marks = [(q + 1) * k / (2 * (k + 1)), ((q + 1) * k - root) / (2 * (k + 1)),
+             ((q + 1) * k + root) / (2 * (k + 1))]
+    centre = draw(st.sampled_from(marks) | st.floats(-2, q + 3))
+    lo = int(centre * 2**bits) - draw(st.integers(0, 1 << (bits + 1)))
+    return params, DyadicInterval(lo, lo + draw(st.integers(0, 1 << (bits + 2))), bits)
+
+
+class TestWeightMantissas:
+    @given(case=weight_cases())
+    @settings(max_examples=300, deadline=None)
+    # q = 1: D(0) = 0, and D(2k/(k+1)) = 0 at the dyadic 3/2 for k = 3
+    @example(case=(SequenceParams(1, 3), DyadicInterval(0, 0, 1)))
+    @example(case=(SequenceParams(1, 3), DyadicInterval(3, 3, 1)))
+    @example(case=(SequenceParams(1, 3), DyadicInterval(5, 7, 2)))
+    # the vertex (q+1)k / (2(k+1)) = 3/2 at an end, then just inside
+    @example(case=(SequenceParams(3, 3), DyadicInterval(6, 8, 2)))
+    @example(case=(SequenceParams(3, 3), DyadicInterval(11, 16, 3)))
+    @example(case=(SequenceParams(10, 64), dominant_root(SequenceParams(10, 64), 3072).interval))
+    def test_matches_fraction_formula(self, case):
+        params, x = case
+        expected = weight_mantissas(params.q, params.k, x.lo_num, x.hi_num, x.bits)
+        if expected is None:
+            with pytest.raises(PoleInIntervalError) as info:
+                g_eval(params, x)
+            assert str(info.value) == (
+                "denominator sign is not constant on the interval "
+                f"[{_float_text(x.lo, '', ROUND_FLOOR)}, {_float_text(x.hi, '')}] "
+                f"for (q={params.q}, k={params.k})")
+        else:
+            assert g_eval(params, x) == DyadicInterval(*expected, x.bits)
+
+    def test_dominant_enclosure_builds_no_fraction(self, monkeypatch):
+        cells = [(SequenceParams(q, k), bits) for q in (1, 3, 10) for k in (2, 8, 64)
+                 for bits in (8, 192, 3072)]
+        enclosures = [(params, dominant_root(params, bits).interval) for params, bits in cells]
+        built = []
+        real_new = Fraction.__new__
+
+        def counting_new(cls, *args, **kwargs):
+            built.append(args)
+            return real_new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", counting_new)
+        for params, gamma in enclosures:
+            g_eval(params, gamma)
+        monkeypatch.undo()
+        assert built == []
+        # the count is live: the views build one Fraction each
+        monkeypatch.setattr(Fraction, "__new__", counting_new)
+        view = enclosures[0][1].lo
+        monkeypatch.undo()
+        assert len(built) == 1 and view == built[0][0] / built[0][1]
 
 
 class TestAsymptote:

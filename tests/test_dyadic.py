@@ -3,11 +3,13 @@ from decimal import ROUND_FLOOR, Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qkbonacci import DyadicInterval, SequenceParams, binet_dominant
 from qkbonacci.numerics.dyadic import _float_text
+
+from _oracles import directed_decimal_text
 
 
 rationals = st.fractions(
@@ -210,6 +212,24 @@ class TestDecimal:
         lo, hi = x.decimal_bounds(4)
         assert lo == "-0.3334"
         assert hi == "-0.3333"
+
+    @given(case=st.builds(
+        lambda bits, rng, lo_size, spread, digits: (
+            DyadicInterval(lo := rng.getrandbits(lo_size) - rng.getrandbits(lo_size),
+                           lo + rng.getrandbits(spread), bits),
+            int(bits * 0.30103) + 1 if digits is None else digits),
+        st.integers(1, 20_000), st.randoms(use_true_random=False),
+        st.integers(0, 20_064), st.integers(0, 20_064), st.none() | st.integers(0, 40)))
+    @settings(max_examples=60, deadline=None)
+    @example(case=(DyadicInterval(-3, 5, 2), 0))
+    @example(case=(DyadicInterval(-1, 1, 1), 1))
+    @example(case=(DyadicInterval(0, 0, 7), 0))
+    @example(case=(DyadicInterval(-(3 << 19_990), 7 << 19_990, 20_000), 6_022))
+    @example(case=(DyadicInterval((1 << 20_000) + 1, (1 << 20_001) - 1, 20_000), 6_022))
+    def test_bounds_are_fraction_floor_and_ceiling(self, case):
+        x, digits = case
+        assert x.decimal_bounds(digits) == (directed_decimal_text(x.lo, digits, round_up=False),
+                                            directed_decimal_text(x.hi, digits, round_up=True))
 
 
 class TestRepr:
