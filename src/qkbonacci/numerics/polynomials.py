@@ -34,9 +34,6 @@ class _IntPoly:
             acc = acc * x + c
         return acc
 
-    def derivative_coefficients(self) -> tuple:
-        return tuple(i * c for i, c in enumerate(self.coefficients) if i > 0)
-
     def sign_at_dyadic(self, num: int, scale: int) -> int:
         """Sign at the dyadic point t = num * 2^-scale.
 

@@ -5,11 +5,12 @@ Two deliberately different routes:
 * the dominant root's enclosure is halved from the (q, q+1) bracket to
   64 bits, then narrowed by Newton rungs that about double the precision,
   each unit cell certified by integer sign tests whose answer is exact;
-* the remaining roots are isolated by simultaneous Aberth-Ehrlich
-  iteration in floats, then each is polished by Newton steps in integer
-  fixed-point complex arithmetic at the requested precision, and
-  certified by an inclusion disc of radius k|Phi(z)|/|Phi'(z)| around
-  the polished point, with Phi and Phi' evaluated exactly.
+* the remaining roots are seeded one per branch of the AuxPoly identity
+  r^(k-1) = -1/Q(r) in floats, polished by Newton steps in integer
+  fixed-point complex arithmetic whose precision about doubles per step
+  up to the requested one, and certified by an inclusion disc of radius
+  k|Phi(z)|/|Phi'(z)| around the polished point, with Phi and Phi'
+  evaluated exactly.
 
 Precision is always an argument; nothing here keeps ambient state.
 """
@@ -35,10 +36,6 @@ __all__ = [
     "quadratic_roots",
     "all_roots",
 ]
-
-_NEWTON_MAX_STEPS = 80
-_FLOAT_MAX_ITER = 400
-
 
 @dataclass(frozen=True)
 class RootEnclosure:
@@ -303,67 +300,66 @@ def _cabs2(z):
     return z[0] * z[0] + z[1] * z[1]
 
 
-def _aberth_float(coeffs, dcoeffs) -> list[complex]:
-    """Machine-precision simultaneous refinement used only for seeding;
-    the integer coefficients enter complex arithmetic as floats."""
-    degree = len(coeffs) - 1
-
-    def ev(cs, z):
-        acc = 0j
-        for c in reversed(cs):
-            acc = acc * z + c
-        return acc
-
-    radius = 1.0 + max(abs(c) for c in coeffs[:-1])
-    for offset in (0.4, 1.1, 1.9):
-        zs = [
-            radius * cmath.exp(1j * (2 * cmath.pi * j / degree + offset))
-            for j in range(degree)
-        ]
-        for _ in range(_FLOAT_MAX_ITER):
-            biggest = 0.0
-            for i in range(degree):
-                p = ev(coeffs, zs[i])
-                dp = ev(dcoeffs, zs[i])
-                if dp == 0:
-                    biggest = float("inf")
-                    break
-                newton = p / dp
-                repulse = sum(
-                    1 / (zs[i] - zs[j]) for j in range(degree) if j != i
-                )
-                den = 1 - newton * repulse
-                if den == 0:
-                    biggest = float("inf")
-                    break
-                step = newton / den
-                zs[i] -= step
-                biggest = max(biggest, abs(step) / max(1.0, abs(zs[i])))
-            if biggest < 1e-13:
-                return zs
-    raise RootSolveError("float-precision seeding failed to converge")
+def _cubics(params):
+    """The cubics h and g of (t-1) Phi = t^(k-2) h + 1 and (t-1)^2 Phi' =
+    t^(k-2) g - 1, from the AuxPoly identity (t-1) Phi(t) = t^(k-1) Q(t) + 1,
+    Q(t) = t^2 - (q+1) t + (q-1), so h = t Q; coefficients ascending."""
+    q, k = params.q, params.k
+    return ((0, q - 1, -(q + 1), 1),
+            (-(k - 1) * (q - 1), 2 * ((k - 1) * q + 1), q - k * (q + 2), k))
 
 
-def _newton_fixed(coeffs, dcoeffs, seed, bits, accuracy_bits):
-    """Polish one isolated seed to ~2^-accuracy_bits by Newton steps in
-    fixed point at scale 2^-bits.
+def _branch_seeds(params) -> list[complex]:
+    """One float seed per secondary root.  A root r of Phi solves r^(k-1) =
+    -1/Q(r), so each branch z -> omega (1/Q(z))^(1/(k-1)), omega^(k-1) = -1,
+    is stepped from z = omega on the unit circle, far from the root above
+    q, and float Newton on Phi/Phi' = (z-1)(z^(k-2) h + 1)/(z^(k-2) g - 1)
+    finishes it.  A miss is left to the certificate; float errors propagate."""
+    q, k = params.q, params.k
+    h, g = _cubics(params)
+    seeds = []
+    for j in range(k - 1):
+        omega = z = cmath.exp(1j * cmath.pi * (2 * j + 1) / (k - 1))
+        for _ in range(4):
+            z = omega * (1 / (z * z - (q + 1) * z + (q - 1))) ** (1 / (k - 1))
+        for _ in range(8):
+            power = z ** (k - 2)
+            hz = ((z + h[2]) * z + h[1]) * z
+            gz = ((k * z + g[2]) * z + g[1]) * z + g[0]
+            step = (z - 1) * (power * hz + 1) / (power * gz - 1)
+            z -= step
+            if abs(step) < 1e-12:
+                break
+        seeds.append(z)
+    return seeds
 
-    The seeds have already converged in floats, where Aberth's repulsion
-    kept them apart, so at this scale its correction factor is 1 to well
-    below the step tolerance and a plain Newton step is all that is left.
-    """
-    z = (_to_fixed(seed.real, bits), _to_fixed(seed.imag, bits))
-    step_cap = 1 << max(1, bits - accuracy_bits)
-    for _ in range(_NEWTON_MAX_STEPS):
-        p = _cpoly(coeffs, z, bits)
-        if p == (0, 0):
-            return z
-        dp = _cpoly(dcoeffs, z, bits)
-        if dp == (0, 0):
-            raise RootSolveError("derivative vanished during refinement")
-        step = _cdiv(p, dp, bits)
+
+def _newton_step(params, z, scale):
+    """Phi(z)/Phi'(z) in fixed point at 2^-scale, taken as
+    (z-1)(z^(k-2) h(z) + 1)/(z^(k-2) g(z) - 1): one power and two cubics,
+    not two degree-k Horner passes.  |z| < 1, so nothing grows."""
+    h, g = _cubics(params)
+    one = 1 << scale
+    power = _cpow(z, params.k - 2, scale)
+    num = _cmul(power, _cpoly(h, z, scale), scale)
+    den = _cmul(power, _cpoly(g, z, scale), scale)
+    ratio = _cdiv((num[0] + one, num[1]), (den[0] - one, den[1]), scale)
+    return _cmul((z[0] - one, z[1]), ratio, scale)
+
+
+def _polish(params, z, rungs, accuracy_bits):
+    """Newton from a seed at scale 2^-rungs[0]: one step per rung, each
+    about doubling the precision, then at most two at the top rung, the
+    last within 2^-accuracy_bits.  A point that reaches the unit circle
+    is refused before it costs a step."""
+    scale = rungs[0]
+    for rung in rungs + rungs[-1:]:
+        z, scale = (z[0] << (rung - scale), z[1] << (rung - scale)), rung
+        if _cabs2(z) >= 1 << (2 * scale):
+            raise RootSolveError("a secondary seed reached the unit circle")
+        step = _newton_step(params, z, scale)
         z = (z[0] - step[0], z[1] - step[1])
-        if _cabs2(step) <= step_cap * step_cap:
+        if rung == rungs[-1] and _cabs2(step) <= 1 << (2 * (scale - accuracy_bits)):
             return z
     raise RootSolveError("Newton polishing did not reach the step tolerance")
 
@@ -385,17 +381,15 @@ def _inclusion_radius(params, z, scale):
     """Mantissa at 2^-scale of k|Phi(z)|/|Phi'(z)|, rounded up.
 
     Phi'/Phi = sum 1/(z - root) over the k roots, so some root lies within
-    that distance of z.  From (t-1) Phi(t) = t^(k+1) - (q+1) t^k +
-    (q-1) t^(k-1) + 1 come (t-1) Phi = t^(k-2) h + 1 and (t-1)^2 Phi' =
-    t^(k-2) g - 1 for the cubics h and g below, so one exact power of the
-    Gaussian integer z 2^scale gives both, not two degree-k Horner passes.
+    that distance of z.  With _cubics' h and g, (t-1) Phi = t^(k-2) h + 1
+    and (t-1)^2 Phi' = t^(k-2) g - 1, so one exact power of the Gaussian
+    integer z 2^scale gives both, not two degree-k Horner passes.
     The ratio k |z-1| |(t-1) Phi| / |(t-1)^2 Phi'| is then taken from the
     leading 64 bits of each modulus, rounded outward: at most a relative
     2^-61 looser.
     """
-    q, k = params.q, params.k
-    h = (0, q - 1, -(q + 1), 1)
-    g = (-(k - 1) * (q - 1), 2 * ((k - 1) * q + 1), q - k * (q + 2), k)
+    k = params.k
+    h, g = _cubics(params)
     power, one = _cpow(z, k - 2, 0), 1 << ((k + 1) * scale)
     num = _cmul(power, _gauss_horner(h, z, scale), 0)
     den = _cmul(power, _gauss_horner(g, z, scale), 0)
@@ -420,26 +414,29 @@ def all_roots(params: SequenceParams, bits: int) -> RootSet:
 def _secondary_discs(params: SequenceParams, bits: int) -> tuple:
     """The k-1 certified inclusion discs, sorted by centre.
 
-    The k-1 points inside the unit circle get discs of radius
+    _branch_seeds gives one float seed per branch, and _polish takes each
+    from near 48 bits to bits + 64 by Newton rungs that about double the
+    precision.  The k-1 polished points get discs of radius
     k|Phi|/|Phi'|, each holding at least one root.  They must be pairwise
     disjoint and lie inside the unit circle; with the dominant root
     certified in (q, q+1), each disc then holds exactly one root.
-    Anything else raises RootSolveError rather than returning a silently
-    bad answer.
+    Anything else, a float failure in seeding included, raises
+    RootSolveError rather than returning a silently bad answer.
     """
-    poly = CharPoly.of(params)
-    coeffs, dcoeffs = poly.coefficients, poly.derivative_coefficients()
-    work = bits + 64
-
-    seeds = _aberth_float(coeffs, dcoeffs)
-    refined = [_newton_fixed(coeffs, dcoeffs, z, work, bits + 16) for z in seeds]
-
-    outside = [i for i, z in enumerate(refined) if _cabs2(z) > 1 << (2 * work)]
-    if len(outside) != 1:
-        raise RootSolveError(
-            f"expected exactly one root outside the unit circle, found {len(outside)}"
-        )
-    del refined[outside[0]]
+    # precision rungs from the top down, each about half the one above
+    # plus a slack for Newton's constant, which grows with k
+    work, slack = bits + 64, params.k.bit_length()
+    rungs = [work]
+    while rungs[-1] > 48 + slack:
+        rungs.append((rungs[-1] + slack) // 2)
+    rungs.reverse()
+    try:
+        seeds = [(_to_fixed(z.real, rungs[0]), _to_fixed(z.imag, rungs[0]))
+                 for z in _branch_seeds(params)]
+        refined = [_polish(params, z, rungs, bits + 16) for z in seeds]
+    except (ZeroDivisionError, OverflowError, ValueError) as exc:
+        # a float seed that is not finite, or a vanishing derivative
+        raise RootSolveError(f"seeding or polishing failed: {exc}") from None
 
     secondary = [
         SecondaryRoot(z[0], z[1], work, _inclusion_radius(params, z, work))

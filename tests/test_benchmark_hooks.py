@@ -13,6 +13,7 @@ The files are only read.
 import importlib
 import importlib.util
 import inspect
+import math
 import random
 import sys
 from pathlib import Path
@@ -152,3 +153,28 @@ def test_term_sweep_is_spanned_once_per_rung(spans, monkeypatch):
     lawcheck.check_term_bounds(lawcheck.CellContext(grid, 8))
     assert swept == attempted
     assert len(swept) > len(grid.cells)
+
+
+def test_secondary_newton_steps_per_root_set(monkeypatch):
+    # all_roots polishes only the k - 1 secondary seeds, one Newton step
+    # per rung of a ladder that about doubles from near 48 bits and at
+    # most two at bits + 64, so no step polishes the root outside the
+    # unit circle and none repeats a full-precision pass
+    steps = []
+    real_step = roots._newton_step
+
+    def counted(params, z, scale):
+        steps.append((z, scale))
+        return real_step(params, z, scale)
+
+    monkeypatch.setattr(roots, "_newton_step", counted)
+    for q, k, bits in ((1, 2, 64), (3, 8, 128), (4, 24, 512), (2, 32, 512),
+                       (10, 64, 64), (3, 128, 256)):
+        steps.clear()
+        roots.all_roots(SequenceParams(q, k), bits)
+        work = bits + 64
+        rungs = math.ceil(math.log2(work / 48))
+        assert len(steps) <= (k - 1) * (rungs + 2), (q, k, bits)
+        top = [z for z, scale in steps if scale == work]
+        assert len(top) >= k - 1, (q, k, bits)
+        assert all(z[0] ** 2 + z[1] ** 2 < 1 << (2 * work) for z in top), (q, k, bits)

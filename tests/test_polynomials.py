@@ -144,8 +144,3 @@ class TestAuxIdentity:
                 phi = CharPoly.of(params)
                 aux = AuxPoly.of(params)
                 assert poly_times_t_minus_1(phi.coefficients) == aux.coefficients
-
-    def test_derivative_coefficients(self):
-        phi = CharPoly.of(SequenceParams(3, 2))
-        # d/dt (t^2 - 3t - 1) = 2t - 3
-        assert phi.derivative_coefficients() == (-3, 2)

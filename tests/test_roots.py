@@ -40,10 +40,31 @@ def _radius_sq_exact(q, k, re, im, scale):
                               acc_re * z[1] + acc_im * z[0])
         return acc_re * acc_re + acc_im * acc_im
 
-    phi = CharPoly.of(SequenceParams(q, k))
+    coeffs = CharPoly.of(SequenceParams(q, k)).coefficients
+    slope = [i * c for i, c in enumerate(coeffs)][1:]
     z = (Fraction(re, 1 << scale), Fraction(im, 1 << scale))
-    ratio = abs_sq(phi.coefficients, z) / abs_sq(phi.derivative_coefficients(), z)
+    ratio = abs_sq(coeffs, z) / abs_sq(slope, z)
     return k * k * ratio * (1 << (2 * scale))
+
+
+def _assert_vieta(rs, q, k, bits):
+    # sum of all roots is q; product is (-1)^k * (-1)
+    total = rs.dominant.interval.midpoint + sum(
+        (s.real for s in rs.secondary), Fraction(0)
+    )
+    tol = Fraction(1, 2 ** (bits // 2))
+    assert abs(total - q) < tol
+    prod_re, prod_im = Fraction(1), Fraction(0)
+    for s in rs.secondary:
+        prod_re, prod_im = (
+            prod_re * s.real - prod_im * s.imag,
+            prod_re * s.imag + prod_im * s.real,
+        )
+    prod_re *= rs.dominant.interval.midpoint
+    prod_im *= rs.dominant.interval.midpoint
+    expected = Fraction(-1) if k % 2 == 0 else Fraction(1)
+    assert abs(prod_re - expected) < tol
+    assert abs(prod_im) < tol
 
 
 class TestDominantRoot:
@@ -255,24 +276,7 @@ class TestAllRoots:
     @example(q=5, k=8, bits=160)
     @settings(max_examples=100, deadline=None)
     def test_vieta_sum_and_product(self, q, k, bits):
-        # sum of all roots is q; product is (-1)^k * (-1)
-        rs = all_roots(SequenceParams(q, k), bits)
-        total = rs.dominant.interval.midpoint + sum(
-            (s.real for s in rs.secondary), Fraction(0)
-        )
-        tol = Fraction(1, 2 ** (bits // 2))
-        assert abs(total - q) < tol
-        prod_re, prod_im = Fraction(1), Fraction(0)
-        for s in rs.secondary:
-            prod_re, prod_im = (
-                prod_re * s.real - prod_im * s.imag,
-                prod_re * s.imag + prod_im * s.real,
-            )
-        prod_re *= rs.dominant.interval.midpoint
-        prod_im *= rs.dominant.interval.midpoint
-        expected = Fraction(-1) if k % 2 == 0 else Fraction(1)
-        assert abs(prod_re - expected) < tol
-        assert abs(prod_im) < tol
+        _assert_vieta(all_roots(SequenceParams(q, k), bits), q, k, bits)
 
     @pytest.mark.parametrize("q, k", [(10, 32), (2, 48)])
     def test_former_cap_cells_certify(self, q, k):
@@ -289,16 +293,51 @@ class TestAllRoots:
 
     def test_overlapping_discs_refuse(self, monkeypatch):
         # two seeds polished to one root give two discs around one root
-        real_seeding = roots._aberth_float
+        real_seeding = roots._branch_seeds
 
-        def duplicated(coeffs, dcoeffs):
-            seeds = sorted(real_seeding(coeffs, dcoeffs), key=abs)
+        def duplicated(params):
+            seeds = real_seeding(params)
             seeds[1] = seeds[0]  # both inside the unit circle
             return seeds
 
-        monkeypatch.setattr(roots, "_aberth_float", duplicated)
+        monkeypatch.setattr(roots, "_branch_seeds", duplicated)
         with pytest.raises(RootSolveError, match="overlap"):
             all_roots(SequenceParams(3, 6), 128)
+
+    @pytest.mark.parametrize("stray", [
+        lambda seeds: [seeds[0]] + seeds[:-1],      # one root seeded twice
+        lambda seeds: [1.5 + 0.5j] + seeds[1:],     # outside the unit circle
+        lambda seeds: [complex("nan")] + seeds[1:],
+        lambda seeds: [complex("inf")] + seeds[1:],
+    ])
+    def test_stray_seeds_refuse(self, monkeypatch, stray):
+        # a seed that misses ends in RootSolveError, never in a disc or a
+        # float exception
+        real_seeding = roots._branch_seeds
+        monkeypatch.setattr(
+            roots, "_branch_seeds", lambda params: stray(real_seeding(params)))
+        for q, k, bits in ((3, 6, 128), (1, 24, 64), (10, 3, 256)):
+            with pytest.raises(RootSolveError):
+                all_roots(SequenceParams(q, k), bits)
+
+    @pytest.mark.parametrize("failure", [ZeroDivisionError, OverflowError])
+    def test_float_failures_in_seeding_refuse(self, monkeypatch, failure):
+        def failing(params):
+            raise failure("float seeding")
+
+        monkeypatch.setattr(roots, "_branch_seeds", failing)
+        with pytest.raises(RootSolveError, match="seeding"):
+            all_roots(SequenceParams(3, 6), 128)
+
+    @pytest.mark.parametrize("k", [48, 64, 96, 128])
+    @pytest.mark.parametrize("q", [1, 3, 10])
+    def test_large_k(self, q, k):
+        # k - 1 discs inside the unit circle, and Vieta's sum and product
+        # of all the roots, as in test_vieta_sum_and_product
+        rs = all_roots(SequenceParams(q, k), 128)
+        assert len(rs.secondary) == k - 1
+        assert rs.certified_inside_unit_circle()
+        _assert_vieta(rs, q, k, 128)
 
     def test_disc_reaching_the_unit_circle_refuses(self, monkeypatch):
         # at k = 2 there is one disc, so no overlap; radius 1 from a centre
@@ -357,13 +396,15 @@ class TestAllRoots:
 
     def test_centres_digest(self):
         # every secondary centre of the benchmark's 24 all_roots cells, in
-        # order: the certificate may change, the points it certifies may not
+        # order: the certificate may change without moving them; a new
+        # seeding or polish moves their low bits, and each moved centre
+        # must then lie in exactly one of the old discs
         digest = hashlib.sha256()
         for q, k, bits in CERTIFY_CELLS:
             for s in all_roots(SequenceParams(q, k), bits).secondary:
                 digest.update(f"{s.re_num} {s.im_num} {s.bits}\n".encode())
         assert digest.hexdigest() == (
-            "0b266addd7bcd0902602c8ae0170ec50b5b867b09bd40fcb527a309c05fcc1d5")
+            "81be9d77a49435c5fb6e5f7a41a73b7d5469ccad19b212e4ace0b64a788d3bac")
 
     def test_compute_only_regime_allowed(self):
         rs = all_roots(SequenceParams(1, 4), 128)
