@@ -363,7 +363,8 @@ def check_term_bounds(cells: CellContext) -> list[LawReport]:
     for n in [1, n_max], certified against exact integers.
 
     Both laws compare integer mantissas at the enclosure's scale 2^-w:
-    the dominant-term sweep's rows, and F_n * 2^w."""
+    one dominant_term_sweep per rung, from min(2-k, -1) to n_max, and
+    F_n * 2^w."""
     grid, bits = cells.grid, cells.bits
     _require_certified_regime(grid)
     error_witnesses, growth_witnesses = [], []
@@ -372,17 +373,18 @@ def check_term_bounds(cells: CellContext) -> list[LawReport]:
 
     for q, k in grid.cells:
         table = cells.table(q, k)
+        # the growth chain reaches gamma^(n-2) at n = 1, so rows go to -1
         first, lowest = 2 - k, min(2 - k, -1)
 
         def attempt(enclosure):
             nonlocal error_strict
             work = enclosure.interval.bits
             power_lo, power_hi, term_lo, term_hi = dominant_term_sweep(
-                enclosure, grid.n_max)
+                enclosure, lowest, grid.n_max)
             err_pending, err_fail = [], []
             edge = 1 << work
-            for n, exact, t_lo, t_hi in zip(
-                    range(first, grid.n_max + 1), table, term_lo, term_hi):
+            for n, exact, t_lo, t_hi in zip(range(first, grid.n_max + 1), table,
+                                            term_lo[first - lowest:], term_hi[first - lowest:]):
                 # E_n against +-1/q, scaled by q * 2^work
                 scaled = exact << work
                 e_lo, e_hi = scaled - t_hi, scaled - t_lo

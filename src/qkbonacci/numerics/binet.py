@@ -1,12 +1,14 @@
 """Dominant-term approximation, error term, and full-roots reconstruction.
 
 The dominant route is fully certified: interval weight times interval
-root power, contained by construction.  The full reconstruction takes
-each of the k terms as one power at the first n and one product per later
-n, the k-1 secondary ones in fixed point at the inclusion-disc centres; a
-certified radius covers the discs and every rounding, and the sum is
-rounded only when that radius is below 1/2.  reconstruction_sweep yields
-(n, value, radius) triples, and binet_reconstruct reads a one-item sweep.
+root power, contained by construction.  dominant_term_sweep is the one
+chain of g(gamma) * gamma^n over a range of n, which the term-bound laws
+and the full reconstruction both read.  The reconstruction takes each of
+the k-1 secondary terms as one power at the first n and one product per
+later n, in fixed point at the inclusion-disc centres; a certified radius
+covers the discs and every rounding, and the sum is rounded only when
+that radius is below 1/2.  reconstruction_sweep yields (n, value, radius)
+triples, and binet_reconstruct reads a one-item sweep.
 """
 from __future__ import annotations
 
@@ -164,6 +166,12 @@ def binet_dominant(params: SequenceParams, n: int, bits: int) -> DominantTerm:
     Working precision starts at `bits` and doubles until the output is
     narrower than 2^-32 or the cap of 16x the request is reached; a
     capped result is flagged, never silently degraded.
+
+    The term is one gamma**n, not a one-row dominant_term_sweep. At n >= 0
+    the two are the same, but below 0 the sweep steps down from 1 by the
+    reciprocal, which came out one unit wider at 44 of 7,755 points (q 3-7,
+    k 2-12, bits 8/64/192, n from 2-k to 39, 100 and 300) and lifted
+    bits_used from 32 to 64 at 14 of the 8-bit requests.
     """
     if params.q < 3:
         raise RegimeError(f"binet_dominant requires q >= 3, got q={params.q}")
@@ -194,47 +202,33 @@ def error_term(params: SequenceParams, n: int, bits: int) -> ErrorEnclosure:
     return ErrorEnclosure((-dominant.interval) + exact, dominant.bits_used, dominant.capped)
 
 
-def _power_rows(lo: int, hi: int, count: int, bits: int):
-    """Mantissas of x^0 .. x^count for x = [lo, hi] * 2^-bits with lo >= 0,
-    by the outward-rounded chain x^m = x^(m-1) * x: on nonnegative
-    intervals a product's ends are lo * lo floored and hi * hi ceiled."""
-    rows_lo, rows_hi = [1 << bits], [1 << bits]
-    for _ in range(count):
-        rows_lo.append((rows_lo[-1] * lo) >> bits)
-        rows_hi.append(-((-rows_hi[-1] * hi) >> bits))
-    return rows_lo, rows_hi
-
-
-def dominant_term_sweep(enclosure: RootEnclosure, n_max: int):
+def dominant_term_sweep(enclosure: RootEnclosure, n_lo: int, n_hi: int):
     """Integer mantissas, at the 2^-w scale of the given gamma enclosure,
-    of gamma^n for n in [min(2-k, -1), n_max] and of g(gamma) * gamma^n
-    for n in [2-k, n_max].
+    of gamma^n and g(gamma) * gamma^n for n in [n_lo, n_hi].
 
-    Returns (power_lo, power_hi, term_lo, term_hi): entry i of a power
-    row is for n = min(2-k, -1) + i, entry i of a term row for n = 2-k+i.
-    The rows are the DyadicInterval chain gamma^n = gamma^(n-1) * gamma,
-    gamma^n = gamma^(n+1) * gamma.reciprocal() below 0 and g(gamma) *
-    gamma^n, rounded outward just as it rounds, so a whole law-check row
-    costs n_max integer products and no interval objects.
+    Returns (power_lo, power_hi, term_lo, term_hi), entry i of each row
+    for n = n_lo + i. The rows are the DyadicInterval chain from
+    gamma**max(n_lo, 0) up by gamma^n = gamma^(n-1) * gamma, from the
+    exact gamma^0 = 1 down by gamma^n = gamma^(n+1) * gamma.reciprocal(),
+    and g(gamma) * gamma^n, rounded outward just as it rounds, so past one
+    power and one reciprocal a whole row costs only integer products.
     """
-    params = enclosure.params
-    _check_index(params, n_max)
     gamma = enclosure.interval
-    w = gamma.bits
-    # the growth chain reaches gamma^(n-2) at n = 1, so always go to -1
-    lowest = min(params.min_index, -1)
+    w, start = gamma.bits, max(n_lo, 0)
     # gamma lies in its bracket (q, q+1), so every power is positive,
     # and so is the weight (see g_eval): ends multiply ends
-    up_lo, up_hi = _power_rows(gamma.lo_num, gamma.hi_num, n_max, w)
-    inverse = gamma.reciprocal()
-    down_lo, down_hi = _power_rows(inverse.lo_num, inverse.hi_num, -lowest, w)
-    size = n_max - lowest + 1
-    power_lo = (down_lo[:0:-1] + up_lo)[:size]
-    power_hi = (down_hi[:0:-1] + up_hi)[:size]
-    weight, first = g_eval(params, gamma), params.min_index - lowest
-    term_lo = [(weight.lo_num * p) >> w for p in power_lo[first:]]
-    term_hi = [-((-weight.hi_num * p) >> w) for p in power_hi[first:]]
-    return power_lo, power_hi, term_lo, term_hi
+    first = gamma**start
+    up, down = ([first.lo_num], [first.hi_num]), ([1 << w], [1 << w])
+    for (lows, highs), step, count in ((up, gamma, n_hi - start),
+                                       (down, gamma.reciprocal(), -n_lo)):
+        for _ in range(count):
+            lows.append((lows[-1] * step.lo_num) >> w)
+            highs.append(-((-highs[-1] * step.hi_num) >> w))
+    size = max(n_hi - n_lo + 1, 0)
+    power_lo, power_hi = ((d[:0:-1] + u)[:size] for d, u in zip(down, up))
+    weight = g_eval(enclosure.params, gamma)
+    return (power_lo, power_hi, [(weight.lo_num * p) >> w for p in power_lo],
+            [-((-weight.hi_num * p) >> w) for p in power_hi])
 
 
 # ----------------------------------------------------------------------
@@ -295,11 +289,11 @@ def reconstruction_sweep(enclosure: RootEnclosure, n_lo: int, n_hi: int, bits: i
     of the disc around the computed sum that holds the exact sum is not
     below 1/2.
 
-    The dominant term is g(gamma) * gamma**n_lo, then stepped up by gamma
-    with outward rounding, at the given enclosure refined to a precision
-    that follows n_hi and q.  The k-1 secondary terms are summed in fixed
-    point at all_roots' disc centres, whose precision `bits` sets, and add
-    one radius (_secondary_term's) for the whole sweep.
+    The dominant term is dominant_term_sweep's row from n_lo to n_hi, at
+    the given enclosure refined to a precision that follows n_hi and q.
+    The k-1 secondary terms are summed in fixed point at all_roots' disc
+    centres, whose precision `bits` sets, and add one radius
+    (_secondary_term's) for the whole sweep.
     """
     params = enclosure.params
     _check_index(params, n_lo)
@@ -310,22 +304,18 @@ def reconstruction_sweep(enclosure: RootEnclosure, n_lo: int, n_hi: int, bits: i
     # the term for n is about n gamma^(n-1) 2^-w wide with gamma < q + 1;
     # 16 bits more cover the weight and the chain's rounding
     growth = ((params.q + 1) ** max(n_hi - 1, 0) - 1).bit_length()
-    gamma = refine_root(enclosure, max(bits, growth + n_hi.bit_length() + 16)).interval
-    # each step multiplies the rounding of gamma^n_lo >= (q+1)^n_lo by gamma,
-    # which exact finer mantissas make up for; all ends are >= 0 (see g_eval)
-    gamma = gamma.rescaled(gamma.bits + ((params.q + 1) ** max(-n_lo, 0)).bit_length())
-    dominant = g_eval(params, gamma) * gamma**n_lo
-    lo, hi, w = dominant.lo_num, dominant.hi_num, dominant.bits
+    enclosure = refine_root(enclosure, max(bits, growth + n_hi.bit_length() + 16))
+    _, _, term_lo, term_hi = dominant_term_sweep(enclosure, n_lo, n_hi)
+    w = enclosure.interval.bits
     weights, radii = zip(*(_secondary_term(params, s, n_lo, n_hi) for s in discs))
     points = [(s.re_num, s.im_num) for s in discs]
     powers = [_cpow(z, n_lo, work) for z in points]
     # centre and radius at 2^-scale: a midpoint needs one more bit
     scale = max(w, work) + 1
     secondary = sum(radii) << (scale - work)
-    for n in range(n_lo, n_hi + 1):
+    for n, lo, hi in zip(range(n_lo, n_hi + 1), term_lo, term_hi):
         if n > n_lo:
             powers = [_cmul(p, z, work) for p, z in zip(powers, points)]
-            lo, hi = (lo * gamma.lo_num) >> w, -((-hi * gamma.hi_num) >> w)
         centre = (lo + hi) << (scale - w - 1)
         # only the real part of each weight * power reaches the sum
         centre += sum(_round_shift(g[0] * p[0] - g[1] * p[1], work)

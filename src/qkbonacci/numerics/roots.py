@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from fractions import Fraction
 from math import frexp, isqrt
 
 from ..errors import DomainError, RegimeError, RootSolveError
@@ -72,21 +71,6 @@ class SecondaryRoot:
     im_num: int
     bits: int
     radius_num: int
-
-    @property
-    def real(self) -> Fraction:
-        return Fraction(self.re_num, 1 << self.bits)
-
-    @property
-    def imag(self) -> Fraction:
-        return Fraction(self.im_num, 1 << self.bits)
-
-    @property
-    def modulus_squared(self) -> Fraction:
-        return Fraction(
-            self.re_num * self.re_num + self.im_num * self.im_num,
-            1 << (2 * self.bits),
-        )
 
 
 @dataclass(frozen=True)

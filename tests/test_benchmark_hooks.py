@@ -143,9 +143,9 @@ def test_term_sweep_is_spanned_once_per_rung(spans, monkeypatch):
             attempted.append((enclosure.params, work))
             yield roots.dominant_root(enclosure.params, work)
 
-    def sweep(enclosure, n_max):
+    def sweep(enclosure, n_lo, n_hi):
         swept.append((enclosure.params, enclosure.interval.bits))
-        return real_sweep(enclosure, n_max)
+        return real_sweep(enclosure, n_lo, n_hi)
 
     monkeypatch.setattr(lawcheck, "_root_ladder", full_ladder)
     monkeypatch.setattr(lawcheck, "dominant_term_sweep", sweep)

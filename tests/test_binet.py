@@ -1,3 +1,4 @@
+import hashlib
 from dataclasses import replace
 from decimal import ROUND_FLOOR
 from fractions import Fraction
@@ -288,7 +289,7 @@ class TestErrorTerm:
         # midpoints satisfy the order-(k+1) recurrence within the widths
         for q, k in [(3, 2), (4, 3), (5, 5)]:
             p = SequenceParams(q, k)
-            *_, term_lo, term_hi = dominant_term_sweep(dominant_root(p, 256), 40)
+            *_, term_lo, term_hi = dominant_term_sweep(dominant_root(p, 256), p.min_index, 40)
             mid = {}
             widths = {}
             for n, lo, hi in zip(range(p.min_index, 41), term_lo, term_hi):
@@ -308,9 +309,13 @@ class TestErrorTerm:
 
 @st.composite
 def sweep_cases(draw):
+    # n_lo is the term bounds' start, the chain's anchor 0, or a positive
+    # start, which begins with one power
     q = draw(st.integers(3, 8))
     k = draw(st.integers(2, 12))
-    return SequenceParams(q, k), draw(st.integers(1, 600)), draw(st.integers(8, 512))
+    n_hi = draw(st.integers(1, 600))
+    n_lo = draw(st.sampled_from((min(2 - k, -1), 0, draw(st.integers(1, n_hi)))))
+    return SequenceParams(q, k), n_lo, n_hi, draw(st.integers(8, 512))
 
 
 class TestWeightSign:
@@ -329,24 +334,38 @@ class TestWeightSign:
 class TestDominantTermSweep:
     @given(case=sweep_cases())
     @settings(max_examples=60, deadline=None)
-    @example(case=(SequenceParams(8, 12), 600, 8))
+    @example(case=(SequenceParams(8, 12), -10, 600, 8))
+    @example(case=(SequenceParams(3, 2), 300, 600, 8))
     def test_equals_interval_chain(self, case):
-        # the mantissa rows are the DyadicInterval chain, rounding for rounding
-        params, n_max, bits = case
+        # the mantissa rows are the DyadicInterval chain, rounding for
+        # rounding: gamma**max(n_lo, 0), up by gamma, and down from 1
+        params, n_lo, n_hi, bits = case
         enclosure = dominant_root(params, bits)
         gamma = enclosure.interval
-        lowest = min(params.min_index, -1)
-        powers = {0: DyadicInterval.from_int(1, bits)}
-        for n in range(1, n_max + 1):
+        start = max(n_lo, 0)
+        powers = {start: gamma**start}
+        for n in range(start + 1, n_hi + 1):
             powers[n] = powers[n - 1] * gamma
-        for n in range(-1, lowest - 1, -1):
+        for n in range(-1, n_lo - 1, -1):
             powers[n] = powers[n + 1] * gamma.reciprocal()
         weight = g_eval(params, gamma)
-        power_lo, power_hi, term_lo, term_hi = dominant_term_sweep(enclosure, n_max)
-        assert list(zip(power_lo, power_hi)) == [
-            (powers[n].lo_num, powers[n].hi_num) for n in range(lowest, n_max + 1)]
-        terms = [weight * powers[n] for n in range(params.min_index, n_max + 1)]
+        power_lo, power_hi, term_lo, term_hi = dominant_term_sweep(enclosure, n_lo, n_hi)
+        span = range(n_lo, n_hi + 1)
+        assert list(zip(power_lo, power_hi)) == [(powers[n].lo_num, powers[n].hi_num) for n in span]
+        terms = [weight * powers[n] for n in span]
         assert list(zip(term_lo, term_hi)) == [(t.lo_num, t.hi_num) for t in terms]
+
+    def test_one_row_is_binet_dominant_at_nonnegative_n(self):
+        # binet_dominant keeps its own gamma**n (its docstring says why);
+        # at n >= 0 a one-row sweep at its final enclosure is the same
+        for q, k in ((3, 2), (4, 7), (7, 12)):
+            p = SequenceParams(q, k)
+            for bits in (8, 64, 192):
+                for n in (0, 1, 2, 17, 39, 100, 300):
+                    term = binet_dominant(p, n, bits)
+                    *_, term_lo, term_hi = dominant_term_sweep(
+                        dominant_root(p, term.bits_used), n, n)
+                    assert (term_lo, term_hi) == ([term.interval.lo_num], [term.interval.hi_num])
 
 
 class TestDifferentialOracle:
@@ -468,17 +487,37 @@ class TestReconstruction:
         assert report.verdict == "fail"
         assert len(report.witnesses) == 11
 
-    def test_no_dominant_rows(self, monkeypatch):
-        # the sum steps its dominant term itself; the rows serve only
-        # check_term_bounds
-        def no_rows(enclosure, n_max):
-            raise AssertionError("dominant_term_sweep called")
+    def test_one_n_asks_for_one_row(self, monkeypatch):
+        # the sum reads its dominant term off dominant_term_sweep, asked
+        # for exactly [n, n], so one n still costs one power
+        asked = []
+        real_sweep = binet.dominant_term_sweep
 
-        monkeypatch.setattr(binet, "dominant_term_sweep", no_rows)
+        def sweep(enclosure, n_lo, n_hi):
+            asked.append((n_lo, n_hi))
+            return real_sweep(enclosure, n_lo, n_hi)
+
+        monkeypatch.setattr(binet, "dominant_term_sweep", sweep)
         p = SequenceParams(3, 4)
-        assert binet_reconstruct(p, 40, 256) == term_definition(p, 40)
-        (report,) = check_reconstruction(CellContext(Grid((3,), (2, 4), 40), 256))
-        assert (report.verdict, report.witnesses) == ("pass", ())
+        for n, exact in ((-2, 0), (0, 0), (40, term_definition(p, 40)), (5000, term_fast(p, 5000))):
+            asked.clear()
+            assert binet_reconstruct(p, n, 256) == exact
+            assert asked == [(n, n)]
+
+    def test_sweep_digest(self):
+        # every (n, value) of the sweeps over q 1-6 and k 2-12 from n = 2-k,
+        # at 64 bits to n = 60 and at 256 bits to n = 300, including q 1-2,
+        # which no law reaches; none of them is a refusal
+        digest = hashlib.sha256()
+        for bits, n_hi in ((64, 60), (256, 300)):
+            for q in range(1, 7):
+                for k in range(2, 13):
+                    sweep = reconstruction_sweep(dominant_root(SequenceParams(q, k), bits),
+                                                 2 - k, n_hi, bits)
+                    for n, value, _ in sweep:
+                        digest.update(f"{bits} {q} {k} {n} {value}\n".encode())
+        assert digest.hexdigest() == (
+            "b884cef94d381b2478213c739faef758e0e640275be9c4f9ba97d8b351845093")
 
     def test_large_n(self):
         # one power of gamma, not a row up to n
@@ -537,7 +576,7 @@ class TestReconstruction:
             centre = ((root.re_num >> shift) + (dx << 65), (root.im_num >> shift) + (dy << 65))
             disc = SecondaryRoot(*centre, work, (3 << 65) + 2)
             weight, radius = binet._secondary_term(p, disc, n_lo, n_lo + span)
-            r = complex(float(root.real), float(root.imag))
+            r = complex(root.re_num / 2**root.bits, root.im_num / 2**root.bits)
             g = (r - 1) / ((k + 1) * r * r - (q + 1) * k * r + (q - 1) * (k - 1))
             power = _cpow(centre, n_lo, work)
             for n in range(n_lo, n_lo + span + 1):

@@ -47,19 +47,26 @@ def _radius_sq_exact(q, k, re, im, scale):
     return k * k * ratio * (1 << (2 * scale))
 
 
+def _centre(s):
+    """A disc centre's real and imaginary parts, read off its mantissas."""
+    return Fraction(s.re_num, 1 << s.bits), Fraction(s.im_num, 1 << s.bits)
+
+
+def _centre_inside_unit_circle(s):
+    return s.re_num**2 + s.im_num**2 < 1 << 2 * s.bits
+
+
 def _assert_vieta(rs, q, k, bits):
     # sum of all roots is q; product is (-1)^k * (-1)
     total = rs.dominant.interval.midpoint + sum(
-        (s.real for s in rs.secondary), Fraction(0)
+        (_centre(s)[0] for s in rs.secondary), Fraction(0)
     )
     tol = Fraction(1, 2 ** (bits // 2))
     assert abs(total - q) < tol
     prod_re, prod_im = Fraction(1), Fraction(0)
     for s in rs.secondary:
-        prod_re, prod_im = (
-            prod_re * s.real - prod_im * s.imag,
-            prod_re * s.imag + prod_im * s.real,
-        )
+        re, im = _centre(s)
+        prod_re, prod_im = prod_re * re - prod_im * im, prod_re * im + prod_im * re
     prod_re *= rs.dominant.interval.midpoint
     prod_im *= rs.dominant.interval.midpoint
     expected = Fraction(-1) if k % 2 == 0 else Fraction(1)
@@ -258,16 +265,17 @@ class TestAllRoots:
         other = rs.secondary[0]
         lo, hi = sqrt_enclosure(13)
         expected = (3 - hi) / 2, (3 - lo) / 2
-        assert expected[0] - Fraction(1, 2**64) <= other.real <= expected[1] + Fraction(1, 2**64)
-        assert abs(other.imag) <= Fraction(1, 2**64)
-        assert other.modulus_squared < 1
+        re, im = _centre(other)
+        assert expected[0] - Fraction(1, 2**64) <= re <= expected[1] + Fraction(1, 2**64)
+        assert abs(im) <= Fraction(1, 2**64)
+        assert _centre_inside_unit_circle(other)
 
     def test_exactly_one_root_outside_unit_circle(self):
         for q in (3, 5):
             for k in (3, 6, 8):
                 rs = all_roots(SequenceParams(q, k), 160)
                 assert len(rs.secondary) == k - 1
-                assert all(s.modulus_squared < 1 for s in rs.secondary)
+                assert all(map(_centre_inside_unit_circle, rs.secondary))
                 assert rs.certified_inside_unit_circle()
 
     @given(q=st.integers(1, 10), k=st.integers(2, 16), bits=st.integers(64, 320))
@@ -384,7 +392,7 @@ class TestAllRoots:
         (outer,) = [z for z in oracle if abs(z) >= 1]
         matched = set()
         for s in rs.secondary:
-            centre = complex(float(s.real), float(s.imag))
+            centre = complex(s.re_num / 2**s.bits, s.im_num / 2**s.bits)
             reach = s.radius_num / 2**s.bits + 1e-9
             hits = [i for i, z in enumerate(inner) if abs(z - centre) <= reach]
             assert len(hits) == 1
@@ -409,13 +417,13 @@ class TestAllRoots:
     def test_compute_only_regime_allowed(self):
         rs = all_roots(SequenceParams(1, 4), 128)
         assert len(rs.secondary) == 3
-        assert all(s.modulus_squared < 1 for s in rs.secondary)
+        assert all(map(_centre_inside_unit_circle, rs.secondary))
 
     def test_pairwise_separation(self):
         bits = 160
         rs = all_roots(SequenceParams(3, 7), bits)
         points = [(rs.dominant.interval.midpoint, Fraction(0))]
-        points += [(s.real, s.imag) for s in rs.secondary]
+        points += [_centre(s) for s in rs.secondary]
         tol_sq = Fraction(1, 2 ** (bits // 2))
         for i in range(len(points)):
             for j in range(i + 1, len(points)):
