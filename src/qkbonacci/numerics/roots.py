@@ -10,7 +10,7 @@ Two deliberately different routes:
   fixed-point complex arithmetic whose precision about doubles per step
   up to the requested one, and certified by an inclusion disc of radius
   k|Phi(z)|/|Phi'(z)| around the polished point, with Phi and Phi'
-  evaluated exactly.
+  evaluated in fixed point and widened by an a-priori rounding bound.
 
 Precision is always an argument; nothing here keeps ambient state.
 """
@@ -318,17 +318,22 @@ def _branch_seeds(params) -> list[complex]:
     return seeds
 
 
-def _newton_step(params, z, scale):
-    """Phi(z)/Phi'(z) in fixed point at 2^-scale, taken as
-    (z-1)(z^(k-2) h(z) + 1)/(z^(k-2) g(z) - 1): one power and two cubics,
-    not two degree-k Horner passes.  |z| < 1, so nothing grows."""
+def _scaled_phi(params, z, scale):
+    """(z-1) Phi(z) and (z-1)^2 Phi'(z) in fixed point at 2^-scale, as
+    z^(k-2) h(z) + 1 and z^(k-2) g(z) - 1 with _cubics' h and g: one power
+    and two cubics, not two degree-k Horner passes."""
     h, g = _cubics(params)
-    one = 1 << scale
-    power = _cpow(z, params.k - 2, scale)
+    one, power = 1 << scale, _cpow(z, params.k - 2, scale)
     num = _cmul(power, _cpoly(h, z, scale), scale)
     den = _cmul(power, _cpoly(g, z, scale), scale)
-    ratio = _cdiv((num[0] + one, num[1]), (den[0] - one, den[1]), scale)
-    return _cmul((z[0] - one, z[1]), ratio, scale)
+    return (num[0] + one, num[1]), (den[0] - one, den[1])
+
+
+def _newton_step(params, z, scale):
+    """Phi(z)/Phi'(z) in fixed point at 2^-scale, taken as (z-1) times the
+    ratio of _scaled_phi's pair.  |z| < 1, so nothing grows."""
+    num, den = _scaled_phi(params, z, scale)
+    return _cmul((z[0] - (1 << scale), z[1]), _cdiv(num, den, scale), scale)
 
 
 def _polish(params, z, rungs, accuracy_bits):
@@ -348,46 +353,41 @@ def _polish(params, z, rungs, accuracy_bits):
     raise RootSolveError("Newton polishing did not reach the step tolerance")
 
 
-def _gauss_horner(coeffs, z, scale):
-    """Exact value at (a + bi) * 2^-scale, scaled by 2^(degree*scale),
-    as a Gaussian integer: the complex twin of the exact integer Horner
-    behind _IntPoly.sign_at_dyadic.  It stays exact, since the disc radius
-    needs the value itself, not only its sign."""
-    a, b = z
-    degree = len(coeffs) - 1
-    re, im = coeffs[-1], 0
-    for i in range(degree - 1, -1, -1):
-        re, im = re * a - im * b + (coeffs[i] << ((degree - i) * scale)), re * b + im * a
-    return re, im
-
-
 def _inclusion_radius(params, z, scale):
     """Mantissa at 2^-scale of k|Phi(z)|/|Phi'(z)|, rounded up.
 
     Phi'/Phi = sum 1/(z - root) over the k roots, so some root lies within
-    that distance of z.  With _cubics' h and g, (t-1) Phi = t^(k-2) h + 1
-    and (t-1)^2 Phi' = t^(k-2) g - 1, so one exact power of the Gaussian
-    integer z 2^scale gives both, not two degree-k Horner passes.
-    The ratio k |z-1| |(t-1) Phi| / |(t-1)^2 Phi'| is then taken from the
-    leading 64 bits of each modulus, rounded outward: at most a relative
-    2^-61 looser.
+    that distance of z, k |z-1| |num| / |den| with num = (t-1) Phi =
+    t^(k-2) h + 1 and den = (t-1)^2 Phi' = t^(k-2) g - 1.  _scaled_phi
+    gives both at w = scale + guard; bounds fixed beforehand widen them.
+    In ulps of 2^-w, with M = 2^t >= max(1, |z|) and z 2^w exact: a
+    round-half shift errs by at most 1/2 per part, so _cmul of values of
+    modulus <= M^i and <= M^j erring by e_i and e_j errs by at most
+    M^i e_j + M^j e_i + e_i e_j 2^-w + 1/sqrt(2), and not at all when one
+    factor is an integer.  By induction _cpow's z^m, m >= 1, errs by at
+    most (m-1) M^(m-1), as 2^w > 4 k^2 M^k keeps e_i e_j 2^-w + 1/sqrt(2)
+    below 1 <= M^(i+j-1).  A _cpoly cubic errs by < M + 1 <= 2M, as its
+    first product is exact, and |h(z)| <= H M^3 with H = sum |h_i|, so num
+    errs by at most M^(k-2) 2M + H M^3 max(k-3, 0) M^(k-3) + 1 <=
+    (H k + 4) M^k = E_num; den by E_den, with G = sum |g_i|.  So |num| +
+    E_num and |den| - E_den bound the exact moduli; |den| <= E_den, as at
+    z = 1, is refused.  E_num widens the radius by k |z-1| E_num /
+    (|d| 2^guard) ulps of 2^-scale, d = (z-1)^2 Phi'(z): under 2^-64 / |d|,
+    as |z-1| <= 2M.  Where |z| >= 1, _inside_unit_circle refuses the disc.
     """
-    k = params.k
-    h, g = _cubics(params)
-    power, one = _cpow(z, k - 2, 0), 1 << ((k + 1) * scale)
-    num = _cmul(power, _gauss_horner(h, z, scale), 0)
-    den = _cmul(power, _gauss_horner(g, z, scale), 0)
-    num, den = (num[0] + one, num[1]), (den[0] - one, den[1])
-    if den == (0, 0):
+    k, (h, g) = params.k, _cubics(params)
+    t = max(0, (_cabs2(z).bit_length() + 1) // 2 - scale)
+    err_num, err_den = ((sum(map(abs, c)) * k + 4) << t * k for c in (h, g))
+    guard = 65 + t + (k * err_num).bit_length()
+    w, zw = scale + guard, (z[0] << guard, z[1] << guard)
+    num, den = _scaled_phi(params, zw, w)
+    num = isqrt(_cabs2(num)) + 1 + err_num
+    den = isqrt(_cabs2(den)) - err_den
+    if den <= 0:
         raise RootSolveError("derivative vanished at a polished root")
-    up = max(0, max(map(abs, num)).bit_length() - 64)
-    down = max(0, max(map(abs, den)).bit_length() - 64)
-    num_sq = sum((-abs(x) >> up) ** 2 for x in num)  # parts rounded up
-    den_sq = sum((abs(x) >> down) ** 2 for x in den)
-    num_sq *= k * k * _cabs2((z[0] - (1 << scale), z[1]))
-    bound = -(-(num_sq << 2 * up) // (den_sq << 2 * down))
-    radius = isqrt(bound)
-    return radius if radius * radius == bound else radius + 1
+    # z != 1 here, so the bound is >= 1
+    bound = -(-k * k * _cabs2((z[0] - (1 << scale), z[1])) * num * num // (den * den))
+    return isqrt(bound - 1) + 1
 
 
 def all_roots(params: SequenceParams, bits: int) -> RootSet:

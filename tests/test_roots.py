@@ -32,19 +32,19 @@ CERTIFY_CELLS = [
 
 def _radius_sq_exact(q, k, re, im, scale):
     """(k |Phi(z)| / |Phi'(z)|)^2 in units of 2^-2scale at z = (re + im i)
-    2^-scale, by Fraction Horner on Phi and Phi' themselves."""
-    def abs_sq(coeffs, z):
-        acc_re, acc_im = Fraction(0), Fraction(0)
-        for c in reversed(coeffs):
-            acc_re, acc_im = (acc_re * z[0] - acc_im * z[1] + c,
-                              acc_re * z[1] + acc_im * z[0])
+    2^-scale, by exact Gaussian-integer Horner on Phi and Phi' themselves."""
+    def abs_sq(coeffs):
+        # |p(z)|^2 2^(2 degree scale)
+        degree = len(coeffs) - 1
+        acc_re, acc_im = 0, 0
+        for i in range(degree, -1, -1):
+            acc_re, acc_im = (acc_re * re - acc_im * im + (coeffs[i] << (degree - i) * scale),
+                              acc_re * im + acc_im * re)
         return acc_re * acc_re + acc_im * acc_im
 
     coeffs = CharPoly.of(SequenceParams(q, k)).coefficients
     slope = [i * c for i, c in enumerate(coeffs)][1:]
-    z = (Fraction(re, 1 << scale), Fraction(im, 1 << scale))
-    ratio = abs_sq(coeffs, z) / abs_sq(slope, z)
-    return k * k * ratio * (1 << (2 * scale))
+    return Fraction(k * k * abs_sq(coeffs), abs_sq(slope))
 
 
 def _centre(s):
@@ -355,7 +355,8 @@ class TestAllRoots:
         with pytest.raises(RootSolveError, match="unit circle"):
             all_roots(SequenceParams(3, 2), 128)
 
-    @pytest.mark.parametrize("q, k, bits", [(1, 2, 64), (3, 7, 128), (10, 12, 96)])
+    @pytest.mark.parametrize("q, k, bits", [
+        (1, 2, 64), (3, 7, 128), (10, 12, 96), (2, 32, 512), (5, 24, 256), (3, 64, 128)])
     def test_radius_is_k_phi_over_dphi_rounded_up(self, q, k, bits):
         for s in all_roots(SequenceParams(q, k), bits).secondary:
             bound_sq = _radius_sq_exact(q, k, s.re_num, s.im_num, s.bits)
@@ -372,6 +373,18 @@ class TestAllRoots:
         # of Phi'
         radius = roots._inclusion_radius(SequenceParams(q, k), (re, im), 96)
         bound_sq = _radius_sq_exact(q, k, re, im, 96)
+        assert bound_sq <= radius ** 2
+        assert (radius - 1) ** 2 < bound_sq * (1 + Fraction(1, 2**58))
+
+    def test_vanishing_derivative_refuses(self):
+        # Phi = t^2 - t - 1 has Phi' = 2t - 1 = 0 at t = 1/2
+        params = SequenceParams(1, 2)
+        with pytest.raises(RootSolveError, match="derivative vanished"):
+            roots._inclusion_radius(params, (1 << 95, 0), 96)
+        # 2^-76 to its right the derivative is 2^-75, small but certified
+        z = ((1 << 95) + (1 << 20), 0)
+        radius = roots._inclusion_radius(params, z, 96)
+        bound_sq = _radius_sq_exact(1, 2, *z, 96)
         assert bound_sq <= radius ** 2
         assert (radius - 1) ** 2 < bound_sq * (1 + Fraction(1, 2**58))
 
@@ -413,6 +426,17 @@ class TestAllRoots:
                 digest.update(f"{s.re_num} {s.im_num} {s.bits}\n".encode())
         assert digest.hexdigest() == (
             "81be9d77a49435c5fb6e5f7a41a73b7d5469ccad19b212e4ace0b64a788d3bac")
+
+    def test_radii_digest(self):
+        # every secondary radius of the benchmark's cells and three at
+        # large k, in order: a new way of bounding the radius must give
+        # the same outward-rounded integers
+        digest = hashlib.sha256()
+        for q, k, bits in CERTIFY_CELLS + [(3, 64, 128), (10, 48, 256), (1, 128, 128)]:
+            for s in all_roots(SequenceParams(q, k), bits).secondary:
+                digest.update(f"{s.radius_num} {s.bits}\n".encode())
+        assert digest.hexdigest() == (
+            "4812c6c98c7d775a81979b1f34f39be4ec91139578bf613e2f08de399eb326fa")
 
     def test_compute_only_regime_allowed(self):
         rs = all_roots(SequenceParams(1, 4), 128)
