@@ -140,7 +140,7 @@ def _cmd_series(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    q_values = tuple(args.q) if args.q else (3, 4, 5)
+    q_values = tuple(args.q) if args.q else Grid.default().q_values
     grid = Grid(q_values, tuple(range(args.k_min, args.k_max + 1)), args.n_max)
     reports = run_laws(args.law, grid, args.bits)
     print(json.dumps([r.to_json() for r in reports], indent=2))
@@ -224,11 +224,12 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=tuple(_SELECTORS),
         default="all",
     )
-    verify.add_argument("--q", type=int, action="append",
-                        help="grid q value (repeatable; default 3 4 5)")
-    verify.add_argument("--k-min", type=int, default=2)
-    verify.add_argument("--k-max", type=int, default=8)
-    verify.add_argument("--n-max", type=int, default=300)
+    grid = Grid.default()
+    verify.add_argument("--q", type=int, action="append", help="grid q value "
+                        f"(repeatable; default {' '.join(map(str, grid.q_values))})")
+    verify.add_argument("--k-min", type=int, default=grid.k_values[0])
+    verify.add_argument("--k-max", type=int, default=grid.k_values[-1])
+    verify.add_argument("--n-max", type=int, default=grid.n_max)
     verify.add_argument("--bits", type=int, default=192)
     verify.set_defaults(func=_cmd_verify)
 
@@ -246,10 +247,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    # exact terms run past CPython's default 4,300-digit limit on int to
-    # str conversion; it is lifted only after argparse has read the input
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(0)
     try:
         code = args.func(args)
         # a reader that closed the pipe shows up here, not at exit

@@ -123,15 +123,14 @@ def _sorted_witnesses(witnesses) -> tuple:
 
 @dataclass(frozen=True)
 class LawReport:
+    """One law's verdict over a grid.  Inequality laws certify the strict
+    form their proofs conclude: error-bound passes on |E_n| < 1/q."""
+
     law_id: str
     grid: Grid
     verdict: str
     witnesses: tuple
     bits_used: int
-    # True when every settled comparison also held strictly (the proofs
-    # conclude strict inequalities; the stated bound is non-strict).
-    # Not part of the serialized schema.
-    strict_also_certified: bool = True
 
     def to_json(self) -> dict:
         return {
@@ -182,9 +181,9 @@ def _verdict(witnesses) -> str:
     return "pass"
 
 
-def _report(law_id, grid, witnesses, bits_used, strict=True) -> LawReport:
+def _report(law_id, grid, witnesses, bits_used) -> LawReport:
     witnesses = _sorted_witnesses(witnesses)
-    return LawReport(law_id, grid, _verdict(witnesses), witnesses, bits_used, strict)
+    return LawReport(law_id, grid, _verdict(witnesses), witnesses, bits_used)
 
 
 def _order(a, b) -> int:
@@ -358,9 +357,10 @@ _GROWTH_LINKS = (
 
 
 def check_term_bounds(cells: CellContext) -> list[LawReport]:
-    """|E_n| <= 1/q for n in [2-k, n_max] and the growth chain
+    """|E_n| < 1/q for n in [2-k, n_max] and the growth chain
     gamma^(n-2) < gamma^(n-1)(q-1)/q < F_n < gamma^(n-1)(q+2)/q < gamma^n
-    for n in [1, n_max], certified against exact integers.
+    for n in [1, n_max], certified against exact integers.  Both are the
+    strict forms the proofs conclude: an E_n ending on +-1/q climbs.
 
     Both laws compare integer mantissas at the enclosure's scale 2^-w:
     one dominant_term_sweep per rung, from min(2-k, -1) to n_max, and
@@ -369,7 +369,6 @@ def check_term_bounds(cells: CellContext) -> list[LawReport]:
     _require_certified_regime(grid)
     error_witnesses, growth_witnesses = [], []
     used = bits
-    error_strict = True
 
     for q, k in grid.cells:
         table = cells.table(q, k)
@@ -377,7 +376,6 @@ def check_term_bounds(cells: CellContext) -> list[LawReport]:
         first, lowest = 2 - k, min(2 - k, -1)
 
         def attempt(enclosure):
-            nonlocal error_strict
             work = enclosure.interval.bits
             power_lo, power_hi, term_lo, term_hi = dominant_term_sweep(
                 enclosure, lowest, grid.n_max)
@@ -389,9 +387,7 @@ def check_term_bounds(cells: CellContext) -> list[LawReport]:
                 scaled = exact << work
                 e_lo, e_hi = scaled - t_hi, scaled - t_lo
                 lo, hi = q * e_lo, q * e_hi
-                if -edge <= lo and hi <= edge:
-                    if not (-edge < lo and hi < edge):
-                        error_strict = False
+                if -edge < lo and hi < edge:
                     continue
                 e = DyadicInterval(e_lo, e_hi, work)
                 if lo > edge or hi < -edge:
@@ -430,7 +426,7 @@ def check_term_bounds(cells: CellContext) -> list[LawReport]:
         used = max(used, enclosure.interval.bits)
 
     return [
-        _report("error-bound", grid, error_witnesses, used, error_strict),
+        _report("error-bound", grid, error_witnesses, used),
         _report("growth-bounds", grid, growth_witnesses, used),
     ]
 

@@ -22,10 +22,6 @@ class _IntPoly:
     params: SequenceParams
     coefficients: tuple
 
-    @property
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
-
     def eval(self, point) -> Fraction:
         """Exact Horner evaluation at a rational point."""
         x = Fraction(point)

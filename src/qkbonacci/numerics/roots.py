@@ -249,8 +249,6 @@ def _cdiv(a, b, bits):
     ar, ai = a
     br, bi = b
     den = br * br + bi * bi
-    if den == 0:
-        raise ZeroDivisionError("fixed-point complex division by zero")
     return (
         _round_div((ar * br + ai * bi) << bits, den),
         _round_div((ai * br - ar * bi) << bits, den),

@@ -46,11 +46,6 @@ class SequenceParams:
         """Smallest admissible term index; the zero seeds occupy [2-k, 0]."""
         return 2 - self.k
 
-    @property
-    def bounds_certified(self) -> bool:
-        """True when q >= 3, where the lemma and bound checks are certified."""
-        return self.q >= 3
-
 
 def _check_index(params: SequenceParams, n: int) -> None:
     if n < params.min_index:

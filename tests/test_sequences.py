@@ -38,11 +38,6 @@ class TestParams:
     def test_valid(self):
         p = SequenceParams(3, 2)
         assert p.min_index == 0
-        assert p.bounds_certified
-
-    def test_compute_only_regime(self):
-        assert not SequenceParams(1, 2).bounds_certified
-        assert not SequenceParams(2, 5).bounds_certified
 
     @pytest.mark.parametrize("q,k", [(0, 2), (-1, 3), (3, 1), (3, 0), (1, -2)])
     def test_rejects_bad_parameters(self, q, k):
