@@ -3,12 +3,12 @@
 The dominant route is fully certified: interval weight times interval
 root power, contained by construction.  dominant_term_sweep is the one
 chain of g(gamma) * gamma^n over a range of n, which the term-bound laws
-and the full reconstruction both read.  The reconstruction takes each of
-the k-1 secondary terms as one power at the first n and one product per
-later n, in fixed point at the inclusion-disc centres; a certified radius
-covers the discs and every rounding, and the sum is rounded only when
-that radius is below 1/2.  reconstruction_sweep yields (n, value, radius)
-triples, and binet_reconstruct reads a one-item sweep.
+and the full reconstruction both read.  The reconstruction takes one
+secondary term per conjugate pair (or real root) as one power at the first
+n and one product per later n, in fixed point at the inclusion-disc
+centres; a certified radius covers the discs and every rounding, and the
+sum is rounded only when that radius is below 1/2.  reconstruction_sweep
+yields (n, value, radius) triples, and binet_reconstruct reads one item.
 """
 from __future__ import annotations
 
@@ -248,6 +248,7 @@ def _secondary_term(params: SequenceParams, root, n_lo: int, n_hi: int):
     |D'| <= d1 on the disc; then |r^n - c^n| <= N P rho; the powers'
     rounding, as each product rounds by u and j factors are off by a
     relative (3j-2) u while 9 N^2 u <= 4; and the last product's rounding.
+    At the mirror disc every term and bound is the conjugate: g is real.
     """
     q, k, w = params.q, params.k, root.bits
     one, rho, (cr, ci) = 1 << w, root.radius_num, (root.re_num, root.im_num)
@@ -293,13 +294,14 @@ def reconstruction_sweep(enclosure: RootEnclosure, n_lo: int, n_hi: int, bits: i
     the given enclosure refined to a precision that follows n_hi and q.
     The k-1 secondary terms are summed in fixed point at all_roots' disc
     centres, whose precision `bits` sets, and add one radius
-    (_secondary_term's) for the whole sweep.
+    (_secondary_term's) for the whole sweep.  A mirror disc's term is the
+    conjugate of its upper disc's: a pair adds twice a real part and radius.
     """
     params = enclosure.params
     _check_index(params, n_lo)
     if n_hi < n_lo:
         return
-    discs = _secondary_discs(params, bits)
+    discs = [s for s in _secondary_discs(params, bits) if s.im_num >= 0]
     work = discs[0].bits
     # the term for n is about n gamma^(n-1) 2^-w wide with gamma < q + 1;
     # 16 bits more cover the weight and the chain's rounding
@@ -310,16 +312,17 @@ def reconstruction_sweep(enclosure: RootEnclosure, n_lo: int, n_hi: int, bits: i
     weights, radii = zip(*(_secondary_term(params, s, n_lo, n_hi) for s in discs))
     points = [(s.re_num, s.im_num) for s in discs]
     powers = [_cpow(z, n_lo, work) for z in points]
+    copies = [2 if s.im_num else 1 for s in discs]
     # centre and radius at 2^-scale: a midpoint needs one more bit
     scale = max(w, work) + 1
-    secondary = sum(radii) << (scale - work)
+    secondary = sum(c * r for c, r in zip(copies, radii)) << (scale - work)
     for n, lo, hi in zip(range(n_lo, n_hi + 1), term_lo, term_hi):
         if n > n_lo:
             powers = [_cmul(p, z, work) for p, z in zip(powers, points)]
         centre = (lo + hi) << (scale - w - 1)
         # only the real part of each weight * power reaches the sum
-        centre += sum(_round_shift(g[0] * p[0] - g[1] * p[1], work)
-                      for g, p in zip(weights, powers)) << (scale - work)
+        centre += sum(c * _round_shift(g[0] * p[0] - g[1] * p[1], work)
+                      for c, g, p in zip(copies, weights, powers)) << (scale - work)
         half = ((hi - lo) << (scale - w - 1)) + secondary
         value = _round_shift(centre, scale) if 2 * half < 1 << scale else None
         yield n, value, Fraction(half, 1 << scale)

@@ -5,12 +5,12 @@ Two deliberately different routes:
 * the dominant root's enclosure is halved from the (q, q+1) bracket to
   64 bits, then narrowed by Newton rungs that about double the precision,
   each unit cell certified by integer sign tests whose answer is exact;
-* the remaining roots are seeded one per branch of the AuxPoly identity
-  r^(k-1) = -1/Q(r) in floats, polished by Newton steps in integer
-  fixed-point complex arithmetic whose precision about doubles per step
-  up to the requested one, and certified by an inclusion disc of radius
-  k|Phi(z)|/|Phi'(z)| around the polished point, with Phi and Phi'
-  evaluated in fixed point and widened by an a-priori rounding bound.
+* the remaining roots with Im >= 0 are seeded one per branch of the
+  AuxPoly identity r^(k-1) = -1/Q(r) in floats, polished by Newton steps
+  in integer fixed-point complex arithmetic whose precision about doubles
+  per step up to the requested one, and certified, with their mirrors, by
+  inclusion discs of radius k|Phi(z)|/|Phi'(z)|, Phi and Phi' evaluated in
+  fixed point and widened by an a-priori rounding bound.
 
 Precision is always an argument; nothing here keeps ambient state.
 """
@@ -292,16 +292,21 @@ def _cubics(params):
 
 
 def _branch_seeds(params) -> list[complex]:
-    """One float seed per secondary root.  A root r of Phi solves r^(k-1) =
-    -1/Q(r), so each branch z -> omega (1/Q(z))^(1/(k-1)), omega^(k-1) = -1,
-    is stepped from z = omega on the unit circle, far from the root above
-    q, and float Newton on Phi/Phi' = (z-1)(z^(k-2) h + 1)/(z^(k-2) g - 1)
-    finishes it.  A miss is left to the certificate; float errors propagate."""
+    """One float seed per secondary root with Im >= 0, the non-real ones
+    first.  A root r of Phi solves r^(k-1) = -1/Q(r), so each branch z ->
+    omega (1/Q(z))^(1/(k-1)), omega^(k-1) = -1, is stepped from z = omega on
+    the unit circle, far from the root above q, and float Newton on Phi/Phi'
+    = (z-1)(z^(k-2) h + 1)/(z^(k-2) g - 1) finishes it; conj(omega) would
+    give conj(r), so only j < (k-1)/2 is stepped.  By Descartes' rule Phi
+    has one positive root, gamma, and x^(k-1) Q(x) + 1 = (x-1) Phi(x) at -x
+    has signs - - - + for even k (one negative root, seeded from omega = -1
+    in real floats) and all + for odd k.  A miss is left to the certificate;
+    float errors propagate."""
     q, k = params.q, params.k
     h, g = _cubics(params)
     seeds = []
-    for j in range(k - 1):
-        omega = z = cmath.exp(1j * cmath.pi * (2 * j + 1) / (k - 1))
+    for j in range(k // 2):
+        omega = z = -1.0 if 2 * j + 2 == k else cmath.exp(1j * cmath.pi * (2 * j + 1) / (k - 1))
         for _ in range(4):
             z = omega * (1 / (z * z - (q + 1) * z + (q - 1))) ** (1 / (k - 1))
         for _ in range(8):
@@ -396,14 +401,16 @@ def all_roots(params: SequenceParams, bits: int) -> RootSet:
 def _secondary_discs(params: SequenceParams, bits: int) -> tuple:
     """The k-1 certified inclusion discs, sorted by centre.
 
-    _branch_seeds gives one float seed per branch, and _polish takes each
-    from near 48 bits to bits + 64 by Newton rungs that about double the
-    precision.  The k-1 polished points get discs of radius
-    k|Phi|/|Phi'|, each holding at least one root.  They must be pairwise
-    disjoint and lie inside the unit circle; with the dominant root
-    certified in (q, q+1), each disc then holds exactly one root.
-    Anything else, a float failure in seeding included, raises
-    RootSolveError rather than returning a silently bad answer.
+    _branch_seeds gives one float seed per branch with Im >= 0, and _polish
+    takes each from near 48 bits to bits + 64 by Newton rungs that about
+    double the precision.  The floor(k/2) polished points get discs of
+    radius k|Phi|/|Phi'|, each holding at least one root, as does each
+    non-real one's mirror: the bound is the same at conj(z).  Non-real discs
+    must clear the axis and these discs be pairwise disjoint, so all k-1
+    are, and lie inside the unit circle; with the dominant root certified in
+    (q, q+1), each disc then holds exactly one root.  Anything else, a float
+    failure in seeding included, raises RootSolveError rather than returning
+    a silently bad answer.
     """
     # precision rungs from the top down, each about half the one above
     # plus a slack for Newton's constant, which grows with k
@@ -420,19 +427,18 @@ def _secondary_discs(params: SequenceParams, bits: int) -> tuple:
         # a float seed that is not finite, or a vanishing derivative
         raise RootSolveError(f"seeding or polishing failed: {exc}") from None
 
-    secondary = [
-        SecondaryRoot(z[0], z[1], work, _inclusion_radius(params, z, work))
-        for z in refined
-    ]
-    secondary.sort(key=lambda r: (r.re_num, r.im_num))
-    overlap = any(
+    half = [SecondaryRoot(z[0], z[1], work, _inclusion_radius(params, z, work)) for z in refined]
+    upper = half[:(params.k - 1) // 2]
+    # a disc that reaches the axis overlaps its own mirror
+    overlap = any(s.im_num <= s.radius_num for s in upper) or any(
         _cabs2((s.re_num - t.re_num, s.im_num - t.im_num))
         <= (s.radius_num + t.radius_num) ** 2
-        for i, s in enumerate(secondary) for t in secondary[i + 1:]
+        for i, s in enumerate(half) for t in half[i + 1:]
     )
-    if overlap or not all(map(_inside_unit_circle, secondary)):
+    if overlap or not all(map(_inside_unit_circle, half)):
         raise RootSolveError(
             "two inclusion discs overlap" if overlap
             else "an inclusion disc reaches the unit circle"
         )
-    return tuple(secondary)
+    secondary = half + [SecondaryRoot(s.re_num, -s.im_num, work, s.radius_num) for s in upper]
+    return tuple(sorted(secondary, key=lambda r: (r.re_num, r.im_num)))

@@ -173,6 +173,30 @@ def test_sign_tests_per_dominant_root(monkeypatch):
     assert calls == [4096]
 
 
+def test_secondary_work_per_conjugate_pair(monkeypatch):
+    # all_roots polishes and bounds one point per conjugate pair, and the
+    # real root of even k, floor(k/2) in all; a sweep bounds one term for
+    # each of them; the lower half-plane is their mirror and costs nothing
+    counts = {}
+    for module, name in ((roots, "_polish"), (roots, "_inclusion_radius"),
+                         (binet, "_secondary_term")):
+        def counted(*args, real=getattr(module, name), name=name):
+            counts[name] = counts.get(name, 0) + 1
+            return real(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    for q, k, bits in ((1, 2, 64), (3, 3, 128), (3, 8, 128), (4, 25, 512), (10, 64, 64)):
+        counts.clear()
+        root_set = roots.all_roots(SequenceParams(q, k), bits)
+        assert len(root_set.secondary) == k - 1
+        assert counts == {"_polish": k // 2, "_inclusion_radius": k // 2}, (q, k, bits)
+        counts.clear()
+        for _ in binet.reconstruction_sweep(root_set.dominant, 2 - k, 40, bits):
+            pass
+        assert counts == dict.fromkeys(("_polish", "_inclusion_radius", "_secondary_term"),
+                                       k // 2), (q, k, bits)
+
+
 def test_refine_root_is_spanned(spans):
     assert "qkbonacci.numerics.roots" in spans.LAYERS
     assert "refine_root" in roots.__all__
@@ -207,10 +231,11 @@ def test_term_sweep_is_spanned_once_per_rung(spans, monkeypatch):
 
 
 def test_secondary_newton_steps_per_root_set(monkeypatch):
-    # all_roots polishes only the k - 1 secondary seeds, one Newton step
-    # per rung of a ladder that about doubles from near 48 bits and at
-    # most two at bits + 64, so no step polishes the root outside the
-    # unit circle and none repeats a full-precision pass
+    # all_roots polishes only the floor(k/2) secondary seeds in the closed
+    # upper half-plane, one Newton step per rung of a ladder that about
+    # doubles from near 48 bits and at most two at bits + 64, so no step
+    # polishes the root outside the unit circle or a mirrored root, and
+    # none repeats a full-precision pass
     steps = []
     real_step = roots._newton_step
 
@@ -225,7 +250,7 @@ def test_secondary_newton_steps_per_root_set(monkeypatch):
         roots.all_roots(SequenceParams(q, k), bits)
         work = bits + 64
         rungs = math.ceil(math.log2(work / 48))
-        assert len(steps) <= (k - 1) * (rungs + 2), (q, k, bits)
+        assert len(steps) <= (k // 2) * (rungs + 2), (q, k, bits)
         top = [z for z, scale in steps if scale == work]
-        assert len(top) >= k - 1, (q, k, bits)
+        assert len(top) >= k // 2, (q, k, bits)
         assert all(z[0] ** 2 + z[1] ** 2 < 1 << (2 * work) for z in top), (q, k, bits)

@@ -312,8 +312,50 @@ class TestAllRoots:
         with pytest.raises(RootSolveError, match="overlap"):
             all_roots(SequenceParams(3, 6), 128)
 
+    @given(q=st.integers(1, 10), k=st.integers(2, 64), bits=st.integers(64, 512))
+    @example(q=1, k=2, bits=64)
+    @example(q=7, k=10, bits=256)
+    @example(q=10, k=64, bits=512)
+    @settings(max_examples=25, deadline=None)
+    def test_discs_are_mirror_symmetric(self, q, k, bits):
+        # the lower half-plane is the exact mirror of the upper one, with
+        # equal radii; even k has one real disc, on the negative root, and
+        # odd k none; every disc, mirrors included, bounds k|Phi|/|Phi'| at
+        # its own centre, by exact Horner on Phi and Phi'
+        secondary = all_roots(SequenceParams(q, k), bits).secondary
+        radii = {(s.re_num, s.im_num): s.radius_num for s in secondary}
+        assert all(radii.get((s.re_num, -s.im_num)) == s.radius_num for s in secondary)
+        real = [s for s in secondary if s.im_num == 0]
+        assert len(real) == 1 - k % 2 and all(s.re_num < 0 for s in real)
+        assert sum(s.im_num for s in secondary) == 0
+        for s in secondary:
+            assert _radius_sq_exact(q, k, s.re_num, s.im_num, s.bits) <= s.radius_num ** 2
+
+    @pytest.mark.parametrize("position, mislead, cells", [
+        # within its radius of the axis; at k = 3 that disc has no other
+        # disc to overlap, only its own mirror
+        (0, lambda z, first: (z[0], 1), ((10, 3, 256), (3, 6, 128), (1, 24, 64))),
+        # on the first root again
+        (1, lambda z, first: first, ((10, 5, 256), (3, 6, 128), (1, 24, 64))),
+    ])
+    def test_misplaced_upper_points_refuse(self, monkeypatch, position, mislead, cells):
+        # the first (k-1)//2 polished points are the non-real ones
+        real_polish, polished = roots._polish, []
+
+        def polish(params, z, rungs, accuracy_bits):
+            polished.append(real_polish(params, z, rungs, accuracy_bits))
+            if len(polished) == position + 1:
+                return mislead(polished[-1], polished[0])
+            return polished[-1]
+
+        monkeypatch.setattr(roots, "_polish", polish)
+        for q, k, bits in cells:
+            polished.clear()
+            with pytest.raises(RootSolveError, match="overlap"):
+                all_roots(SequenceParams(q, k), bits)
+
     @pytest.mark.parametrize("stray", [
-        lambda seeds: [seeds[0]] + seeds[:-1],      # one root seeded twice
+        lambda seeds: seeds[:1] * 2 + seeds[2:],    # one root seeded twice
         lambda seeds: [1.5 + 0.5j] + seeds[1:],     # outside the unit circle
         lambda seeds: [complex("nan")] + seeds[1:],
         lambda seeds: [complex("inf")] + seeds[1:],
@@ -425,18 +467,19 @@ class TestAllRoots:
             for s in all_roots(SequenceParams(q, k), bits).secondary:
                 digest.update(f"{s.re_num} {s.im_num} {s.bits}\n".encode())
         assert digest.hexdigest() == (
-            "81be9d77a49435c5fb6e5f7a41a73b7d5469ccad19b212e4ace0b64a788d3bac")
+            "db4993503173987dfb6cd3c3209a29aa3784d46ce6794fe2fb15132ee74b65a4")
 
     def test_radii_digest(self):
         # every secondary radius of the benchmark's cells and three at
         # large k, in order: a new way of bounding the radius must give
-        # the same outward-rounded integers
+        # the same outward-rounded integers; a new polish moves them with
+        # the centres, as a mirror disc takes its upper disc's radius
         digest = hashlib.sha256()
         for q, k, bits in CERTIFY_CELLS + [(3, 64, 128), (10, 48, 256), (1, 128, 128)]:
             for s in all_roots(SequenceParams(q, k), bits).secondary:
                 digest.update(f"{s.radius_num} {s.bits}\n".encode())
         assert digest.hexdigest() == (
-            "4812c6c98c7d775a81979b1f34f39be4ec91139578bf613e2f08de399eb326fa")
+            "ebb49715526640f0406ffe80faabbb82d591b0c1e64e5babf4d2e3ac6e5ea0d4")
 
     def test_compute_only_regime_allowed(self):
         rs = all_roots(SequenceParams(1, 4), 128)
