@@ -51,20 +51,30 @@ __all__ = [
     "run_laws",
 ]
 
-LAW_IDS = (
-    "identity-theorem2",
-    "identity-theorem3",
-    "series-oracle",
-    "lemma1-monotone",
-    "lemma1-sandwich",
-    "lemma2-sandwich",
-    "error-bound",
-    "growth-bounds",
-    "reconstruction",
-)
-
+IDENTITY_N_CAP = 500
 RECONSTRUCTION_N_CAP = 60
 RECONSTRUCTION_MIN_BITS = 256
+
+# one row per law, in canonical order: its id, the CLI selector that
+# reports it, the name of the checker that computes it and the last n
+# that checker reads (None: the grid's n_max).  run_laws looks each
+# checker up by name when it calls it, so a rebound lawcheck.check_* is
+# the one called
+_LAWS = (
+    ("identity-theorem2", "identities", "check_identities", IDENTITY_N_CAP),
+    ("identity-theorem3", "identities", "check_identities", IDENTITY_N_CAP),
+    ("series-oracle", "identities", "check_identities", IDENTITY_N_CAP),
+    ("lemma1-monotone", "lemma1", "check_root_laws", None),
+    ("lemma1-sandwich", "lemma1", "check_root_laws", None),
+    ("lemma2-sandwich", "lemma2", "check_root_laws", None),
+    ("error-bound", "error-bound", "check_term_bounds", None),
+    ("growth-bounds", "growth", "check_term_bounds", None),
+    ("reconstruction", "reconstruction", "check_reconstruction", RECONSTRUCTION_N_CAP),
+)
+LAW_IDS = tuple(law_id for law_id, _, _, _ in _LAWS)
+# CLI selector -> the law ids it reports
+_SELECTORS = {selector: tuple(law_id for law_id, s, _, _ in _LAWS if s == selector)
+              for _, selector, _, _ in _LAWS} | {"all": LAW_IDS}
 
 
 @dataclass(frozen=True)
@@ -205,6 +215,14 @@ def _order_mantissas(a, b) -> int:
     return -1 if a[0] > b[1] else 0
 
 
+def _inside(lo, hi, edge) -> int:
+    """+1 when [lo, hi] lies strictly inside (-edge, edge), -1 when it
+    lies on or past an end, which certifies |x| < edge false, else 0."""
+    if -edge < lo and hi < edge:
+        return 1
+    return -1 if lo >= edge or hi <= -edge else 0
+
+
 def _chain(checks, q, k, n, work, fails, unsettled, order=_order) -> None:
     """Certify each (label, a, b) in checks as a < b; a certified
     a > b goes to fails and an unseparated pair to unsettled."""
@@ -234,8 +252,11 @@ def _require_identities_grid(grid: Grid) -> None:
     if any(k < 2 or k > 16 for k in grid.k_values):
         raise DomainError("identity checks accept k in [2, 16]")
     # the shortcut identity starts at n = 3
-    if not 3 <= grid.n_max <= 500:
-        raise DomainError("identity checks accept n_max in [3, 500]")
+    if not 3 <= grid.n_max <= IDENTITY_N_CAP:
+        raise DomainError(f"identity checks accept n_max in [3, {IDENTITY_N_CAP}]")
+    # the companion-pair identity is stated for q >= 3
+    if grid.q_values[-1] < 3:
+        raise DomainError("identity checks need a q >= 3 on the grid")
 
 
 def _require_certified_regime(grid: Grid) -> None:
@@ -254,7 +275,7 @@ def check_identities(cells: CellContext) -> list[LawReport]:
     all by exact integer equality (never inconclusive)."""
     grid = cells.grid
     _require_identities_grid(grid)
-    witnesses = {law_id: [] for law_id in LAW_IDS[:3]}
+    witnesses = {law_id: [] for law_id in _SELECTORS["identities"]}
     for q, k in grid.cells:
         params = SequenceParams(q, k)
         table = cells.table(q, k)
@@ -309,7 +330,7 @@ def check_root_laws(cells: CellContext) -> list[LawReport]:
         return (
             ("bracket q < gamma", q, gamma),
             ("bracket gamma < q+1", gamma, q + 1),
-            ("alpha(1 - q^-k) < gamma", alpha * Fraction(q**k - 1, q**k), gamma),
+            ("alpha(1 - q^-k) < gamma", alpha * (q**k - 1), gamma * q**k),
             ("gamma < alpha", gamma, alpha),
         )
 
@@ -317,8 +338,8 @@ def check_root_laws(cells: CellContext) -> list[LawReport]:
         params = SequenceParams(q, k)
         gval = g_eval(params, gamma)
         return (
-            ("1/(q+1) < g(gamma)", Fraction(1, q + 1), gval),
-            ("g(gamma) < 1/q", gval, Fraction(1, q)),
+            ("1/(q+1) < g(gamma)", 1, gval * (q + 1)),
+            ("g(gamma) < 1/q", gval * q, 1),
             ("c < gamma", asymptote_c(params, work), gamma),
         )
 
@@ -360,7 +381,8 @@ def check_term_bounds(cells: CellContext) -> list[LawReport]:
     """|E_n| < 1/q for n in [2-k, n_max] and the growth chain
     gamma^(n-2) < gamma^(n-1)(q-1)/q < F_n < gamma^(n-1)(q+2)/q < gamma^n
     for n in [1, n_max], certified against exact integers.  Both are the
-    strict forms the proofs conclude: an E_n ending on +-1/q climbs.
+    strict forms the proofs conclude: an E_n enclosure that reaches +-1/q
+    from within climbs, and one that lies on or past it fails.
 
     Both laws compare integer mantissas at the enclosure's scale 2^-w:
     one dominant_term_sweep per rung, from min(2-k, -1) to n_max, and
@@ -386,11 +408,11 @@ def check_term_bounds(cells: CellContext) -> list[LawReport]:
                 # E_n against +-1/q, scaled by q * 2^work
                 scaled = exact << work
                 e_lo, e_hi = scaled - t_hi, scaled - t_lo
-                lo, hi = q * e_lo, q * e_hi
-                if -edge < lo and hi < edge:
+                sign = _inside(q * e_lo, q * e_hi, edge)
+                if sign > 0:
                     continue
                 e = DyadicInterval(e_lo, e_hi, work)
-                if lo > edge or hi < -edge:
+                if sign < 0:
                     err_fail.append(Witness(
                         q, k, n, "fail",
                         f"|E_{n}| certified above 1/q: "
@@ -497,10 +519,10 @@ def error_decay_probe(
         e = err.interval
         # E_n against +-threshold, scaled by its denominator * 2^bits
         den = threshold.denominator
-        lo, hi, edge = den * e.lo_num, den * e.hi_num, threshold.numerator << e.bits
-        if -edge < lo and hi < edge:
+        sign = _inside(den * e.lo_num, den * e.hi_num, threshold.numerator << e.bits)
+        if sign > 0:
             continue
-        if lo >= edge or hi <= -edge:
+        if sign < 0:
             failures.append(Witness(
                 q, k, n_probe, "fail",
                 f"|E_{n_probe}| certified >= {_float_text(threshold, '.1e')}: "
@@ -518,37 +540,18 @@ def error_decay_probe(
 # dispatcher
 # ----------------------------------------------------------------------
 
-# CLI selector -> the law ids it reports
-_SELECTORS = {
-    "identities": ("identity-theorem2", "identity-theorem3", "series-oracle"),
-    "lemma1": ("lemma1-monotone", "lemma1-sandwich"),
-    "lemma2": ("lemma2-sandwich",),
-    "error-bound": ("error-bound",),
-    "growth": ("growth-bounds",),
-    "reconstruction": ("reconstruction",),
-    "all": LAW_IDS,
-}
-
-
 def run_laws(selection: str, grid: Grid, bits: int) -> list[LawReport]:
     """All reports for a CLI selector, in canonical law order."""
     if selection not in _SELECTORS:
         raise DomainError(f"unknown law selector {selection!r}")
     wanted = set(_SELECTORS[selection])
-    # each checker with the slice of LAW_IDS it reports and the n_max it
-    # reads the grid to
-    checkers = (
-        (LAW_IDS[0:3], min(grid.n_max, 500), check_identities),
-        (LAW_IDS[3:6], grid.n_max, check_root_laws),
-        (LAW_IDS[6:8], grid.n_max, check_term_bounds),
-        (LAW_IDS[8:9], min(grid.n_max, RECONSTRUCTION_N_CAP), check_reconstruction),
-    )
-    chosen = [(n_max, check) for law_ids, n_max, check in checkers
-              if wanted.intersection(law_ids)]
+    # each chosen checker's name -> the n_max it reads the grid to
+    chosen = {checker: grid.n_max if n_cap is None else min(grid.n_max, n_cap)
+              for law_id, _, checker, n_cap in _LAWS if law_id in wanted}
     # the context's grid, and with it every table, is cut at the longest
     # view a chosen checker reads
-    cells = CellContext(replace(grid, n_max=max(n_max for n_max, _ in chosen)), bits)
+    cells = CellContext(replace(grid, n_max=max(chosen.values())), bits)
     reports: list[LawReport] = []
-    for n_max, check in chosen:
-        reports += check(cells.up_to(n_max))
+    for checker, n_max in chosen.items():
+        reports += globals()[checker](cells.up_to(n_max))
     return [r for r in reports if r.law_id in wanted]

@@ -133,8 +133,9 @@ def asymptote_c(params: SequenceParams, bits: int) -> DyadicInterval:
         raise RegimeError(f"asymptote is certified for q >= 3, got q={params.q}")
     q, k = params.q, params.k
     disc = k * k * (q * q - 2 * q + 5) + 4 * (q - 1)
-    root = DyadicInterval.sqrt_of_int(disc, bits + 4)
-    return (root + (q + 1) * k) * Fraction(1, 2 * (k + 1))
+    top = DyadicInterval.sqrt_of_int(disc, bits + 4) + (q + 1) * k
+    den = 2 * (k + 1)
+    return DyadicInterval(top.lo_num // den, -(-top.hi_num // den), top.bits)
 
 
 def u_closed_form(q: int, n: int, bits: int) -> DyadicInterval:

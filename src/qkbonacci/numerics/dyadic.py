@@ -7,7 +7,8 @@ endpoint toward -inf and the upper endpoint toward +inf, so the true real
 result of the corresponding exact operation is always contained in the
 output.  That directed rounding is what makes strict-inequality
 certificates meaningful: if two intervals are separated, the underlying
-reals are provably ordered.
+reals are provably ordered.  The arithmetic takes another interval or an
+int; the comparisons also take a Fraction.
 
 Intervals are immutable and safe to share between threads.
 """
@@ -238,17 +239,12 @@ class DyadicInterval:
         if isinstance(other, int):
             shift = other << self.bits
             return DyadicInterval(self.lo_num + shift, self.hi_num + shift, self.bits)
-        if isinstance(other, Fraction):
-            # the mantissas are integers, so only other * 2^bits is rounded
-            num, den = other.numerator << self.bits, other.denominator
-            return DyadicInterval(self.lo_num + num // den,
-                                  self.hi_num - (-num // den), self.bits)
         return NotImplemented
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "DyadicInterval":
-        if isinstance(other, (DyadicInterval, int, Fraction)):
+        if isinstance(other, (DyadicInterval, int)):
             return self + (-other)
         return NotImplemented
 
@@ -268,10 +264,6 @@ class DyadicInterval:
             if other >= 0:
                 return DyadicInterval(self.lo_num * other, self.hi_num * other, self.bits)
             return DyadicInterval(self.hi_num * other, self.lo_num * other, self.bits)
-        if isinstance(other, Fraction):
-            num, den = other.numerator, other.denominator
-            lo, hi = (self.lo_num, self.hi_num) if num >= 0 else (self.hi_num, self.lo_num)
-            return DyadicInterval((lo * num) // den, -((-hi * num) // den), self.bits)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -290,8 +282,6 @@ class DyadicInterval:
     def __truediv__(self, other) -> "DyadicInterval":
         if isinstance(other, DyadicInterval):
             return self * other.reciprocal()
-        if isinstance(other, (int, Fraction)):
-            return self * (Fraction(1) / Fraction(other))
         return NotImplemented
 
     def __pow__(self, exponent: int) -> "DyadicInterval":

@@ -94,6 +94,21 @@ def test_law_count_matches_selectors(workloads):
     assert {name: len(ids) for name, ids in lawcheck._SELECTORS.items()} == workloads.LAW_COUNT
 
 
+def test_traced_run_laws_spans_each_checker(spans):
+    # run_laws calls each checker through its lawcheck binding, which the
+    # tracer replaces, so the per-checker self times have spans to read
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        lawcheck.run_laws("all", Grid((3,), (2, 3), 30), 64)
+    finally:
+        tracer.uninstall()
+    names = [span[0] for span in tracer.spans if span[0].startswith("lawcheck.")]
+    assert names == ["lawcheck.run_laws", "lawcheck.check_identities",
+                     "lawcheck.check_root_laws", "lawcheck.check_term_bounds",
+                     "lawcheck.check_reconstruction"]
+
+
 def test_tracer_records_and_restores(spans, workloads):
     # one small request per workload kind under an installed tracer; every
     # binding the tracer replaced is the original object again afterwards

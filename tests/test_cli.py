@@ -501,12 +501,22 @@ class TestVerify:
         ("--law", "identities", "--n-max", "-3"),
         # the shortcut identity starts at n = 3
         ("--law", "all", "--q", "3", "--k-max", "3", "--n-max", "2"),
+        # the companion-pair identity needs a q >= 3
+        ("--law", "identities", "--q", "1", "--q", "2", "--k-min", "2", "--k-max", "3",
+         "--n-max", "20"),
     ])
     def test_empty_grid_exits_2(self, capsys, argv):
         code, out, err = run_cli(capsys, "verify", *argv)
         assert code == 2
         assert out == ""
         assert err.startswith("error: ")
+
+    def test_help_lists_the_selectors(self, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(["verify", "--help"])
+        assert exited.value.code == 0
+        assert ("{identities,lemma1,lemma2,error-bound,growth,reconstruction,all}"
+                in capsys.readouterr().out)
 
     def test_byte_stable(self, capsys):
         args = ("verify", "--law", "lemma1", "--q", "4", "--k-min", "2",

@@ -74,9 +74,10 @@ class TestIdentities:
                         assert computed == value
 
     def test_fibonacci_cross_check(self):
-        reports = check_identities(CellContext(Grid((1,), (2,), 20), 192))
+        # q = 3 puts a cell of the companion-pair identity on the grid
+        reports = check_identities(CellContext(Grid((1, 3), (2,), 20), 192))
         assert all(r.verdict == "pass" for r in reports)
-        # the shortcut reads F_n = 2F_{n-1} - 0*F_{n-2} - F_{n-3} here
+        # at q = 1 the shortcut reads F_n = 2F_{n-1} - 0*F_{n-2} - F_{n-3}
         for n in range(3, 21):
             assert fibonacci(n) == 2 * fibonacci(n - 1) - fibonacci(n - 3)
 
@@ -133,6 +134,9 @@ class TestIdentities:
             check_identities(CellContext(Grid((3,), (17,), 9), 192))
         with pytest.raises(DomainError):
             check_identities(CellContext(Grid((3,), (2,), 501), 192))
+        # without a q >= 3 the companion-pair identity would pass unchecked
+        with pytest.raises(DomainError, match="q >= 3"):
+            check_identities(CellContext(Grid((1, 2), (2, 3), 20), 192))
 
 
 class TestRootLaws:
@@ -342,6 +346,36 @@ class TestTermBounds:
         assert (error.verdict, error.bits_used) == ("pass", 2 * first)
         assert growth.verdict == "pass"
 
+    @pytest.mark.parametrize("side", (-1, 1))
+    def test_enclosure_inside_from_the_bound_fails(self, monkeypatch, side):
+        # an E_20 enclosure whose inner end lies exactly on +-1/q certifies
+        # |E_20| >= 1/q, which falsifies the strict bound at that rung
+        real = lawcheck.dominant_term_sweep
+        exact = term_table(SequenceParams(4, 3), 20)[-1]
+        rungs = []
+
+        def sweep(enclosure, n_lo, n_hi):
+            rows = real(enclosure, n_lo, n_hi)
+            work = enclosure.interval.bits
+            rungs.append(work)
+            if len(rungs) == 1:
+                # E_n = F_n - term: the term's end nearer F_n 2^w sets
+                # E_n's inner end, put on +-1/q = +-2^(w-2); the other
+                # end lies one unit past it
+                term_lo, term_hi = rows[2:]
+                inner = (exact << work) - side * ((1 << work) // 4)
+                term_lo[20 - n_lo], term_hi[20 - n_lo] = sorted((inner, inner - side))
+            return rows
+
+        monkeypatch.setattr(lawcheck, "dominant_term_sweep", sweep)
+        error, growth = check_term_bounds(CellContext(Grid((4,), (3,), 40), 64))
+        assert len(rungs) == 1
+        assert (error.verdict, error.bits_used) == ("fail", rungs[0])
+        (witness,) = error.witnesses
+        assert (witness.n, witness.kind) == (20, "fail")
+        assert witness.detail.startswith("|E_20| certified above 1/q: ")
+        assert growth.verdict == "pass"
+
     @pytest.mark.parametrize("grid, bits", [
         (Grid((3, 4), (2, 3), 60), 128),
         (Grid((3, 5), (2, 6), 300), 192),
@@ -512,6 +546,17 @@ class TestReports:
         assert report.grid.n_max == 60
         assert report.bits_used == 256
         assert report.verdict == "pass"
+
+    def test_selectors_cover_each_law_once(self):
+        # the selectors but "all" split LAW_IDS in canonical order, so each
+        # law id is in exactly one of them; the CLI lists them in this order
+        assert list(lawcheck._SELECTORS) == [
+            "identities", "lemma1", "lemma2", "error-bound", "growth", "reconstruction", "all"]
+        assert lawcheck._SELECTORS["all"] == LAW_IDS
+        assert len(set(LAW_IDS)) == len(LAW_IDS)
+        split = [law_id for selector, law_ids in lawcheck._SELECTORS.items()
+                 if selector != "all" for law_id in law_ids]
+        assert tuple(split) == LAW_IDS
 
     def test_unknown_selector(self):
         with pytest.raises(DomainError):
