@@ -2,9 +2,10 @@
 
 Two deliberately different routes:
 
-* the dominant root's enclosure is halved from the (q, q+1) bracket to
-  64 bits, then narrowed by Newton rungs that about double the precision,
-  each unit cell certified by integer sign tests whose answer is exact;
+* the dominant root's enclosure starts from the cell of a double root,
+  then is narrowed by Newton rungs that about double the precision, each
+  unit cell certified by integer sign tests whose answer is exact, and
+  halved to where a proposal has no sign pair;
 * the remaining roots with Im >= 0 are seeded one per branch of the
   AuxPoly identity r^(k-1) = -1/Q(r) in floats, polished by Newton steps
   in integer fixed-point complex arithmetic whose precision about doubles
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from math import frexp, isqrt
+from math import floor, frexp, isfinite, isqrt, ldexp, sqrt
 
 from ..errors import DomainError, RegimeError, RootSolveError
 from ..sequences import SequenceParams
@@ -116,18 +117,12 @@ def _phi_and_slope(coeffs: tuple, x: int, w: int) -> tuple[int, int]:
     return p, dp
 
 
-def _newton_cell(poly: CharPoly, lo: int, scale: int, bits: int) -> int | None:
-    """The sign-certified cell at bits in [lo, lo + 1] * 2^-scale, or None.
-    It is found by one Newton step from the midpoint, which lands within
-    1/8 of a cell of the root as |Phi''/2Phi'| < k/2 near gamma and
-    2 scale >= bits + bit_length(k), and at most two one-cell moves."""
-    w, shift = bits + poly.params.k.bit_length() + 16, bits - scale
-    x = (2 * lo + 1) << (w - scale - 1)
-    p, dp = _phi_and_slope(poly.coefficients, x, w)
-    if dp <= 0:
-        return None
-    # the root is inside [lo, lo + 1], so a step past it is pulled back
-    cell = min(max((x - (p << w) // dp) >> (w - bits), lo << shift), ((lo + 1) << shift) - 1)
+def _certified_near(poly: CharPoly, guess: int, lo: int, scale: int, bits: int) -> int | None:
+    """The sign-certified cell at bits nearest guess, pulled into [lo, lo +
+    1] * 2^-scale, which holds the root: the sign pair at the guessed
+    cell, then at most two one-cell moves towards the root, or None."""
+    shift = bits - scale
+    cell = min(max(guess, lo << shift), ((lo + 1) << shift) - 1)
     below, above = poly.sign_at_dyadic(cell, bits), poly.sign_at_dyadic(cell + 1, bits)
     for _ in range(2):
         if below > 0:
@@ -137,14 +132,58 @@ def _newton_cell(poly: CharPoly, lo: int, scale: int, bits: int) -> int | None:
     return cell if below < 0 < above else None
 
 
+def _newton_cell(poly: CharPoly, lo: int, scale: int, bits: int) -> int | None:
+    """The sign-certified cell at bits in [lo, lo + 1] * 2^-scale, or None.
+    It is found by one Newton step from the midpoint, which lands within
+    1/8 of a cell of the root as |Phi''/2Phi'| < k/2 near gamma and
+    2 scale >= bits + bit_length(k), and at most two one-cell moves."""
+    w = bits + poly.params.k.bit_length() + 16
+    x = (2 * lo + 1) << (w - scale - 1)
+    p, dp = _phi_and_slope(poly.coefficients, x, w)
+    if dp <= 0:
+        return None
+    return _certified_near(poly, (x - (p << w) // dp) >> (w - bits), lo, scale, bits)
+
+
+def _float_root(q: int, k: int) -> float:
+    """gamma in doubles, by Newton on Q(t) + t^(1-k), Q(t) = t^2 - (q+1)t +
+    (q-1): the AuxPoly identity (t-1) Phi(t) = t^(k-1) Q(t) + 1 divided by
+    t^(k-1), so no power overflows for any k.  It is convex for t > 0 with
+    roots 1 and gamma, and positive at alpha, Q's root above gamma, so the
+    steps from alpha fall monotonically onto gamma."""
+    t = (q + 1 + sqrt((q - 1) ** 2 + 4)) / 2
+    for _ in range(64):
+        tail = t ** (1 - k)
+        step = (t * (t - (q + 1)) + (q - 1) + tail) / (2 * t - (q + 1) + (1 - k) * tail / t)
+        t -= step
+        # past this the error left is about the step squared
+        if not abs(step) > t * 2.0 ** -40:
+            break
+    return t
+
+
 def _bisect(params: SequenceParams, lo: int, scale: int, bits: int) -> RootEnclosure:
-    """Narrow the sign-certified unit cell [lo, lo + 1] * 2^-scale to bits:
-    halving to 64 bits, then Newton rungs that about double the scale, or
-    halving where Newton finds no sign pair.  Phi has one positive root,
-    so the cell at each scale is unique, however it was found."""
-    poly = CharPoly.of(params)
-    lo, scale = _halve(poly, lo, scale, min(bits, 64))
-    rungs, rung, slack = [], bits, params.k.bit_length()
+    """Narrow the sign-certified unit cell [lo, lo + 1] * 2^-scale to bits.
+
+    The first rung is the cell that holds a double root at about 48 -
+    bit_length(q + 1) bits, certified by the sign pair, and halved to where
+    the seed finds none; where those bits leave the Newton rungs no start,
+    the first rung is halved to 64 bits.  Newton rungs that about double
+    the scale follow, each halved where it finds no sign pair.  Phi has one
+    positive root, so the cell at each scale is unique, however it was
+    found, and every enclosure is the one halving alone gives."""
+    poly, q, slack = CharPoly.of(params), params.q, params.k.bit_length()
+    # a double resolves about 48 - bit_length(q + 1) bits of gamma, and the
+    # Newton rungs gain a bit each only from above slack + 1
+    seed = 48 - (q + 1).bit_length()
+    seeded = seed > slack + 1
+    first = min(bits, seed if seeded else 64)
+    if scale < first:
+        cell = None
+        if seeded and isfinite(t := _float_root(q, params.k)):
+            cell = _certified_near(poly, floor(ldexp(t, first)), lo, scale, first)
+        lo, scale = (cell, first) if cell is not None else _halve(poly, lo, scale, first)
+    rungs, rung = [], bits
     while rung > scale:
         rungs.append(rung)
         rung = (rung + slack + 1) // 2
@@ -153,7 +192,6 @@ def _bisect(params: SequenceParams, lo: int, scale: int, bits: int) -> RootEnclo
         lo, scale = (cell, rung) if cell is not None else _halve(poly, lo, scale, rung)
     # the sign pair already puts the root strictly inside, so an endpoint
     # may sit on q or q + 1 itself
-    q = params.q
     if not (lo >= q << scale and lo + 1 <= (q + 1) << scale):
         raise RuntimeError("internal error: enclosure escaped the (q, q+1) bracket")
     return RootEnclosure(params, DyadicInterval(lo, lo + 1, scale))
@@ -165,7 +203,10 @@ def dominant_root(params: SequenceParams, bits: int) -> RootEnclosure:
     The starting bracket is (q, q+1) for every q >= 1: Phi(q) =
     -(1 + q + ... + q^(k-2)) < 0 < Phi(q+1), and by Descartes' rule of
     signs Phi has no other positive root.  Every cell it narrows to is a
-    unit cell [j, j+1] * 2^-scale.
+    unit cell [j, j+1] * 2^-scale: first the one at about 48 -
+    bit_length(q + 1) bits that a double root proposes, then Newton
+    rungs'.  A proposal only saves sign tests; the sign pair decides each
+    cell, and as that cell is unique, it is the one halving would reach.
     """
     if bits < 8:
         raise DomainError(f"bits must be >= 8, got {bits}")

@@ -162,10 +162,11 @@ def test_dominant_root_bits_argument():
 
 def test_sign_tests_per_dominant_root(monkeypatch):
     # numerics.polynomials.sign_tests counts calls by the method name: two
-    # bracket checks, one per halving bit up to 64, and past that a sign
-    # pair and at most two one-cell moves for each Newton rung, of which
-    # there are at most bit_length(bits) - 5; an exact fallback inside the
-    # method is not a second call
+    # bracket checks, then at the float seed's scale, 48 - bit_length(q + 1)
+    # bits or fewer, a sign pair and at most two one-cell moves, and past
+    # that the same for each Newton rung, of which there are at most
+    # bit_length(bits) - 5; an exact fallback inside the method is not a
+    # second call
     calls = []
     real_sign = _IntPoly.sign_at_dyadic
 
@@ -178,10 +179,19 @@ def test_sign_tests_per_dominant_root(monkeypatch):
                        (3, 8, 4096), (1, 64, 4096)):
         calls.clear()
         roots.dominant_root(SequenceParams(q, k), bits)
-        halving = 2 + min(bits, 64)
-        assert calls[:halving] == [0, 0, *range(1, min(bits, 64) + 1)], (q, k, bits)
-        rungs = bits.bit_length() - 5 if bits > 64 else 0
-        assert len(calls) - halving <= 4 * rungs, (q, k, bits)
+        seed = min(bits, 48 - (q + 1).bit_length())
+        at_seed = calls.count(seed)
+        assert calls[:4] == [0, 0, seed, seed] and at_seed <= 4, (q, k, bits)
+        assert calls[2:2 + at_seed] == [seed] * at_seed, (q, k, bits)
+        rungs = max(0, bits.bit_length() - 5)
+        assert len(calls) - 2 - at_seed <= 4 * rungs, (q, k, bits)
+    # a double holds no bit of gamma's fraction at q = 10**20, so the seed
+    # falls back to halving, one test per bit up to 64
+    for bits in (64, 256):
+        calls.clear()
+        roots.dominant_root(SequenceParams(10**20, 5), bits)
+        assert calls[:66] == [0, 0, *range(1, 65)], bits
+        assert len(calls) - 66 <= 4 * (bits.bit_length() - 5), bits
     calls.clear()
     # t = 1 is an exact zero of AuxPoly, decided by the exact fallback
     assert AuxPoly.of(SequenceParams(3, 5)).sign_at_dyadic(1 << 4096, 4096) == 0

@@ -1,4 +1,5 @@
 import hashlib
+import math
 from fractions import Fraction
 
 import pytest
@@ -190,6 +191,18 @@ def _halving_enclosure(params, bits):
     return RootEnclosure(params, DyadicInterval(lo, lo + 1, scale))
 
 
+def _record_halvings(monkeypatch):
+    # the target scale of every _halve call, in order
+    real_halve, halved = roots._halve, []
+
+    def halve(poly, lo, scale, bits):
+        halved.append(bits)
+        return real_halve(poly, lo, scale, bits)
+
+    monkeypatch.setattr(roots, "_halve", halve)
+    return halved
+
+
 class TestNewtonRungs:
     """The sign pair, not Newton, decides each cell: Newton only proposes."""
 
@@ -197,6 +210,9 @@ class TestNewtonRungs:
            bits=st.integers(8, 4096), start=st.integers(8, 4096))
     @example(q=1, k=64, bits=64, start=4096)
     @example(q=3, k=8, bits=65, start=64)
+    # no float seed at q = 10**20; at k = 1000 a naive x**k overflows a double
+    @example(q=10**20, k=5, bits=300, start=100)
+    @example(q=3, k=1000, bits=200, start=20)
     @settings(max_examples=12, deadline=None)
     def test_equals_pure_halving(self, q, k, bits, start):
         # directly, and refined from a coarser or a finer enclosure
@@ -214,22 +230,36 @@ class TestNewtonRungs:
     def test_misled_newton_falls_back_to_halving(self, monkeypatch, mislead):
         cells = [(1, 64, 300), (3, 8, 1024), (10, 2, 200), (4, 5, 129)]
         expected = [_halving_enclosure(SequenceParams(q, k), bits) for q, k, bits in cells]
-        real_eval, real_halve, halved = roots._phi_and_slope, roots._halve, []
+        real_eval = roots._phi_and_slope
 
         def misled(coeffs, x, w):
             return mislead(*real_eval(coeffs, x, w), w)
 
-        def halve(poly, lo, scale, bits):
-            halved.append(bits)
-            return real_halve(poly, lo, scale, bits)
-
         monkeypatch.setattr(roots, "_phi_and_slope", misled)
-        monkeypatch.setattr(roots, "_halve", halve)
+        halved = _record_halvings(monkeypatch)
         for (q, k, bits), enclosure in zip(cells, expected):
             halved.clear()
             assert dominant_root(SequenceParams(q, k), bits) == enclosure
             # some rung was refused and halved instead, up to the last
             assert halved[-1] == bits and len(halved) > 1
+
+
+    @pytest.mark.parametrize("seed", [
+        lambda q: math.nan,
+        lambda q: math.inf,
+        lambda q: q + 3.5,   # past the (q, q+1) bracket
+        lambda q: 1.0,       # the other root of Q(t) + t^(1-k)
+    ])
+    def test_bad_float_seed_falls_back_to_halving(self, monkeypatch, seed):
+        cells = [(2, 5, 300), (3, 8, 1024), (10, 2, 200), (1, 3, 129), (4, 6, 30)]
+        expected = [_halving_enclosure(SequenceParams(q, k), bits) for q, k, bits in cells]
+        monkeypatch.setattr(roots, "_float_root", lambda q, k: seed(q))
+        halved = _record_halvings(monkeypatch)
+        for (q, k, bits), enclosure in zip(cells, expected):
+            halved.clear()
+            assert dominant_root(SequenceParams(q, k), bits) == enclosure
+            # the seed scale is halved to, and the Newton rungs go on from it
+            assert halved == [min(bits, 48 - (q + 1).bit_length())], (q, k, bits)
 
 
 class TestQuadraticRoots:
