@@ -197,37 +197,34 @@ def _report(law_id, grid, witnesses, bits_used) -> LawReport:
 
 
 def _order(a, b) -> int:
-    """+1 when a < b is certified, -1 when a > b is certified, else 0.
-
-    At least one side is a DyadicInterval; the other may be an exact
-    number."""
-    if not isinstance(a, DyadicInterval):
-        return -_order(b, a)
-    if a.strictly_below(b):
-        return 1
-    return -1 if a.strictly_above(b) else 0
-
-
-def _order_mantissas(a, b) -> int:
-    """_order for (lo, hi) integer mantissa pairs at one scale."""
+    """+1 when a < b is certified, -1 when a >= b is, which falsifies
+    a < b, else 0, for (lo, hi) integer mantissa pairs at one scale."""
     if a[1] < b[0]:
         return 1
-    return -1 if a[0] > b[1] else 0
+    return -1 if a[0] >= b[1] else 0
 
 
 def _inside(lo, hi, edge) -> int:
     """+1 when [lo, hi] lies strictly inside (-edge, edge), -1 when it
     lies on or past an end, which certifies |x| < edge false, else 0."""
-    if -edge < lo and hi < edge:
-        return 1
-    return -1 if lo >= edge or hi <= -edge else 0
+    return min(_order((-edge, -edge), (lo, hi)), _order((lo, hi), (edge, edge)))
 
 
-def _chain(checks, q, k, n, work, fails, unsettled, order=_order) -> None:
-    """Certify each (label, a, b) in checks as a < b; a certified
-    a > b goes to fails and an unseparated pair to unsettled."""
+def _on_one_scale(checks):
+    """(label, a, b) checks of intervals and ints as mantissa pairs at the finer scale."""
     for label, a, b in checks:
-        sign = order(a, b)
+        a = DyadicInterval.from_int(a, b.bits) if isinstance(a, int) else a
+        b = DyadicInterval.from_int(b, a.bits) if isinstance(b, int) else b
+        a_lo, a_hi, b_lo, b_hi, _ = a._aligned(b)
+        yield label, (a_lo, a_hi), (b_lo, b_hi)
+
+
+def _chain(checks, q, k, n, work, fails, unsettled) -> None:
+    """Certify each (label, a, b) in checks, a and b mantissa pairs at
+    one scale, as a < b; a certified a >= b goes to fails and an
+    unseparated pair to unsettled."""
+    for label, a, b in checks:
+        sign = _order(a, b)
         if sign < 0:
             fails.append(Witness(q, k, n, "fail", f"{label} certified false"))
         elif sign == 0:
@@ -321,8 +318,8 @@ def check_root_laws(cells: CellContext) -> list[LawReport]:
         for q in grid.q_values:
             gammas = {k: refine_root(cells.root(q, k), work).interval for k in ks}
             for k1, k2 in combinations(ks, 2):
-                _chain(((f"gamma_{k1} vs gamma_{k2}", gammas[k1], gammas[k2]),),
-                       q, k2, None, work, fails, unsettled)
+                pair = ((f"gamma_{k1} vs gamma_{k2}", gammas[k1], gammas[k2]),)
+                _chain(_on_one_scale(pair), q, k2, None, work, fails, unsettled)
         return (fails + unsettled,)
 
     def sandwich(q, k, gamma, work):
@@ -349,7 +346,8 @@ def check_root_laws(cells: CellContext) -> list[LawReport]:
             fails, unsettled = [], []
             for q, k in grid.cells:
                 gamma = refine_root(cells.root(q, k), work).interval
-                _chain(checks(q, k, gamma, work), q, k, None, work, fails, unsettled)
+                _chain(_on_one_scale(checks(q, k, gamma, work)),
+                       q, k, None, work, fails, unsettled)
             return (fails + unsettled,)
         return compare
 
@@ -436,12 +434,12 @@ def check_term_bounds(cells: CellContext) -> list[LawReport]:
                 chain = ((power_lo[i - 1], power_hi[i - 1]), low, (exact, exact),
                          high, (power_lo[i + 1], power_hi[i + 1]))
                 _chain(zip(_GROWTH_LINKS, chain, chain[1:]), q, k, n, work,
-                       grow_fail, grow_pending, _order_mantissas)
+                       grow_fail, grow_pending)
             return err_fail + err_pending, grow_fail + grow_pending
 
         # a rung whose E_{n_max} enclosure is wider than 2/q cannot settle
         # that n, so it could only climb on
-        ladder = _root_ladder(cells.root(q, k), grid.n_max, Fraction(2, q))
+        ladder = _root_ladder(cells.root(q, k), grid.n_max, (2, q))
         (cell_error, cell_growth), enclosure = _climb(ladder, attempt)
         error_witnesses += cell_error
         growth_witnesses += cell_growth
@@ -466,16 +464,15 @@ def check_reconstruction(cells: CellContext) -> list[LawReport]:
         table = cells.table(q, k)
         try:
             sweep = reconstruction_sweep(cells.root(q, k), 2 - k, grid.n_max, bits)
-            for n, value, radius in sweep:
-                if value is None:
-                    witnesses.append(Witness(q, k, n, "inconclusive", "certified radius "
-                                             f"{_float_text(radius, '.3g')} is not below 1/2"))
-                elif value != table[n + k - 2]:
-                    witnesses.append(Witness(
-                        q, k, n, "fail",
-                        f"reconstruction {value} != exact {table[n + k - 2]} "
-                        f"(radius {_float_text(radius, '.3g')})",
-                    ))
+            for n, value, (half, scale) in sweep:
+                if value == table[n + k - 2]:
+                    continue
+                radius = _float_text(Fraction(half, 1 << scale), '.3g')
+                witnesses.append(
+                    Witness(q, k, n, "inconclusive", f"certified radius {radius} is not below 1/2")
+                    if value is None else
+                    Witness(q, k, n, "fail", f"reconstruction {value} != exact "
+                                             f"{table[n + k - 2]} (radius {radius})"))
         except RootSolveError as exc:
             witnesses.append(Witness(q, k, None, "fail", f"root solve failed: {exc}"))
         except ReconstructionError as exc:

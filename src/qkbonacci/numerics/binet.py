@@ -8,7 +8,8 @@ secondary term per conjugate pair (or real root) as one power at the first
 n and one product per later n, in fixed point at the inclusion-disc
 centres; a certified radius covers the discs and every rounding, and the
 sum is rounded only when that radius is below 1/2.  reconstruction_sweep
-yields (n, value, radius) triples, and binet_reconstruct reads one item.
+yields (n, value, radius) triples, the radius an integer mantissa pair
+(half, scale) for half * 2^-scale, and binet_reconstruct reads one item.
 """
 from __future__ import annotations
 
@@ -60,11 +61,11 @@ def _rungs(bits: int) -> list[int]:
     return rungs
 
 
-def _root_ladder(enclosure: RootEnclosure, n: int, limit: Fraction):
+def _root_ladder(enclosure: RootEnclosure, n: int, limit: tuple[int, int]):
     """The given dominant-root enclosure, at bits, refined up each rung of
     _rungs(bits) without a bisection from the bracket, less the leading
     rungs at which the g(gamma) * gamma^n enclosure is certainly wider
-    than limit; the cap rung always stays.
+    than limit = num / den, given as (num, den); the cap rung always stays.
 
     A rung-w root enclosure [a, b] is exactly 2^-w wide and lies inside
     every coarser one, outward-rounded powers are at least b^n - a^n >=
@@ -74,15 +75,14 @@ def _root_ladder(enclosure: RootEnclosure, n: int, limit: Fraction):
     integer keeps that width.
     """
     params, bits = enclosure.params, enclosure.interval.bits
-    rungs = _rungs(bits)
+    rungs, (num, den) = _rungs(bits), limit
     if n >= 1:
         gamma = refine_root(enclosure, min(bits, 64)).interval
         weight = g_eval(params, gamma)
-        # g_lo n a^(n-1) 2^-w > limit, scaled by 2^(scale + w) and the
-        # denominator of limit
-        wide = weight.lo_num * n * gamma.lo_num ** (n - 1) * limit.denominator
+        # g_lo n a^(n-1) 2^-w > num / den, scaled by 2^(scale + w) den
+        wide = weight.lo_num * n * gamma.lo_num ** (n - 1) * den
         scale = weight.bits + gamma.bits * (n - 1)
-        while len(rungs) > 1 and wide > limit.numerator << (scale + rungs[0]):
+        while len(rungs) > 1 and wide > num << (scale + rungs[0]):
             del rungs[0]
     for work in rungs:
         enclosure = refine_root(enclosure, work)
@@ -277,19 +277,20 @@ def binet_reconstruct(params: SequenceParams, n: int, bits: int = 256) -> int:
     term, or raise ReconstructionError when the sum's certified radius is
     not below 1/2.  Valid for every q >= 1: the expansion only needs the
     roots to be simple."""
-    ((_, value, radius),) = reconstruction_sweep(dominant_root(params, bits), n, n, bits)
+    ((_, value, (half, scale)),) = reconstruction_sweep(dominant_root(params, bits), n, n, bits)
     if value is None:
         raise ReconstructionError(
             f"full-roots sum at (q={params.q}, k={params.k}, n={n}) has radius "
-            f"{_float_text(radius, '.3g')}, not below 1/2; increase the working precision")
+            f"{_float_text(Fraction(half, 1 << scale), '.3g')}, not below 1/2; "
+            "increase the working precision")
     return value
 
 
 def reconstruction_sweep(enclosure: RootEnclosure, n_lo: int, n_hi: int, bits: int):
-    """Yield (n, value, radius) for every n in [n_lo, n_hi]: value is the
-    full-roots sum rounded to an int, or None when the certified radius
-    of the disc around the computed sum that holds the exact sum is not
-    below 1/2.
+    """Yield (n, value, (half, scale)) for every n in [n_lo, n_hi]: value
+    is the full-roots sum rounded to an int, or None when the certified
+    radius half * 2^-scale of the disc around the computed sum that holds
+    the exact sum is not below 1/2.
 
     The dominant term is dominant_term_sweep's row from n_lo to n_hi, at
     the given enclosure refined to a precision that follows n_hi and q.
@@ -326,4 +327,4 @@ def reconstruction_sweep(enclosure: RootEnclosure, n_lo: int, n_hi: int, bits: i
                       for c, g, p in zip(copies, weights, powers)) << (scale - work)
         half = ((hi - lo) << (scale - w - 1)) + secondary
         value = _round_shift(centre, scale) if 2 * half < 1 << scale else None
-        yield n, value, Fraction(half, 1 << scale)
+        yield n, value, (half, scale)

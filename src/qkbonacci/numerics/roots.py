@@ -117,12 +117,11 @@ def _phi_and_slope(coeffs: tuple, x: int, w: int) -> tuple[int, int]:
     return p, dp
 
 
-def _certified_near(poly: CharPoly, guess: int, lo: int, scale: int, bits: int) -> int | None:
-    """The sign-certified cell at bits nearest guess, pulled into [lo, lo +
-    1] * 2^-scale, which holds the root: the sign pair at the guessed
-    cell, then at most two one-cell moves towards the root, or None."""
-    shift = bits - scale
-    cell = min(max(guess, lo << shift), ((lo + 1) << shift) - 1)
+def _certified_near(poly: CharPoly, cell: int, bits: int) -> int | None:
+    """The sign-certified cell at bits nearest cell, by the sign pair there
+    and at most two one-cell moves towards the root, or None.  Only gamma's
+    cell shows -/+: Phi has one positive root and falls through its one
+    negative root (even k)."""
     below, above = poly.sign_at_dyadic(cell, bits), poly.sign_at_dyadic(cell + 1, bits)
     for _ in range(2):
         if below > 0:
@@ -142,7 +141,7 @@ def _newton_cell(poly: CharPoly, lo: int, scale: int, bits: int) -> int | None:
     p, dp = _phi_and_slope(poly.coefficients, x, w)
     if dp <= 0:
         return None
-    return _certified_near(poly, (x - (p << w) // dp) >> (w - bits), lo, scale, bits)
+    return _certified_near(poly, (x - (p << w) // dp) >> (w - bits), bits)
 
 
 def _float_root(q: int, k: int) -> float:
@@ -163,7 +162,9 @@ def _float_root(q: int, k: int) -> float:
 
 
 def _bisect(params: SequenceParams, lo: int, scale: int, bits: int) -> RootEnclosure:
-    """Narrow the sign-certified unit cell [lo, lo + 1] * 2^-scale to bits.
+    """The enclosure at bits from the unit cell [lo, lo + 1] * 2^-scale,
+    narrowed on, or its ancestor at bits when finer; a cell without the
+    sign pair, or bits < 8, raises DomainError.
 
     The first rung is the cell that holds a double root at about 48 -
     bit_length(q + 1) bits, certified by the sign pair, and halved to where
@@ -172,7 +173,13 @@ def _bisect(params: SequenceParams, lo: int, scale: int, bits: int) -> RootEnclo
     the scale follow, each halved where it finds no sign pair.  Phi has one
     positive root, so the cell at each scale is unique, however it was
     found, and every enclosure is the one halving alone gives."""
+    if bits < 8:
+        raise DomainError(f"bits must be >= 8, got {bits}")
     poly, q, slack = CharPoly.of(params), params.q, params.k.bit_length()
+    if not poly.sign_at_dyadic(lo, scale) < 0 < poly.sign_at_dyadic(lo + 1, scale):
+        raise DomainError("enclosure is not a sign-certified cell of the bisection lattice")
+    if scale > bits:
+        lo, scale = lo >> (scale - bits), bits
     # a double resolves about 48 - bit_length(q + 1) bits of gamma, and the
     # Newton rungs gain a bit each only from above slack + 1
     seed = 48 - (q + 1).bit_length()
@@ -181,7 +188,7 @@ def _bisect(params: SequenceParams, lo: int, scale: int, bits: int) -> RootEnclo
     if scale < first:
         cell = None
         if seeded and isfinite(t := _float_root(q, params.k)):
-            cell = _certified_near(poly, floor(ldexp(t, first)), lo, scale, first)
+            cell = _certified_near(poly, floor(ldexp(t, first)), first)
         lo, scale = (cell, first) if cell is not None else _halve(poly, lo, scale, first)
     rungs, rung = [], bits
     while rung > scale:
@@ -208,13 +215,7 @@ def dominant_root(params: SequenceParams, bits: int) -> RootEnclosure:
     rungs'.  A proposal only saves sign tests; the sign pair decides each
     cell, and as that cell is unique, it is the one halving would reach.
     """
-    if bits < 8:
-        raise DomainError(f"bits must be >= 8, got {bits}")
-    poly = CharPoly.of(params)
-    q = params.q
-    if not (poly.sign_at_dyadic(q, 0) < 0 < poly.sign_at_dyadic(q + 1, 0)):
-        raise RuntimeError("internal error: sign change missing at (q, q+1)")
-    return _bisect(params, q, 0, bits)
+    return _bisect(params, params.q, 0, bits)
 
 
 def refine_root(enclosure: RootEnclosure, bits: int) -> RootEnclosure:
@@ -226,17 +227,10 @@ def refine_root(enclosure: RootEnclosure, bits: int) -> RootEnclosure:
     its ancestor, the cell whose index is its own shifted right.  The
     enclosure must be a unit cell with the sign pair at its ends.
     """
-    if bits < 8:
-        raise DomainError(f"bits must be >= 8, got {bits}")
     cell = enclosure.interval
-    lo, scale = cell.lo_num, cell.bits
-    poly = CharPoly.of(enclosure.params)
-    if not (cell.hi_num == lo + 1
-            and poly.sign_at_dyadic(lo, scale) < 0 < poly.sign_at_dyadic(lo + 1, scale)):
+    if cell.hi_num != cell.lo_num + 1:
         raise DomainError("enclosure is not a sign-certified cell of the bisection lattice")
-    if scale > bits:
-        lo, scale = lo >> (scale - bits), bits
-    return _bisect(enclosure.params, lo, scale, bits)
+    return _bisect(enclosure.params, cell.lo_num, cell.bits, bits)
 
 
 def quadratic_roots(q: int, bits: int) -> QuadraticRoots:

@@ -27,6 +27,7 @@ from qkbonacci import (
     error_term,
     g_eval,
     quadratic_roots,
+    run_laws,
     term_definition,
     term_fast,
     u_closed_form,
@@ -143,6 +144,24 @@ class TestWeightMantissas:
         view = enclosures[0][1].lo
         monkeypatch.undo()
         assert len(built) == 1 and view == built[0][0] / built[0][1]
+
+    def test_laws_and_reconstruction_build_no_fraction(self, monkeypatch):
+        # the laws compare integer mantissas, and a sweep's radius is an
+        # integer pair: a Fraction is built only for witness or error text
+        built = []
+        real_new = Fraction.__new__
+
+        def counting_new(cls, *args, **kwargs):
+            built.append(args)
+            return real_new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", counting_new)
+        reports = run_laws("all", Grid.default(), 192)
+        value = binet_reconstruct(SequenceParams(3, 5), 100, 256)
+        monkeypatch.undo()
+        assert built == []
+        assert {r.verdict for r in reports} == {"pass"}
+        assert value == term_definition(SequenceParams(3, 5), 100)
 
 
 class TestAsymptote:
@@ -261,7 +280,7 @@ class TestRungSkipping:
         # g(gamma) gamma^300 for (5, 8) has ~760 integer bits: the 192 and
         # 384 bit rungs cannot reach 2^-32 and are skipped; 768 can
         params = SequenceParams(5, 8)
-        ladder = _root_ladder(dominant_root(params, 192), 300, Fraction(1, 2**32))
+        ladder = _root_ladder(dominant_root(params, 192), 300, (1, 2**32))
         assert [enclosure.interval.bits for enclosure in ladder] == [768, 1536, 3072]
         term = binet_dominant(params, 300, 192)
         assert (term.interval, term.bits_used, term.capped) == full_climb(params, 300, 192)
@@ -437,9 +456,9 @@ class TestReconstruction:
 
     def test_guard_magnitudes_reported(self):
         p = SequenceParams(3, 4)
-        ((_, value, radius),) = reconstruction_sweep(dominant_root(p, 256), 20, 20, 256)
+        ((_, value, (half, scale)),) = reconstruction_sweep(dominant_root(p, 256), 20, 20, 256)
         assert value == term_definition(SequenceParams(3, 4), 20)
-        assert radius < Fraction(1, 2)
+        assert 2 * half < 1 << scale
 
     def test_wide_discs_are_refused(self, monkeypatch):
         # discs a quarter of their centre's modulus wide still bound every
@@ -473,8 +492,8 @@ class TestReconstruction:
         p = SequenceParams(3, 2)
         sweep = list(reconstruction_sweep(dominant_root(p, 64), 0, 155, 64))
         assert [n for n, _, _ in sweep] == list(range(156))
-        for n, value, radius in sweep:
-            assert (value is None) == (radius >= Fraction(1, 2))
+        for n, value, (half, scale) in sweep:
+            assert (value is not None) == (2 * half < 1 << scale)
             assert value is None or (type(value) is int and value == term_definition(p, n))
         assert {value is None for _, value, _ in sweep} == {False, True}
 

@@ -1,11 +1,13 @@
 import hashlib
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from qkbonacci import (
     DomainError,
+    DyadicInterval,
     Grid,
     RegimeError,
     SequenceParams,
@@ -201,6 +203,25 @@ class TestRootLaws:
             "lemma1-monotone", "fail", 64)
         assert [(w.k, w.n, w.kind, w.detail) for w in monotone.witnesses] == [
             (4, None, "fail", "gamma_3 vs gamma_4 certified false"),
+        ]
+
+    def test_touching_comparison_fails_at_its_rung(self, monkeypatch):
+        # alpha = [gamma_lo - 1, gamma_lo] at gamma's scale touches gamma
+        # from below on every rung, which certifies gamma >= alpha: the
+        # law fails at its first rung rather than climbing to the cap
+        real = lawcheck.quadratic_roots
+
+        def touching(q, bits):
+            gamma = dominant_root(SequenceParams(q, 4), bits).interval
+            alpha = DyadicInterval(gamma.lo_num - 1, gamma.lo_num, gamma.bits)
+            return replace(real(q, bits), alpha=alpha)
+
+        monkeypatch.setattr(lawcheck, "quadratic_roots", touching)
+        sandwich = check_root_laws(CellContext(Grid((3,), (4,), 10), 64))[1]
+        assert (sandwich.law_id, sandwich.verdict, sandwich.bits_used) == (
+            "lemma1-sandwich", "fail", 64)
+        assert [(w.k, w.n, w.kind, w.detail) for w in sandwich.witnesses] == [
+            (4, None, "fail", "gamma < alpha certified false"),
         ]
 
     def test_unseparated_witness_text(self):

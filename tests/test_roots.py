@@ -249,6 +249,8 @@ class TestNewtonRungs:
         lambda q: math.inf,
         lambda q: q + 3.5,   # past the (q, q+1) bracket
         lambda q: 1.0,       # the other root of Q(t) + t^(1-k)
+        lambda q: -0.7,      # near Phi's negative root at even k
+        lambda q: 64.0 * (q + 1),   # far above the bracket
     ])
     def test_bad_float_seed_falls_back_to_halving(self, monkeypatch, seed):
         cells = [(2, 5, 300), (3, 8, 1024), (10, 2, 200), (1, 3, 129), (4, 6, 30)]
