@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, replace
 from decimal import ROUND_FLOOR
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain
 
 from .errors import DomainError, ReconstructionError, RegimeError, RootSolveError
 from .numerics import (
@@ -27,7 +27,7 @@ from .numerics import (
     reconstruction_sweep,
     refine_root,
 )
-from .numerics.binet import _root_ladder, _rungs
+from .numerics.binet import _root_ladder
 from .numerics.dyadic import _float_text
 from .sequences import (
     SequenceParams,
@@ -219,10 +219,11 @@ def _on_one_scale(checks):
         yield label, (a_lo, a_hi), (b_lo, b_hi)
 
 
-def _chain(checks, q, k, n, work, fails, unsettled) -> None:
+def _chain(checks, q, k, n, work) -> list:
     """Certify each (label, a, b) in checks, a and b mantissa pairs at
-    one scale, as a < b; a certified a >= b goes to fails and an
-    unseparated pair to unsettled."""
+    one scale, as a < b; returns a witness for each certified a >= b,
+    then one for each unseparated pair."""
+    fails, unsettled = [], []
     for label, a, b in checks:
         sign = _order(a, b)
         if sign < 0:
@@ -230,17 +231,29 @@ def _chain(checks, q, k, n, work, fails, unsettled) -> None:
         elif sign == 0:
             unsettled.append(Witness(
                 q, k, n, "inconclusive", f"{label} not separated at {work} bits"))
+    return fails + unsettled
 
 
-def _climb(ladder, attempt):
-    """Call attempt(rung) up the precision ladder until none of the
-    witness lists it returns is inconclusive; returns the last lists and
-    the rung they were found at."""
-    for rung in ladder:
-        found = attempt(rung)
-        if all(w.kind == "fail" for witnesses in found for w in witnesses):
-            break
-    return found, rung
+def _climb(cells, todo, attempt, n=0, limit=None):
+    """Climb each (q, k) of todo on _root_ladder(cells.root(q, k), n,
+    limit(q)), limit left out at n = 0, until attempt(q, k, enclosure)
+    returns witness lists with no inconclusive witness; returns the lists
+    each cell ended with, summed over the cells, and the finest rung any
+    cell reached.
+
+    Every enclosure an attempt compares lies inside its coarser rung's,
+    so a check settled or failed at a rung stays so above it: a cell stops
+    at its own rung, with the witnesses the finest rung would give, and is
+    not checked again while another cell climbs."""
+    found_by_cell, finest = [], cells.bits
+    for q, k in todo:
+        for enclosure in _root_ladder(cells.root(q, k), n, limit and limit(q)):
+            found = attempt(q, k, enclosure)
+            if all(w.kind == "fail" for witnesses in found for w in witnesses):
+                break
+        found_by_cell.append(found)
+        finest = max(finest, enclosure.interval.bits)
+    return [list(chain.from_iterable(lists)) for lists in zip(*found_by_cell)], finest
 
 
 def _require_identities_grid(grid: Grid) -> None:
@@ -306,57 +319,50 @@ def check_identities(cells: CellContext) -> list[LawReport]:
 def check_root_laws(cells: CellContext) -> list[LawReport]:
     """Dominant-root monotonicity in k, the alpha sandwich, the weight
     sandwich, and the asymptote ordering, all by interval separation."""
-    grid, bits = cells.grid, cells.bits
+    grid = cells.grid
     _require_certified_regime(grid)
-    reports = []
 
     # a single k is compared with k + 1, so the law never passes unchecked
     ks = grid.k_values if len(grid.k_values) > 1 else (grid.k_values[0], grid.k_values[0] + 1)
 
-    def monotone(work):
-        fails, unsettled = [], []
-        for q in grid.q_values:
-            gammas = {k: refine_root(cells.root(q, k), work).interval for k in ks}
-            for k1, k2 in combinations(ks, 2):
-                pair = ((f"gamma_{k1} vs gamma_{k2}", gammas[k1], gammas[k2]),)
-                _chain(_on_one_scale(pair), q, k2, None, work, fails, unsettled)
-        return (fails + unsettled,)
+    def monotone(q, k, enclosure):
+        # climbs on gamma for the least k, refines every other k with it,
+        # and compares each k2 with every smaller k1
+        work = enclosure.interval.bits
+        gammas = {j: refine_root(cells.root(q, j), work).interval for j in ks[1:]}
+        gammas[k] = enclosure.interval
+        witnesses = []
+        for i, k2 in enumerate(ks):
+            pairs = ((f"gamma_{k1} vs gamma_{k2}", gammas[k1], gammas[k2]) for k1 in ks[:i])
+            witnesses += _chain(_on_one_scale(pairs), q, k2, None, work)
+        return (witnesses,)
 
-    def sandwich(q, k, gamma, work):
-        alpha = quadratic_roots(q, work).alpha
-        return (
+    def sandwich(q, k, enclosure):
+        gamma = enclosure.interval
+        alpha = quadratic_roots(q, gamma.bits).alpha
+        return (_chain(_on_one_scale((
             ("bracket q < gamma", q, gamma),
             ("bracket gamma < q+1", gamma, q + 1),
             ("alpha(1 - q^-k) < gamma", alpha * (q**k - 1), gamma * q**k),
             ("gamma < alpha", gamma, alpha),
-        )
+        )), q, k, None, gamma.bits),)
 
-    def weight(q, k, gamma, work):
-        params = SequenceParams(q, k)
+    def weight(q, k, enclosure):
+        params, gamma = enclosure.params, enclosure.interval
         gval = g_eval(params, gamma)
-        return (
+        return (_chain(_on_one_scale((
             ("1/(q+1) < g(gamma)", 1, gval * (q + 1)),
             ("g(gamma) < 1/q", gval * q, 1),
-            ("c < gamma", asymptote_c(params, work), gamma),
-        )
+            ("c < gamma", asymptote_c(params, gamma.bits), gamma),
+        )), q, k, None, gamma.bits),)
 
-    def chained(checks):
-        # each cell's (label, a, b) checks at the rung, certified as a < b
-        def compare(work):
-            fails, unsettled = [], []
-            for q, k in grid.cells:
-                gamma = refine_root(cells.root(q, k), work).interval
-                _chain(_on_one_scale(checks(q, k, gamma, work)),
-                       q, k, None, work, fails, unsettled)
-            return (fails + unsettled,)
-        return compare
-
-    for law_id, compare in (
-        ("lemma1-monotone", monotone),
-        ("lemma1-sandwich", chained(sandwich)),
-        ("lemma2-sandwich", chained(weight)),
+    reports = []
+    for law_id, todo, attempt in (
+        ("lemma1-monotone", [(q, ks[0]) for q in grid.q_values], monotone),
+        ("lemma1-sandwich", grid.cells, sandwich),
+        ("lemma2-sandwich", grid.cells, weight),
     ):
-        (witnesses,), used = _climb(_rungs(bits), compare)
+        (witnesses,), used = _climb(cells, todo, attempt)
         reports.append(_report(law_id, grid, witnesses, used))
     return reports
 
@@ -385,69 +391,59 @@ def check_term_bounds(cells: CellContext) -> list[LawReport]:
     Both laws compare integer mantissas at the enclosure's scale 2^-w:
     one dominant_term_sweep per rung, from min(2-k, -1) to n_max, and
     F_n * 2^w."""
-    grid, bits = cells.grid, cells.bits
+    grid = cells.grid
     _require_certified_regime(grid)
-    error_witnesses, growth_witnesses = [], []
-    used = bits
 
-    for q, k in grid.cells:
+    def attempt(q, k, enclosure):
         table = cells.table(q, k)
         # the growth chain reaches gamma^(n-2) at n = 1, so rows go to -1
         first, lowest = 2 - k, min(2 - k, -1)
+        work = enclosure.interval.bits
+        power_lo, power_hi, term_lo, term_hi = dominant_term_sweep(
+            enclosure, lowest, grid.n_max)
+        errors = []
+        edge = 1 << work
+        for n, exact, t_lo, t_hi in zip(range(first, grid.n_max + 1), table,
+                                        term_lo[first - lowest:], term_hi[first - lowest:]):
+            # E_n against +-1/q, scaled by q * 2^work
+            scaled = exact << work
+            e_lo, e_hi = scaled - t_hi, scaled - t_lo
+            sign = _inside(q * e_lo, q * e_hi, edge)
+            if sign > 0:
+                continue
+            e = DyadicInterval(e_lo, e_hi, work)
+            if sign < 0:
+                errors.append(Witness(
+                    q, k, n, "fail",
+                    f"|E_{n}| certified above 1/q: "
+                    f"[{_float_text(e.lo, '.6g', ROUND_FLOOR)}, "
+                    f"{_float_text(e.hi, '.6g')}]",
+                ))
+            else:
+                errors.append(Witness(
+                    q, k, n, "inconclusive",
+                    f"E_{n} enclosure width {_float_text(e.width, '.3g')} "
+                    f"not inside [-1/q, 1/q] at {work} bits",
+                ))
+        growth = []
+        for n in range(1, grid.n_max + 1):
+            i = n - 1 - lowest  # the index of gamma^(n-1)
+            lo, hi = power_lo[i], power_hi[i]
+            # times (q-1)/q and (q+2)/q, floored and ceiled
+            low = ((lo * (q - 1)) // q, -((-hi * (q - 1)) // q))
+            high = ((lo * (q + 2)) // q, -((-hi * (q + 2)) // q))
+            exact = table[n - first] << work
+            members = ((power_lo[i - 1], power_hi[i - 1]), low, (exact, exact),
+                       high, (power_lo[i + 1], power_hi[i + 1]))
+            growth += _chain(zip(_GROWTH_LINKS, members, members[1:]), q, k, n, work)
+        return errors, growth
 
-        def attempt(enclosure):
-            work = enclosure.interval.bits
-            power_lo, power_hi, term_lo, term_hi = dominant_term_sweep(
-                enclosure, lowest, grid.n_max)
-            err_pending, err_fail = [], []
-            edge = 1 << work
-            for n, exact, t_lo, t_hi in zip(range(first, grid.n_max + 1), table,
-                                            term_lo[first - lowest:], term_hi[first - lowest:]):
-                # E_n against +-1/q, scaled by q * 2^work
-                scaled = exact << work
-                e_lo, e_hi = scaled - t_hi, scaled - t_lo
-                sign = _inside(q * e_lo, q * e_hi, edge)
-                if sign > 0:
-                    continue
-                e = DyadicInterval(e_lo, e_hi, work)
-                if sign < 0:
-                    err_fail.append(Witness(
-                        q, k, n, "fail",
-                        f"|E_{n}| certified above 1/q: "
-                        f"[{_float_text(e.lo, '.6g', ROUND_FLOOR)}, "
-                        f"{_float_text(e.hi, '.6g')}]",
-                    ))
-                else:
-                    err_pending.append(Witness(
-                        q, k, n, "inconclusive",
-                        f"E_{n} enclosure width {_float_text(e.width, '.3g')} "
-                        f"not inside [-1/q, 1/q] at {work} bits",
-                    ))
-            grow_pending, grow_fail = [], []
-            for n in range(1, grid.n_max + 1):
-                i = n - 1 - lowest  # the index of gamma^(n-1)
-                lo, hi = power_lo[i], power_hi[i]
-                # times (q-1)/q and (q+2)/q, floored and ceiled
-                low = ((lo * (q - 1)) // q, -((-hi * (q - 1)) // q))
-                high = ((lo * (q + 2)) // q, -((-hi * (q + 2)) // q))
-                exact = table[n - first] << work
-                chain = ((power_lo[i - 1], power_hi[i - 1]), low, (exact, exact),
-                         high, (power_lo[i + 1], power_hi[i + 1]))
-                _chain(zip(_GROWTH_LINKS, chain, chain[1:]), q, k, n, work,
-                       grow_fail, grow_pending)
-            return err_fail + err_pending, grow_fail + grow_pending
-
-        # a rung whose E_{n_max} enclosure is wider than 2/q cannot settle
-        # that n, so it could only climb on
-        ladder = _root_ladder(cells.root(q, k), grid.n_max, (2, q))
-        (cell_error, cell_growth), enclosure = _climb(ladder, attempt)
-        error_witnesses += cell_error
-        growth_witnesses += cell_growth
-        used = max(used, enclosure.interval.bits)
-
+    # a rung whose E_{n_max} enclosure is wider than 2/q cannot settle
+    # that n, so it could only climb on
+    (errors, growth), used = _climb(cells, grid.cells, attempt, grid.n_max, lambda q: (2, q))
     return [
-        _report("error-bound", grid, error_witnesses, used),
-        _report("growth-bounds", grid, growth_witnesses, used),
+        _report("error-bound", grid, errors, used),
+        _report("growth-bounds", grid, growth, used),
     ]
 
 

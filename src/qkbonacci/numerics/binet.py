@@ -55,17 +55,16 @@ ESCALATION_CAP_FACTOR = 16
 
 def _rungs(bits: int) -> list[int]:
     """The precision ladder: bits, doubling, up to the 16x cap."""
-    rungs = [bits]
-    while rungs[-1] < ESCALATION_CAP_FACTOR * bits:
-        rungs.append(min(2 * rungs[-1], ESCALATION_CAP_FACTOR * bits))
-    return rungs
+    # the cap factor is a power of two, so the doublings end on it
+    return [bits << i for i in range(ESCALATION_CAP_FACTOR.bit_length())]
 
 
 def _root_ladder(enclosure: RootEnclosure, n: int, limit: tuple[int, int]):
     """The given dominant-root enclosure, at bits, refined up each rung of
     _rungs(bits) without a bisection from the bracket, less the leading
     rungs at which the g(gamma) * gamma^n enclosure is certainly wider
-    than limit = num / den, given as (num, den); the cap rung always stays.
+    than limit = num / den, given as (num, den) and read only at n >= 1;
+    the cap rung always stays.
 
     A rung-w root enclosure [a, b] is exactly 2^-w wide and lies inside
     every coarser one, outward-rounded powers are at least b^n - a^n >=
@@ -75,8 +74,9 @@ def _root_ladder(enclosure: RootEnclosure, n: int, limit: tuple[int, int]):
     integer keeps that width.
     """
     params, bits = enclosure.params, enclosure.interval.bits
-    rungs, (num, den) = _rungs(bits), limit
+    rungs = _rungs(bits)
     if n >= 1:
+        num, den = limit
         gamma = refine_root(enclosure, min(bits, 64)).interval
         weight = g_eval(params, gamma)
         # g_lo n a^(n-1) 2^-w > num / den, scaled by 2^(scale + w) den
@@ -164,9 +164,10 @@ class DominantTerm:
 def binet_dominant(params: SequenceParams, n: int, bits: int) -> DominantTerm:
     """Certified enclosure of the dominant term g(gamma) * gamma^n.
 
-    Working precision starts at `bits` and doubles until the output is
-    narrower than 2^-32 or the cap of 16x the request is reached; a
-    capped result is flagged, never silently degraded.
+    Working precision climbs _root_ladder from `bits`, doubling, until the
+    output is narrower than 2^-32 or the cap of 16x the request is
+    reached; a capped result is flagged, never silently degraded.  The
+    rungs the ladder skips could not have met that width.
 
     The term is one gamma**n, not a one-row dominant_term_sweep. At n >= 0
     the two are the same, but below 0 the sweep steps down from 1 by the
@@ -177,9 +178,7 @@ def binet_dominant(params: SequenceParams, n: int, bits: int) -> DominantTerm:
     if params.q < 3:
         raise RegimeError(f"binet_dominant requires q >= 3, got q={params.q}")
     _check_index(params, n)
-    enclosure = dominant_root(params, bits)
-    for work in _rungs(bits):
-        enclosure = refine_root(enclosure, work)
+    for enclosure in _root_ladder(dominant_root(params, bits), n, (1, 1 << WIDTH_TARGET_BITS)):
         gamma = enclosure.interval
         term = g_eval(params, gamma) * gamma**n
         if (term.hi_num - term.lo_num) << WIDTH_TARGET_BITS <= 1 << term.bits:

@@ -240,10 +240,6 @@ def quadratic_roots(q: int, bits: int) -> QuadraticRoots:
     root = DyadicInterval.sqrt_of_int(q * q - 2 * q + 5, bits + 2)
     alpha = (root + (q + 1)).half()
     beta = ((q + 1) - root).half()
-    if not (alpha.strictly_above(q) and alpha.strictly_below(q + 1)):
-        raise RuntimeError("internal error: alpha escaped (q, q+1)")
-    if not (beta.strictly_above(0) and beta.strictly_below(1)):
-        raise RuntimeError("internal error: beta escaped (0, 1)")
     return QuadraticRoots(q, alpha, beta)
 
 

@@ -276,15 +276,20 @@ class TestRungSkipping:
         term = binet_dominant(params, n, bits)
         assert (term.interval, term.bits_used, term.capped) == full_climb(params, n, bits)
 
-    def test_settles_past_skipped_rungs(self):
+    def test_settles_past_skipped_rungs(self, monkeypatch):
         # g(gamma) gamma^300 for (5, 8) has ~760 integer bits: the 192 and
         # 384 bit rungs cannot reach 2^-32 and are skipped; 768 can
         params = SequenceParams(5, 8)
         ladder = _root_ladder(dominant_root(params, 192), 300, (1, 2**32))
         assert [enclosure.interval.bits for enclosure in ladder] == [768, 1536, 3072]
+        expected = full_climb(params, 300, 192)
+        # binet_dominant computes no term on the skipped rungs either
+        weighed, real = [], binet.g_eval
+        monkeypatch.setattr(binet, "g_eval", lambda p, x: weighed.append(x.bits) or real(p, x))
         term = binet_dominant(params, 300, 192)
-        assert (term.interval, term.bits_used, term.capped) == full_climb(params, 300, 192)
+        assert (term.interval, term.bits_used, term.capped) == expected
         assert term.bits_used == 768
+        assert 768 in weighed and not {192, 384} & set(weighed)
 
 
 class TestErrorTerm:

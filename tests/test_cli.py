@@ -558,6 +558,21 @@ class TestVerify:
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "99fa732f3e39eb938beac9bffa4b1ce6dc947caa1099bac4a94550f8ba3f6c19")
 
+    @pytest.mark.parametrize("argv, code, digest", [
+        (("--law", "lemma1", "--q", "3", "--q", "10", "--k-min", "2", "--k-max", "40",
+          "--bits", "8"), 1, "4c8bed767c0c15fe81907012bdabd318a8a95b6a80cf0c77e32e866672ce6954"),
+        (("--law", "lemma2", "--q", "3", "--q", "10", "--k-min", "2", "--k-max", "40",
+          "--bits", "8"), 0, "895f04341726af8ddcd156c198781e73816227eaae8756389838823e8ac66d47"),
+        (("--law", "all", "--bits", "16"), 1,
+         "c8b9ab5a9f065ee51a94f46f77ed7242a25d5c478f4a12a56842040b5fc45c07"),
+    ])
+    def test_root_law_rungs_digest(self, capsys, argv, code, digest):
+        # the root laws' cells settle at different rungs on these grids, so
+        # these pin each report's bits_used and the witness text at its rung
+        exit_code, out, _ = run_cli(capsys, "verify", *argv)
+        assert exit_code == code
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_full_run_exits_0(self, capsys):
         code, out, _ = run_cli(
             capsys, "verify", "--law", "all", "--q", "3",
@@ -750,6 +765,9 @@ class TestExitCodeContract:
     @example(argv=["table", "--q", "10", "--k-min", "2", "--k-max", "2", "--n-max", "5000",
                    "--format", "markdown"])
     @example(argv=["series", "--q", "10", "--k", "2", "--count", "5000"])
+    # alpha's 8-bit enclosure at q = 10^6 touches q: the laws climb
+    @example(argv=["verify", "--law", "lemma1", "--q", "1000000", "--k-min", "2",
+                   "--k-max", "3", "--n-max", "20", "--bits", "8"])
     # bench must refuse n = 0 before it prints the CSV header
     @example(argv=["bench", "--q", "3", "--k", "2", "--n", "0", "--reps", "1"])
     def test_exit_codes(self, argv):

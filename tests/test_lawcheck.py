@@ -224,6 +224,27 @@ class TestRootLaws:
             (4, None, "fail", "gamma < alpha certified false"),
         ]
 
+    def test_each_cell_climbs_on_its_own(self, monkeypatch):
+        # lemma2-sandwich checks a cell once per rung, from the request up,
+        # only until that cell settles: a cell that settles early is not
+        # checked again while another climbs to the report's rung
+        rungs_by_cell, real = {}, lawcheck.g_eval
+
+        def counted(params, x):
+            rungs_by_cell.setdefault((params.q, params.k), []).append(x.bits)
+            return real(params, x)
+
+        monkeypatch.setattr(lawcheck, "g_eval", counted)
+        grid = Grid((3, 10), (2, 39), 10)
+        weight = check_root_laws(CellContext(grid, 8))[2]
+        assert (weight.law_id, weight.verdict) == ("lemma2-sandwich", "pass")
+        assert sorted(rungs_by_cell) == grid.cells
+        ladder = _rungs(8)
+        for rungs in rungs_by_cell.values():
+            assert rungs == ladder[:len(rungs)]
+        climbed = sorted(len(rungs) for rungs in rungs_by_cell.values())
+        assert climbed[0] < climbed[-1] == ladder.index(weight.bits_used) + 1
+
     def test_unseparated_witness_text(self):
         # at q = 10, gamma_39, gamma_40 and alpha lie within about 7e-40
         # of each other, finer than the 8-bit request's 128-bit cap

@@ -8,14 +8,17 @@ from hypothesis import strategies as st
 
 from qkbonacci import (
     CharPoly,
+    CompanionKind,
     DomainError,
     DyadicInterval,
     RegimeError,
     RootSolveError,
     SequenceParams,
     all_roots,
+    companion_term,
     dominant_root,
     quadratic_roots,
+    u_closed_form,
 )
 from qkbonacci.numerics import RootEnclosure, refine_root, roots
 
@@ -288,6 +291,26 @@ class TestQuadraticRoots:
     def test_regime_error(self):
         with pytest.raises(RegimeError):
             quadratic_roots(2, 64)
+
+    def test_wide_enclosures_at_large_q(self):
+        # alpha - q is about 1/(q - 1), so at 8 bits alpha's enclosure
+        # touches q and beta's touches 1; both still hold their root
+        # ((q+1) +- sqrt(d)) / 2, and U_5 from them holds the exact term
+        q = 10**6
+        d = q * q - 2 * q + 5
+
+        def holds_root(lo, hi, w):
+            # lo <= sqrt(d) 2^w <= hi, in integers
+            return (lo <= 0 or lo * lo <= d << 2 * w) and 0 <= hi and d << 2 * w <= hi * hi
+
+        pair = quadratic_roots(q, 8)
+        alpha, beta = pair.alpha, pair.beta
+        top = (q + 1) << alpha.bits
+        assert holds_root(2 * alpha.lo_num - top, 2 * alpha.hi_num - top, alpha.bits)
+        top = (q + 1) << beta.bits
+        assert holds_root(top - 2 * beta.hi_num, top - 2 * beta.lo_num, beta.bits)
+        u = u_closed_form(q, 5, 8)
+        assert u.lo_num <= companion_term(q, CompanionKind.U, 5) << u.bits <= u.hi_num
 
 
 class TestAllRoots:
