@@ -322,20 +322,17 @@ def check_root_laws(cells: CellContext) -> list[LawReport]:
     grid = cells.grid
     _require_certified_regime(grid)
 
-    # a single k is compared with k + 1, so the law never passes unchecked
+    # each k is compared with the next grid k, which orders every pair by
+    # transitivity; a single k is compared with k + 1, so the law never
+    # passes unchecked
     ks = grid.k_values if len(grid.k_values) > 1 else (grid.k_values[0], grid.k_values[0] + 1)
+    following = dict(zip(ks, ks[1:]))
 
     def monotone(q, k, enclosure):
-        # climbs on gamma for the least k, refines every other k with it,
-        # and compares each k2 with every smaller k1
-        work = enclosure.interval.bits
-        gammas = {j: refine_root(cells.root(q, j), work).interval for j in ks[1:]}
-        gammas[k] = enclosure.interval
-        witnesses = []
-        for i, k2 in enumerate(ks):
-            pairs = ((f"gamma_{k1} vs gamma_{k2}", gammas[k1], gammas[k2]) for k1 in ks[:i])
-            witnesses += _chain(_on_one_scale(pairs), q, k2, None, work)
-        return (witnesses,)
+        gamma, after = enclosure.interval, following[k]
+        nxt = refine_root(cells.root(q, after), gamma.bits).interval
+        return (_chain(_on_one_scale(((f"gamma_{k} vs gamma_{after}", gamma, nxt),)),
+                       q, after, None, gamma.bits),)
 
     def sandwich(q, k, enclosure):
         gamma = enclosure.interval
@@ -358,7 +355,7 @@ def check_root_laws(cells: CellContext) -> list[LawReport]:
 
     reports = []
     for law_id, todo, attempt in (
-        ("lemma1-monotone", [(q, ks[0]) for q in grid.q_values], monotone),
+        ("lemma1-monotone", [(q, k) for q in grid.q_values for k in ks[:-1]], monotone),
         ("lemma1-sandwich", grid.cells, sandwich),
         ("lemma2-sandwich", grid.cells, weight),
     ):

@@ -145,11 +145,15 @@ def u_closed_form(q: int, n: int, bits: int) -> DyadicInterval:
         raise RegimeError(f"u_closed_form requires q >= 3, got q={q}")
     if n < 1:
         raise DomainError(f"u_closed_form requires n >= 1, got n={n}")
-    work = bits + 8
+    # alpha < q + 1, so alpha^n's enclosure is about n alpha^(n-1) ulps wide
+    work = bits + 8 + n * (q + 1).bit_length() + n.bit_length()
     pair = quadratic_roots(q, work)
-    root = DyadicInterval.sqrt_of_int(q * q - 2 * q + 5, work)
-    numerator = (pair.alpha**n) * (root + (q - 3)) + (pair.beta**n) * (root + (3 - q))
-    return (numerator / (root * (2 * (q - 1)))).rescaled(bits)
+    disc = q * q - 2 * q + 5
+    root = DyadicInterval.sqrt_of_int(disc, work)
+    # times root over root: the divisor 2(q-1) root^2 is the integer 2(q-1) disc
+    top = root * ((pair.alpha**n) * (root + (q - 3)) + (pair.beta**n) * (root + (3 - q)))
+    den = 2 * (q - 1) * disc
+    return DyadicInterval(top.lo_num // den, -(-top.hi_num // den), top.bits).rescaled(bits)
 
 
 @dataclass(frozen=True)

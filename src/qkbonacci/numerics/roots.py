@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
+from itertools import chain, repeat
 from math import floor, frexp, isfinite, isqrt, ldexp, sqrt
 
 from ..errors import DomainError, RegimeError, RootSolveError
@@ -372,19 +373,26 @@ def _newton_step(params, z, scale):
 
 def _polish(params, z, rungs, accuracy_bits):
     """Newton from a seed at scale 2^-rungs[0]: one step per rung, each
-    about doubling the precision, then at most two at the top rung, the
-    last within 2^-accuracy_bits.  A point that reaches the unit circle
-    is refused before it costs a step."""
-    scale = rungs[0]
-    for rung in rungs + rungs[-1:]:
+    about doubling the precision, then steps at the top rung until one
+    lies within 2^-accuracy_bits.  The second top-rung step is the last
+    unless its squared modulus, and each later one's, is at most a
+    quarter of the one before: at a large q the low rungs' steps fall
+    short of doubling, so the top rung can start a rung behind.  A point
+    that reaches the unit circle is refused before it costs a step."""
+    scale, last = rungs[0], None
+    for rung in chain(rungs, repeat(rungs[-1])):
         z, scale = (z[0] << (rung - scale), z[1] << (rung - scale)), rung
         if _cabs2(z) >= 1 << (2 * scale):
             raise RootSolveError("a secondary seed reached the unit circle")
         step = _newton_step(params, z, scale)
         z = (z[0] - step[0], z[1] - step[1])
-        if rung == rungs[-1] and _cabs2(step) <= 1 << (2 * (scale - accuracy_bits)):
-            return z
-    raise RootSolveError("Newton polishing did not reach the step tolerance")
+        if rung == rungs[-1]:
+            size = _cabs2(step)
+            if size <= 1 << (2 * (scale - accuracy_bits)):
+                return z
+            if last is not None and 4 * size > last:
+                raise RootSolveError("Newton polishing did not reach the step tolerance")
+            last = size
 
 
 def _inclusion_radius(params, z, scale):

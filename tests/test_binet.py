@@ -209,6 +209,18 @@ class TestClosedFormU:
                 assert enc.contains(companion_term(q, CompanionKind.U, n))
                 assert enc.width < Fraction(1, 2)
 
+    @pytest.mark.parametrize("q, n, bits", [
+        (3, 200, 64), (4, 100, 64), (10**6, 5, 8), (10**9, 50, 8), (10**20, 3, 8),
+    ])
+    def test_large_n_and_q_pin_the_digits(self, q, n, bits):
+        # the working precision grows with n log2(q + 1), and the divisor
+        # is an integer, so the enclosure is at most two ulps wide however
+        # large U_n is
+        enc = u_closed_form(q, n, bits)
+        assert enc.bits == bits
+        assert enc.contains(companion_term(q, CompanionKind.U, n))
+        assert enc.width <= Fraction(2, 1 << bits)
+
     def test_regime_error(self):
         with pytest.raises(RegimeError):
             u_closed_form(2, 5, 64)

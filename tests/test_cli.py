@@ -147,6 +147,13 @@ class TestTerm:
                         assert binet == run_cli(capsys, *argv, "--method", "def"), argv
                         assert binet[0] == 0
 
+    def test_binet_at_large_q(self, capsys):
+        # the secondary roots polish at the default 256 bits at q = 10^4
+        argv = ("term", "--q", "10000", "--k", "8", "--n", "20")
+        binet = run_cli(capsys, *argv, "--method", "binet")
+        assert binet == run_cli(capsys, *argv, "--method", "def")
+        assert binet[0] == 0
+
     def test_domain_error_exit_2(self, capsys):
         code, out, err = run_cli(capsys, "term", "--q", "3", "--k", "2", "--n", "-1")
         assert code == 2
@@ -565,6 +572,8 @@ class TestVerify:
           "--bits", "8"), 0, "895f04341726af8ddcd156c198781e73816227eaae8756389838823e8ac66d47"),
         (("--law", "all", "--bits", "16"), 1,
          "c8b9ab5a9f065ee51a94f46f77ed7242a25d5c478f4a12a56842040b5fc45c07"),
+        (("--law", "lemma1", "--q", "10", "--k-min", "60", "--k-max", "64", "--bits", "8"), 1,
+         "2e8a315bdf59b3651666a1d060903ff1d93d214141f520cf062a5d86ab77d90a"),
     ])
     def test_root_law_rungs_digest(self, capsys, argv, code, digest):
         # the root laws' cells settle at different rungs on these grids, so

@@ -192,6 +192,32 @@ class TestRootLaws:
             (61, "gamma_60 vs gamma_61 not separated at 128 bits"),
         ]
 
+    def test_monotone_compares_adjacent_k(self):
+        # each k is compared with the next grid k only: the 10 pairs of
+        # k 60-64 would leave 10 witnesses, the 4 adjacent ones leave 4
+        monotone = check_root_laws(CellContext(Grid((10,), tuple(range(60, 65)), 5), 8))[0]
+        assert (monotone.law_id, monotone.verdict, monotone.bits_used) == (
+            "lemma1-monotone", "inconclusive", 128)
+        assert [(w.k, w.detail) for w in monotone.witnesses] == [
+            (k + 1, f"gamma_{k} vs gamma_{k + 1} not separated at 128 bits")
+            for k in range(60, 64)
+        ]
+
+    def test_one_comparison_per_monotone_cell(self, monkeypatch):
+        # every cell settles at its first rung: 38 adjacent pairs, then 4
+        # and 3 comparisons for each of the 39 cells of the two sandwiches;
+        # all 741 pairs of k would make 1,014
+        calls, real = [], lawcheck._order
+
+        def counted(a, b):
+            calls.append((a, b))
+            return real(a, b)
+
+        monkeypatch.setattr(lawcheck, "_order", counted)
+        reports = check_root_laws(CellContext(Grid((3,), tuple(range(2, 41)), 10), 192))
+        assert [(r.verdict, r.bits_used) for r in reports] == [("pass", 192)] * 3
+        assert len(calls) == 38 + 39 * 4 + 39 * 3 == 311
+
     def test_monotone_fail_text(self):
         # hand k = 4 the enclosure of k = 2: gamma_4 then lies certified
         # below gamma_3, and the law must fail there

@@ -444,6 +444,33 @@ class TestAllRoots:
         assert rs.certified_inside_unit_circle()
         _assert_vieta(rs, q, k, 128)
 
+    @pytest.mark.parametrize("q, k, bits", [
+        (10**4, 8, 256), (10**4, 16, 256), (10**9, 32, 1024)])
+    def test_large_q(self, q, k, bits):
+        # at a large q the low rungs' Newton steps fall short of doubling,
+        # so the top rung needs more than two contracting steps; each disc
+        # still holds its bound, checked by exact Horner
+        rs = all_roots(SequenceParams(q, k), bits)
+        assert len(rs.secondary) == k - 1
+        assert rs.certified_inside_unit_circle()
+        for s in rs.secondary:
+            assert _radius_sq_exact(q, k, s.re_num, s.im_num, s.bits) <= s.radius_num ** 2
+        _assert_vieta(rs, q, k, bits)
+
+    def test_stalled_top_rung_refuses(self, monkeypatch):
+        # a step that does not shrink stops polishing at the second top-rung
+        # step, as a step that only shrinks stops at the tolerance
+        steps = []
+
+        def constant(params, z, scale):
+            steps.append(scale)
+            return 1 << (scale - 40), 0
+
+        monkeypatch.setattr(roots, "_newton_step", constant)
+        with pytest.raises(RootSolveError, match="step tolerance"):
+            all_roots(SequenceParams(3, 2), 128)
+        assert steps[-2:] == [128 + 64] * 2 and steps.count(128 + 64) == 2
+
     def test_disc_reaching_the_unit_circle_refuses(self, monkeypatch):
         # at k = 2 there is one disc, so no overlap; radius 1 from a centre
         # inside the circle reaches past it
