@@ -32,18 +32,16 @@ from .numerics import (
     DominantTerm,
     DyadicInterval,
     ErrorEnclosure,
-    QuadraticRoots,
+    Quadratic,
     RootEnclosure,
     RootSet,
     SecondaryRoot,
     all_roots,
-    asymptote_c,
     binet_dominant,
     binet_reconstruct,
     dominant_root,
     error_term,
     g_eval,
-    quadratic_roots,
     u_closed_form,
 )
 from .sequences import (
@@ -80,16 +78,14 @@ __all__ = [
     "CharPoly",
     "AuxPoly",
     "RootEnclosure",
-    "QuadraticRoots",
+    "Quadratic",
     "RootSet",
     "SecondaryRoot",
     "dominant_root",
-    "quadratic_roots",
     "all_roots",
     "DominantTerm",
     "ErrorEnclosure",
     "g_eval",
-    "asymptote_c",
     "u_closed_form",
     "binet_dominant",
     "error_term",

@@ -2,11 +2,13 @@
 bounds over configurable (q, k, n) grids.
 
 A pass verdict always means every individual comparison was settled by
-exact integer arithmetic or by certified interval separation; interval
-comparisons that cannot be separated escalate their working precision
-(doubling, capped at 16x the request) and are reported inconclusive if
-the cap is reached, never pass.  The laws of one run_laws call read
-each (q, k) cell's terms and dominant root from one shared CellContext.
+exact integer arithmetic or by certified interval separation.  The
+identity and Lemma 1 and 2 laws are exact, with bits_used 0 and verdicts
+that no --bits moves.  Interval comparisons that cannot be separated
+escalate their working precision (doubling, capped at 16x the request)
+and are reported inconclusive if the cap is reached, never pass.  The
+laws of one run_laws call read each (q, k) cell's terms and dominant
+root from one shared CellContext.
 """
 from __future__ import annotations
 
@@ -17,15 +19,14 @@ from itertools import chain
 
 from .errors import DomainError, ReconstructionError, RegimeError, RootSolveError
 from .numerics import (
+    AuxPoly,
+    CharPoly,
     DyadicInterval,
-    asymptote_c,
+    Quadratic,
     dominant_root,
     dominant_term_sweep,
     error_term,
-    g_eval,
-    quadratic_roots,
     reconstruction_sweep,
-    refine_root,
 )
 from .numerics.binet import _root_ladder
 from .numerics.dyadic import _float_text
@@ -184,11 +185,8 @@ class CellContext:
 
 
 def _verdict(witnesses) -> str:
-    if any(w.kind == "fail" for w in witnesses):
-        return "fail"
-    if witnesses:
-        return "inconclusive"
-    return "pass"
+    kinds = {w.kind for w in witnesses}
+    return "fail" if "fail" in kinds else "inconclusive" if kinds else "pass"
 
 
 def _report(law_id, grid, witnesses, bits_used) -> LawReport:
@@ -210,15 +208,6 @@ def _inside(lo, hi, edge) -> int:
     return min(_order((-edge, -edge), (lo, hi)), _order((lo, hi), (edge, edge)))
 
 
-def _on_one_scale(checks):
-    """(label, a, b) checks of intervals and ints as mantissa pairs at the finer scale."""
-    for label, a, b in checks:
-        a = DyadicInterval.from_int(a, b.bits) if isinstance(a, int) else a
-        b = DyadicInterval.from_int(b, a.bits) if isinstance(b, int) else b
-        a_lo, a_hi, b_lo, b_hi, _ = a._aligned(b)
-        yield label, (a_lo, a_hi), (b_lo, b_hi)
-
-
 def _chain(checks, q, k, n, work) -> list:
     """Certify each (label, a, b) in checks, a and b mantissa pairs at
     one scale, as a < b; returns a witness for each certified a >= b,
@@ -234,12 +223,11 @@ def _chain(checks, q, k, n, work) -> list:
     return fails + unsettled
 
 
-def _climb(cells, todo, attempt, n=0, limit=None):
+def _climb(cells, todo, attempt, n, limit):
     """Climb each (q, k) of todo on _root_ladder(cells.root(q, k), n,
-    limit(q)), limit left out at n = 0, until attempt(q, k, enclosure)
-    returns witness lists with no inconclusive witness; returns the lists
-    each cell ended with, summed over the cells, and the finest rung any
-    cell reached.
+    limit(q)) until attempt(q, k, enclosure) returns witness lists with
+    no inconclusive witness; returns the lists each cell ended with,
+    summed over the cells, and the finest rung any cell reached.
 
     Every enclosure an attempt compares lies inside its coarser rung's,
     so a check settled or failed at a rung stays so above it: a cell stops
@@ -247,7 +235,7 @@ def _climb(cells, todo, attempt, n=0, limit=None):
     not checked again while another cell climbs."""
     found_by_cell, finest = [], cells.bits
     for q, k in todo:
-        for enclosure in _root_ladder(cells.root(q, k), n, limit and limit(q)):
+        for enclosure in _root_ladder(cells.root(q, k), n, limit(q)):
             found = attempt(q, k, enclosure)
             if all(w.kind == "fail" for witnesses in found for w in witnesses):
                 break
@@ -270,10 +258,9 @@ def _require_identities_grid(grid: Grid) -> None:
 
 
 def _require_certified_regime(grid: Grid) -> None:
-    if any(q < 3 for q in grid.q_values):
-        raise RegimeError(
-            "certified law checks require q >= 3 everywhere on the grid"
-        )
+    # q_values is sorted
+    if grid.q_values[0] < 3:
+        raise RegimeError("certified law checks require q >= 3 everywhere on the grid")
 
 
 # ----------------------------------------------------------------------
@@ -313,55 +300,63 @@ def check_identities(cells: CellContext) -> list[LawReport]:
 
 
 # ----------------------------------------------------------------------
-# root laws (certified interval separations)
+# root laws (exact signs of Phi)
 # ----------------------------------------------------------------------
+
+def _minus_then_plus(j: int, coeffs) -> tuple:
+    signs = [c > 0 for c in coeffs if c]
+    return f"Phi_{j}: coefficients not - then +", sorted(signs) == signs and signs[:1] != signs[-1:]
+
 
 def check_root_laws(cells: CellContext) -> list[LawReport]:
     """Dominant-root monotonicity in k, the alpha sandwich, the weight
-    sandwich, and the asymptote ordering, all by interval separation."""
+    sandwich and the asymptote ordering, decided exactly.  Phi's
+    coefficients change sign once, - to +, checked per cell, so t < gamma
+    exactly when Phi(t) < 0 for t > 0: gamma against a quadratic's upper
+    root is the sign of Phi there.  A false fact fails under its claim."""
     grid = cells.grid
     _require_certified_regime(grid)
-
     # each k is compared with the next grid k, which orders every pair by
-    # transitivity; a single k is compared with k + 1, so the law never
-    # passes unchecked
+    # transitivity; a single k with k + 1, so the law never passes unchecked
     ks = grid.k_values if len(grid.k_values) > 1 else (grid.k_values[0], grid.k_values[0] + 1)
-    following = dict(zip(ks, ks[1:]))
-
-    def monotone(q, k, enclosure):
-        gamma, after = enclosure.interval, following[k]
-        nxt = refine_root(cells.root(q, after), gamma.bits).interval
-        return (_chain(_on_one_scale(((f"gamma_{k} vs gamma_{after}", gamma, nxt),)),
-                       q, after, None, gamma.bits),)
-
-    def sandwich(q, k, enclosure):
-        gamma = enclosure.interval
-        alpha = quadratic_roots(q, gamma.bits).alpha
-        return (_chain(_on_one_scale((
-            ("bracket q < gamma", q, gamma),
-            ("bracket gamma < q+1", gamma, q + 1),
-            ("alpha(1 - q^-k) < gamma", alpha * (q**k - 1), gamma * q**k),
-            ("gamma < alpha", gamma, alpha),
-        )), q, k, None, gamma.bits),)
-
-    def weight(q, k, enclosure):
-        params, gamma = enclosure.params, enclosure.interval
-        gval = g_eval(params, gamma)
-        return (_chain(_on_one_scale((
-            ("1/(q+1) < g(gamma)", 1, gval * (q + 1)),
-            ("g(gamma) < 1/q", gval * q, 1),
-            ("c < gamma", asymptote_c(params, gamma.bits), gamma),
-        )), q, k, None, gamma.bits),)
-
-    reports = []
-    for law_id, todo, attempt in (
-        ("lemma1-monotone", [(q, k) for q in grid.q_values for k in ks[:-1]], monotone),
-        ("lemma1-sandwich", grid.cells, sandwich),
-        ("lemma2-sandwich", grid.cells, weight),
-    ):
-        (witnesses,), used = _climb(cells, todo, attempt)
-        reports.append(_report(law_id, grid, witnesses, used))
-    return reports
+    found = {law_id: [] for law_id in _SELECTORS["lemma1"] + _SELECTORS["lemma2"]}
+    for q in grid.q_values:
+        phis = {k: CharPoly.of(SequenceParams(q, k)).coefficients for k in ks}
+        facts = []  # (law id, k, detail, holds)
+        for k0, k in zip(ks, ks[1:]):
+            # Phi_(j+1) = t Phi_j - 1 is -1 at gamma_j, so gamma_j < gamma_(j+1); from j = k0
+            # to k - 1 it prepends k - k0 coefficients -1 to Phi_k0's, still - then +
+            facts += [("lemma1-monotone", k, *_minus_then_plus(k0, phis[k0])), (
+                "lemma1-monotone", k, f"gamma_{k0} vs gamma_{k}: Phi_(j+1) != t Phi_j - 1 "
+                f"for some j in [{k0}, {k})", phis[k] == (-1,) * (k - k0) + phis[k0])]
+        for k in grid.k_values:
+            phi, d = phis[k], Quadratic.weight_denominator(q, k)
+            # at gamma, (t-1) Phi = t^(k-1) Q + 1 reads (alpha - gamma)(gamma - beta) =
+            # gamma^(1-k); as q < gamma, beta < 1 and alpha beta = q - 1, alpha - gamma is
+            # below q^(1-k) / (q - beta), at most alpha q^-k once q alpha > 2q - 1
+            aux = tuple(x - y for x, y in zip((0,) + phi, phi + (0,)))
+            facts += [(law_id, k, *_minus_then_plus(k, phi))
+                      for law_id in ("lemma1-sandwich", "lemma2-sandwich")] + [
+                ("lemma1-sandwich", k, "alpha(1 - q^-k) < gamma: (t-1) Phi != t^(k-1) Q + 1",
+                 aux == AuxPoly.of(SequenceParams(q, k)).coefficients),
+                ("lemma1-sandwich", k, "alpha(1 - q^-k) < gamma: q alpha <= 2q - 1",
+                 Quadratic.companion(q).sign_at(1 - 2 * q, q, True) > 0)]
+            # g = (t-1) / D, D(gamma) > 0 once c < gamma: the weight bounds are D - m(t-1) < 0
+            # and > 0 at gamma, m = q+1 and q; each, like D, is negative at 1 < q < gamma
+            over, under = (Quadratic(d.a, d.b - m, d.c + m) for m in (q + 1, q))
+            for law_id, claim, quad, sign in (
+                    ("lemma1-sandwich", "bracket q < gamma", Quadratic(1, -q, 0), -1),
+                    ("lemma1-sandwich", "bracket gamma < q+1", Quadratic(1, -q - 1, 0), 1),
+                    ("lemma1-sandwich", "gamma < alpha", Quadratic.companion(q), 1),
+                    ("lemma2-sandwich", "1/(q+1) < g(gamma)", over, 1),
+                    ("lemma2-sandwich", "g(gamma) < 1/q", under, -1),
+                    ("lemma2-sandwich", "c < gamma", d, -1)):
+                facts.append((law_id, k, f"{claim} certified false",
+                              quad.sign_at(*quad.reduce(phi), True) == sign))
+        for law_id, k, detail, holds in facts:
+            if not holds:
+                found[law_id].append(Witness(q, k, None, "fail", detail))
+    return [_report(law_id, grid, witnesses, 0) for law_id, witnesses in found.items()]
 
 
 # ----------------------------------------------------------------------

@@ -1,21 +1,18 @@
 """Certified real and complex numerics for the characteristic polynomial."""
 
 from .dyadic import DyadicInterval
-from .polynomials import AuxPoly, CharPoly
+from .polynomials import AuxPoly, CharPoly, Quadratic
 from .roots import (
-    QuadraticRoots,
     RootEnclosure,
     RootSet,
     SecondaryRoot,
     all_roots,
     dominant_root,
-    quadratic_roots,
     refine_root,
 )
 from .binet import (
     DominantTerm,
     ErrorEnclosure,
-    asymptote_c,
     binet_dominant,
     binet_reconstruct,
     dominant_term_sweep,
@@ -29,17 +26,15 @@ __all__ = [
     "DyadicInterval",
     "AuxPoly",
     "CharPoly",
-    "QuadraticRoots",
+    "Quadratic",
     "RootEnclosure",
     "RootSet",
     "SecondaryRoot",
     "all_roots",
     "dominant_root",
-    "quadratic_roots",
     "refine_root",
     "DominantTerm",
     "ErrorEnclosure",
-    "asymptote_c",
     "binet_dominant",
     "binet_reconstruct",
     "dominant_term_sweep",

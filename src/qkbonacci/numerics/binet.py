@@ -30,15 +30,14 @@ from .roots import (
     _round_shift,
     _secondary_discs,
     dominant_root,
-    quadratic_roots,
     refine_root,
 )
+from .polynomials import Quadratic
 
 __all__ = [
     "DominantTerm",
     "ErrorEnclosure",
     "g_eval",
-    "asymptote_c",
     "u_closed_form",
     "binet_dominant",
     "error_term",
@@ -89,15 +88,15 @@ def _root_ladder(enclosure: RootEnclosure, n: int, limit: tuple[int, int]):
         yield enclosure
 
 
-def _weight_denominator(q: int, k: int, re: int, im: int, one: int):
-    """The weight's denominator D(z) * one^2 at z = (re + im i) / one, as (real, imag) ints."""
-    return ((k + 1) * (re * re - im * im) - (q + 1) * k * re * one + (q - 1) * (k - 1) * one * one,
-            (k + 1) * 2 * re * im - (q + 1) * k * im * one)
+def _weight_denominator(d: Quadratic, re: int, im: int, one: int):
+    """The weight's denominator d = D as D(z) one^2, z = (re + im i) / one, in (real, imag) ints."""
+    return (d.a * (re * re - im * im) + d.b * re * one + d.c * one * one,
+            d.a * 2 * re * im + d.b * im * one)
 
 
 def g_eval(params: SequenceParams, x: DyadicInterval) -> DyadicInterval:
-    """Outward-rounded image of the weight
-    (x-1) / ((k+1)x^2 - (q+1)k x + (q-1)(k-1)) over an interval.
+    """Outward-rounded image of the weight (x-1) / D(x) over an interval,
+    D = Quadratic.weight_denominator(q, k).
 
     The denominator's sign must be constant on the interval; that is
     decided exactly (endpoint values plus the parabola vertex), and a
@@ -107,12 +106,11 @@ def g_eval(params: SequenceParams, x: DyadicInterval) -> DyadicInterval:
     x >= q >= 1, and D > 0 as gamma^(k-2) D(gamma) = (gamma-1) Phi'(gamma) > 0.
     """
     q, k, w = params.q, params.k, x.bits
-    a, b, one = x.lo_num, x.hi_num, 1 << w
-    # D c 4^w is an integer at both ends and at the vertex, -disc 4^w there (see asymptote_c)
-    c = 4 * (k + 1)
-    dens = [c * _weight_denominator(q, k, m, 0, one)[0] for m in (a, b)]
-    if 2 * (k + 1) * a < (q + 1) * k * one < 2 * (k + 1) * b:
-        dens.append((c * (q - 1) * (k - 1) - ((q + 1) * k) ** 2) << 2 * w)
+    quad, lo, hi, one = Quadratic.weight_denominator(q, k), x.lo_num, x.hi_num, 1 << w
+    # D 4a 4^w is an integer at both ends and at the vertex -b/2a, -disc 4^w there
+    dens = [4 * quad.a * _weight_denominator(quad, m, 0, one)[0] for m in (lo, hi)]
+    if 2 * quad.a * lo < -quad.b * one < 2 * quad.a * hi:
+        dens.append(-quad.disc << 2 * w)
     den_min, den_max = min(dens), max(dens)
     if den_min <= 0 <= den_max:
         raise PoleInIntervalError(
@@ -120,22 +118,10 @@ def g_eval(params: SequenceParams, x: DyadicInterval) -> DyadicInterval:
             f"[{_float_text(x.lo, '', ROUND_FLOOR)}, {_float_text(x.hi, '')}] "
             f"for (q={q}, k={k})"
         )
-    # (m - 1) / D on the 2^-w grid is (m - 2^w) c 4^w / d, floored or ceiled
-    nums = [(m - one) * c << 2 * w for m in (a, b)]
+    # (m - 1) / D on the 2^-w grid is (m - 2^w) 4a 4^w / d, floored or ceiled
+    nums = [(m - one) * 4 * quad.a << 2 * w for m in (lo, hi)]
     return DyadicInterval(min(n // d for n in nums for d in (den_min, den_max)),
                           max(-(-n // d) for n in nums for d in (den_min, den_max)), w)
-
-
-def asymptote_c(params: SequenceParams, bits: int) -> DyadicInterval:
-    """Enclosure of the larger zero of the weight's denominator,
-    ((q+1)k + sqrt(k^2(q^2-2q+5) + 4(q-1))) / (2(k+1))."""
-    if params.q < 3:
-        raise RegimeError(f"asymptote is certified for q >= 3, got q={params.q}")
-    q, k = params.q, params.k
-    disc = k * k * (q * q - 2 * q + 5) + 4 * (q - 1)
-    top = DyadicInterval.sqrt_of_int(disc, bits + 4) + (q + 1) * k
-    den = 2 * (k + 1)
-    return DyadicInterval(top.lo_num // den, -(-top.hi_num // den), top.bits)
 
 
 def u_closed_form(q: int, n: int, bits: int) -> DyadicInterval:
@@ -147,11 +133,11 @@ def u_closed_form(q: int, n: int, bits: int) -> DyadicInterval:
         raise DomainError(f"u_closed_form requires n >= 1, got n={n}")
     # alpha < q + 1, so alpha^n's enclosure is about n alpha^(n-1) ulps wide
     work = bits + 8 + n * (q + 1).bit_length() + n.bit_length()
-    pair = quadratic_roots(q, work)
-    disc = q * q - 2 * q + 5
+    companion = Quadratic.companion(q)
+    alpha, beta, disc = companion.root(True, work), companion.root(False, work), companion.disc
     root = DyadicInterval.sqrt_of_int(disc, work)
     # times root over root: the divisor 2(q-1) root^2 is the integer 2(q-1) disc
-    top = root * ((pair.alpha**n) * (root + (q - 3)) + (pair.beta**n) * (root + (3 - q)))
+    top = root * ((alpha**n) * (root + (q - 3)) + (beta**n) * (root + (3 - q)))
     den = 2 * (q - 1) * disc
     return DyadicInterval(top.lo_num // den, -(-top.hi_num // den), top.bits).rescaled(bits)
 
@@ -256,9 +242,10 @@ def _secondary_term(params: SequenceParams, root, n_lo: int, n_hi: int):
     """
     q, k, w = params.q, params.k, root.bits
     one, rho, (cr, ci) = 1 << w, root.radius_num, (root.re_num, root.im_num)
-    # D(c) exactly at 2^-2w, then the residual (c - 1) - weight D(c) at 2^-3w
-    den = _weight_denominator(q, k, cr, ci, one)
-    d1 = 2 * (k + 1) + (q + 1) * k
+    # D(c) exactly at 2^-2w, then the residual (c - 1) - weight D(c) at 2^-3w;
+    # |D'(z)| = |2az + b| <= 2a + |b| = d1 for |z| < 1
+    d = Quadratic.weight_denominator(q, k)
+    den, d1 = _weight_denominator(d, cr, ci, one), 2 * d.a + abs(d.b)
     lo, den_lo = isqrt(_cabs2((cr, ci))) - rho, (isqrt(_cabs2(den)) >> w) - rho * d1
     if lo <= 0 or den_lo <= 0:
         raise ReconstructionError(f"a secondary disc at (q={q}, k={k}) is too wide "
@@ -308,9 +295,9 @@ def reconstruction_sweep(enclosure: RootEnclosure, n_lo: int, n_hi: int, bits: i
         return
     discs = [s for s in _secondary_discs(params, bits) if s.im_num >= 0]
     work = discs[0].bits
-    # the term for n is about n gamma^(n-1) 2^-w wide with gamma < q + 1;
-    # 16 bits more cover the weight and the chain's rounding
-    growth = ((params.q + 1) ** max(n_hi - 1, 0) - 1).bit_length()
+    # the term for n is about n gamma^(n-1) 2^-w wide and the weight's 2^-w
+    # rounding times gamma^n, gamma < q + 1; 16 bits cover the chain's rounding
+    growth = ((params.q + 1) ** max(n_hi, 0) - 1).bit_length()
     enclosure = refine_root(enclosure, max(bits, growth + n_hi.bit_length() + 16))
     _, _, term_lo, term_hi = dominant_term_sweep(enclosure, n_lo, n_hi)
     w = enclosure.interval.bits

@@ -22,19 +22,17 @@ from dataclasses import dataclass
 from itertools import chain, repeat
 from math import floor, frexp, isfinite, isqrt, ldexp, sqrt
 
-from ..errors import DomainError, RegimeError, RootSolveError
+from ..errors import DomainError, RootSolveError
 from ..sequences import SequenceParams
 from .dyadic import DyadicInterval
 from .polynomials import CharPoly
 
 __all__ = [
     "RootEnclosure",
-    "QuadraticRoots",
     "SecondaryRoot",
     "RootSet",
     "dominant_root",
     "refine_root",
-    "quadratic_roots",
     "all_roots",
 ]
 
@@ -49,15 +47,6 @@ class RootEnclosure:
 
     params: SequenceParams
     interval: DyadicInterval
-
-
-@dataclass(frozen=True)
-class QuadraticRoots:
-    """Enclosures of the roots of t^2 - (q+1)t + (q-1)."""
-
-    q: int
-    alpha: DyadicInterval
-    beta: DyadicInterval
 
 
 @dataclass(frozen=True)
@@ -234,16 +223,6 @@ def refine_root(enclosure: RootEnclosure, bits: int) -> RootEnclosure:
     return _bisect(enclosure.params, cell.lo_num, cell.bits, bits)
 
 
-def quadratic_roots(q: int, bits: int) -> QuadraticRoots:
-    """Enclosures of alpha and beta, ((q+1) +- sqrt(q^2-2q+5)) / 2."""
-    if q < 3:
-        raise RegimeError(f"quadratic companions require q >= 3, got q={q}")
-    root = DyadicInterval.sqrt_of_int(q * q - 2 * q + 5, bits + 2)
-    alpha = (root + (q + 1)).half()
-    beta = ((q + 1) - root).half()
-    return QuadraticRoots(q, alpha, beta)
-
-
 # ----------------------------------------------------------------------
 # fixed-point complex arithmetic (integer mantissas at scale 2^-bits)
 # ----------------------------------------------------------------------
@@ -317,7 +296,9 @@ def _cabs2(z):
 def _cubics(params):
     """The cubics h and g of (t-1) Phi = t^(k-2) h + 1 and (t-1)^2 Phi' =
     t^(k-2) g - 1, from the AuxPoly identity (t-1) Phi(t) = t^(k-1) Q(t) + 1,
-    Q(t) = t^2 - (q+1) t + (q-1), so h = t Q; coefficients ascending."""
+    Q(t) = t^2 - (q+1) t + (q-1), so h = t Q; coefficients ascending.
+    Q is written out here and in the float seeds, not read from the exact
+    Quadratic.companion: they feed floats and fixed-point complex numbers."""
     q, k = params.q, params.k
     return ((0, q - 1, -(q + 1), 1),
             (-(k - 1) * (q - 1), 2 * ((k - 1) * q + 1), q - k * (q + 2), k))

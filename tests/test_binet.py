@@ -13,12 +13,12 @@ from qkbonacci import (
     DyadicInterval,
     Grid,
     PoleInIntervalError,
+    Quadratic,
     ReconstructionError,
     RegimeError,
     SecondaryRoot,
     SequenceParams,
     all_roots,
-    asymptote_c,
     binet_dominant,
     binet_reconstruct,
     check_reconstruction,
@@ -26,7 +26,6 @@ from qkbonacci import (
     dominant_root,
     error_term,
     g_eval,
-    quadratic_roots,
     run_laws,
     term_definition,
     term_fast,
@@ -55,19 +54,17 @@ class TestWeight:
     def test_value_at_alpha(self):
         # at alpha the denominator collapses to alpha^2 - (q-1); for q = 3
         # that makes g(alpha) exactly 1/4, the boundary of the estimate
-        pair = quadratic_roots(3, 160)
-        g = g_eval(SequenceParams(3, 2), pair.alpha)
+        g = g_eval(SequenceParams(3, 2), Quadratic.companion(3).root(True, 160))
         assert g.contains(Fraction(1, 4))
         assert g.width < Fraction(1, 2**100)
         for q in (4, 5):
-            pair = quadratic_roots(q, 160)
-            g = g_eval(SequenceParams(q, 2), pair.alpha)
+            g = g_eval(SequenceParams(q, 2), Quadratic.companion(q).root(True, 160))
             assert g.strictly_above(Fraction(1, q + 1))
             assert g.strictly_below(Fraction(1, q))
 
     def test_pole_detected(self):
         p = SequenceParams(3, 2)
-        c = asymptote_c(p, 64)
+        c = Quadratic.weight_denominator(3, 2).root(True, 64)
         wide = DyadicInterval.from_bounds(c.lo - 1, c.hi + 1, 64)
         with pytest.raises(PoleInIntervalError):
             g_eval(p, wide)
@@ -164,33 +161,48 @@ class TestWeightMantissas:
         assert value == term_definition(SequenceParams(3, 5), 100)
 
 
+def asymptote(q, k, bits):
+    return Quadratic.weight_denominator(q, k).root(True, bits)
+
+
 class TestAsymptote:
     def test_known_value_3_2(self):
         # c = (8 + sqrt 40) / 6
-        c = asymptote_c(SequenceParams(3, 2), 128)
+        c = asymptote(3, 2, 128)
         lo, hi = sqrt_enclosure(40)
         assert c.lo <= (8 + hi) / 6 and c.hi >= (8 + lo) / 6
 
     def test_below_dominant_root(self):
         for q in (3, 4, 5):
             for k in (2, 5, 8):
-                p = SequenceParams(q, k)
-                c = asymptote_c(p, 96)
-                gamma = dominant_root(p, 96).interval
+                c = asymptote(q, k, 96)
+                gamma = dominant_root(SequenceParams(q, k), 96).interval
                 assert c.strictly_below(gamma)
 
     def test_approaches_alpha(self):
         # the gap behaves like alpha/(k+1): about 3.4e-3 by k = 1000
         for q in (3, 5):
-            alpha = quadratic_roots(q, 96).alpha
-            gap_1000 = alpha - asymptote_c(SequenceParams(q, 1000), 96)
+            alpha = Quadratic.companion(q).root(True, 96)
+            gap_1000 = alpha - asymptote(q, 1000, 96)
             assert gap_1000.hi < Fraction(1, 100)
-            gap_100 = alpha - asymptote_c(SequenceParams(q, 100), 96)
+            gap_100 = alpha - asymptote(q, 100, 96)
             assert gap_100.lo > gap_1000.hi  # still closing monotonically
 
     def test_regime_error(self):
+        # c is compared with gamma only where the laws are certified, q >= 3
         with pytest.raises(RegimeError):
-            asymptote_c(SequenceParams(2, 4), 64)
+            run_laws("lemma2", Grid((2,), (4,), 10), 64)
+
+    def test_matches_the_closed_form(self):
+        # ((q+1)k + sqrt(k^2(q^2-2q+5) + 4(q-1))) / (2(k+1)): the root of D
+        # is that closed form's enclosure, mantissa for mantissa
+        for q in range(3, 11):
+            for k in range(2, 65):
+                disc = k * k * (q * q - 2 * q + 5) + 4 * (q - 1)
+                top = DyadicInterval.sqrt_of_int(disc, 100) + (q + 1) * k
+                den = 2 * (k + 1)
+                assert asymptote(q, k, 96) == DyadicInterval(
+                    top.lo_num // den, -(-top.hi_num // den), 100), (q, k)
 
 
 class TestClosedFormU:

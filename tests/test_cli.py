@@ -154,6 +154,16 @@ class TestTerm:
         assert binet == run_cli(capsys, *argv, "--method", "def")
         assert binet[0] == 0
 
+    @pytest.mark.parametrize("q", ["1000000000", "1000000000000"])
+    def test_binet_weight_rounding_at_huge_q(self, capsys, q):
+        # the dominant precision covers the weight's rounding times gamma^n,
+        # one factor q + 1 more than the term's width; sized from
+        # (q+1)^(n-1) alone, q = 10^9 was refused with radius 121
+        argv = ("term", "--q", q, "--k", "2", "--n", "30")
+        binet = run_cli(capsys, *argv, "--method", "binet")
+        assert binet == run_cli(capsys, *argv, "--method", "def")
+        assert binet[0] == 0
+
     def test_domain_error_exit_2(self, capsys):
         code, out, err = run_cli(capsys, "term", "--q", "3", "--k", "2", "--n", "-1")
         assert code == 2
@@ -538,7 +548,7 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", "--law", "all")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "fa2dd006c4f16d3e4d989f798ee2fd9f9b4fd012fb2a005b2d50e22becf9fe4a")
+            "ab34b8fe96a308c7077df51bafb73a19450d5a47433a2060b408f43323fbb0b1")
 
     def test_inconclusive_error_bound_digest(self, capsys):
         # an 8-bit request caps at 128 bits, too few for these n, so this
@@ -567,17 +577,19 @@ class TestVerify:
 
     @pytest.mark.parametrize("argv, code, digest", [
         (("--law", "lemma1", "--q", "3", "--q", "10", "--k-min", "2", "--k-max", "40",
-          "--bits", "8"), 1, "4c8bed767c0c15fe81907012bdabd318a8a95b6a80cf0c77e32e866672ce6954"),
+          "--bits", "8"), 0, "090e56daedd7f21dd43209d93d8fc3a470fe3972bca48e902a3fb538b63daf61"),
         (("--law", "lemma2", "--q", "3", "--q", "10", "--k-min", "2", "--k-max", "40",
-          "--bits", "8"), 0, "895f04341726af8ddcd156c198781e73816227eaae8756389838823e8ac66d47"),
+          "--bits", "8"), 0, "0717b26195834a4f8d7118b31a2871a6730ac485232a7b874d0df89f5d6283d5"),
         (("--law", "all", "--bits", "16"), 1,
-         "c8b9ab5a9f065ee51a94f46f77ed7242a25d5c478f4a12a56842040b5fc45c07"),
-        (("--law", "lemma1", "--q", "10", "--k-min", "60", "--k-max", "64", "--bits", "8"), 1,
-         "2e8a315bdf59b3651666a1d060903ff1d93d214141f520cf062a5d86ab77d90a"),
-    ])
+         "25b1bc111cc14f3b827fcac33af3c5d391879bbc1814fb0978beaaa175455abb"),
+        (("--law", "lemma1", "--q", "10", "--k-min", "60", "--k-max", "64", "--bits", "8"), 0,
+         "0b36540f224dfc9109c2e6543762a93323885f28f02535016fd4c82869675a13"),
+    ], ids=["lemma1-q3-q10-k2-40-bits8", "lemma2-q3-q10-k2-40-bits8", "all-default-bits16",
+            "lemma1-q10-k60-64-bits8"])
     def test_root_law_rungs_digest(self, capsys, argv, code, digest):
-        # the root laws' cells settle at different rungs on these grids, so
-        # these pin each report's bits_used and the witness text at its rung
+        # grids whose interval root laws once settled at different rungs or
+        # not at all at 8 bits: the exact laws pass them with bits_used 0,
+        # and --bits 16 leaves only error-bound's climb, inconclusive
         exit_code, out, _ = run_cli(capsys, "verify", *argv)
         assert exit_code == code
         assert hashlib.sha256(out.encode()).hexdigest() == digest
@@ -620,7 +632,7 @@ class TestVerify:
             code, out, _ = run_captured(*req.args[-1])
             digest.update(f"{req.label}\n{code}\n{out}".encode())
         assert digest.hexdigest() == (
-            "bd3db59a742dfae70e99c6d4779812dc78bfc9d1248e010fedfe91578b1d2807")
+            "bba8653ad4032d285648d61476ba4658679d88ca1ea9384ae18c7fc84aab48a2")
 
 
 class TestBench:
@@ -774,7 +786,8 @@ class TestExitCodeContract:
     @example(argv=["table", "--q", "10", "--k-min", "2", "--k-max", "2", "--n-max", "5000",
                    "--format", "markdown"])
     @example(argv=["series", "--q", "10", "--k", "2", "--count", "5000"])
-    # alpha's 8-bit enclosure at q = 10^6 touches q: the laws climb
+    # q = 10^6 at 8 bits: alpha lies within about 1e-6 of q, which the
+    # exact Lemma laws settle with no enclosure
     @example(argv=["verify", "--law", "lemma1", "--q", "1000000", "--k-min", "2",
                    "--k-max", "3", "--n-max", "20", "--bits", "8"])
     # bench must refuse n = 0 before it prints the CSV header

@@ -1,13 +1,15 @@
 import hashlib
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
+from time import perf_counter
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qkbonacci import (
     DomainError,
-    DyadicInterval,
     Grid,
     RegimeError,
     SequenceParams,
@@ -24,7 +26,7 @@ from qkbonacci import lawcheck
 from qkbonacci.lawcheck import LAW_IDS, CellContext
 from qkbonacci.numerics import binet, roots
 from qkbonacci.numerics.binet import _rungs
-from qkbonacci.numerics.polynomials import _IntPoly
+from qkbonacci.numerics.polynomials import CharPoly, Quadratic, _IntPoly
 
 from _oracles import (
     ERRATUM_CELL,
@@ -141,6 +143,16 @@ class TestIdentities:
             check_identities(CellContext(Grid((1, 2), (2, 3), 20), 192))
 
 
+def phi_plus_one(first):
+    """A stand-in for lawcheck's CharPoly: the true Phi_first, then each
+    later Phi_(j+1) built as t Phi_j + 1 where Phi_(j+1) = t Phi_j - 1."""
+    def of(params):
+        coeffs = CharPoly.of(SequenceParams(params.q, first)).coefficients
+        return SimpleNamespace(coefficients=(1,) * (params.k - first) + coeffs)
+
+    return SimpleNamespace(of=of)
+
+
 class TestRootLaws:
     def test_default_style_grid_passes(self):
         reports = check_root_laws(CellContext(Grid((3,), tuple(range(2, 9)), 10), 128))
@@ -149,7 +161,7 @@ class TestRootLaws:
         ]
         for r in reports:
             assert r.verdict == "pass"
-            assert r.bits_used == 128
+            assert r.bits_used == 0
 
     def test_wide_k_grid_passes(self):
         # the monotonicity and sandwich claims hold out to k = 10
@@ -167,7 +179,8 @@ class TestRootLaws:
             check_root_laws(CellContext(Grid((2, 3), (2,), 10), 64))
 
     def test_one_bracket_bisection_per_cell(self, monkeypatch):
-        # the three laws share one enclosure per (q, k) and refine it
+        # the root laws make no enclosure, so the laws sharing a context
+        # bisect once per (q, k), for the term laws
         calls = []
 
         def counted(params, bits):
@@ -176,123 +189,146 @@ class TestRootLaws:
 
         monkeypatch.setattr(lawcheck, "dominant_root", counted)
         grid = Grid.default()
-        reports = check_root_laws(CellContext(grid, 192))
-        assert all(r.verdict == "pass" for r in reports)
+        cells = CellContext(grid, 192)
+        assert all(r.verdict == "pass" for r in check_root_laws(cells))
+        assert calls == []
+        assert all(r.verdict == "pass" for r in check_term_bounds(cells))
         assert sorted(calls) == grid.cells
 
-    def test_single_k_monotone_is_never_vacuous(self):
-        # one k compares gamma_k with gamma_(k+1); at q = 10 those lie
-        # about 5e-61 apart, so the 8-bit request's 128-bit cap cannot
-        # separate them and the law is not a pass
-        reports = run_laws("lemma1", Grid((10,), (60,), 5), 8)
-        monotone = reports[0]
+    def test_no_root_enclosure_and_no_climb(self, monkeypatch):
+        # the Lemma laws are exact: no bisection, refinement, weight
+        # enclosure or precision climb, on any module binding
+        calls = Counter()
+        for module, name in ((lawcheck, "dominant_root"), (binet, "dominant_root"),
+                             (roots, "dominant_root"), (binet, "refine_root"),
+                             (roots, "refine_root"), (binet, "g_eval"), (lawcheck, "_climb")):
+            def counted(*args, real=getattr(module, name), name=name):
+                calls[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(module, name, counted)
+        reports = check_root_laws(CellContext(Grid.default(), 192))
+        assert [(r.verdict, r.bits_used) for r in reports] == [("pass", 0)] * 3
+        assert calls == Counter()
+        # the count is live: a term law makes each of these calls
+        check_term_bounds(CellContext(Grid((3,), (2,), 10), 192))
+        assert set(calls) == {"dominant_root", "refine_root", "g_eval", "_climb"}
+
+    def test_single_k_monotone_is_never_vacuous(self, monkeypatch):
+        # one k compares gamma_k with gamma_(k+1): at q = 10 those lie about
+        # 5e-61 apart, which the exact law settles at any bits, and a wrong
+        # Phi_61 fails there
+        (monotone, _) = run_laws("lemma1", Grid((10,), (60,), 5), 8)
         assert (monotone.law_id, monotone.verdict, monotone.bits_used) == (
-            "lemma1-monotone", "inconclusive", 128)
-        assert [(w.k, w.detail) for w in monotone.witnesses] == [
-            (61, "gamma_60 vs gamma_61 not separated at 128 bits"),
+            "lemma1-monotone", "pass", 0)
+        monkeypatch.setattr(lawcheck, "CharPoly", phi_plus_one(60))
+        (monotone, _) = run_laws("lemma1", Grid((10,), (60,), 5), 8)
+        assert [(w.k, w.kind, w.detail) for w in monotone.witnesses] == [
+            (61, "fail", "gamma_60 vs gamma_61: Phi_(j+1) != t Phi_j - 1 for some j in [60, 61)"),
         ]
 
-    def test_monotone_compares_adjacent_k(self):
-        # each k is compared with the next grid k only: the 10 pairs of
-        # k 60-64 would leave 10 witnesses, the 4 adjacent ones leave 4
-        monotone = check_root_laws(CellContext(Grid((10,), tuple(range(60, 65)), 5), 8))[0]
-        assert (monotone.law_id, monotone.verdict, monotone.bits_used) == (
-            "lemma1-monotone", "inconclusive", 128)
+    def test_monotone_compares_adjacent_k(self, monkeypatch):
+        # each k is checked against the next grid k only, through the Phi_j
+        # between: a wrong chain leaves one witness per adjacent pair
+        grid = Grid((10,), (60, 61, 63), 5)
+        monkeypatch.setattr(lawcheck, "CharPoly", phi_plus_one(60))
+        monotone = check_root_laws(CellContext(grid, 8))[0]
+        assert (monotone.verdict, monotone.bits_used) == ("fail", 0)
         assert [(w.k, w.detail) for w in monotone.witnesses] == [
-            (k + 1, f"gamma_{k} vs gamma_{k + 1} not separated at 128 bits")
-            for k in range(60, 64)
+            (61, "gamma_60 vs gamma_61: Phi_(j+1) != t Phi_j - 1 for some j in [60, 61)"),
+            (63, "Phi_61: coefficients not - then +"),
+            (63, "gamma_61 vs gamma_63: Phi_(j+1) != t Phi_j - 1 for some j in [61, 63)"),
         ]
+        # the true chain passes over the gap from 61 to 63
+        monkeypatch.undo()
+        assert check_root_laws(CellContext(grid, 8))[0].verdict == "pass"
 
-    def test_one_comparison_per_monotone_cell(self, monkeypatch):
-        # every cell settles at its first rung: 38 adjacent pairs, then 4
-        # and 3 comparisons for each of the 39 cells of the two sandwiches;
-        # all 741 pairs of k would make 1,014
-        calls, real = [], lawcheck._order
-
-        def counted(a, b):
-            calls.append((a, b))
-            return real(a, b)
-
-        monkeypatch.setattr(lawcheck, "_order", counted)
-        reports = check_root_laws(CellContext(Grid((3,), tuple(range(2, 41)), 10), 192))
-        assert [(r.verdict, r.bits_used) for r in reports] == [("pass", 192)] * 3
-        assert len(calls) == 38 + 39 * 4 + 39 * 3 == 311
-
-    def test_monotone_fail_text(self):
-        # hand k = 4 the enclosure of k = 2: gamma_4 then lies certified
-        # below gamma_3, and the law must fail there
-        cells = CellContext(Grid((3,), (3, 4), 10), 64)
-        real_root = cells.root
-        cells.root = lambda q, k: real_root(q, 2 if k == 4 else k)
-        monotone = check_root_laws(cells)[0]
+    def test_monotone_fail_text(self, monkeypatch):
+        # Phi_4 built as t Phi_3 + 1 breaks the chain, and gamma_3 < gamma_4
+        # no longer follows: the law fails at k = 4
+        monkeypatch.setattr(lawcheck, "CharPoly", phi_plus_one(3))
+        monotone, sandwich, weight = check_root_laws(CellContext(Grid((3,), (3, 4), 10), 64))
         assert (monotone.law_id, monotone.verdict, monotone.bits_used) == (
-            "lemma1-monotone", "fail", 64)
+            "lemma1-monotone", "fail", 0)
         assert [(w.k, w.n, w.kind, w.detail) for w in monotone.witnesses] == [
-            (4, None, "fail", "gamma_3 vs gamma_4 certified false"),
+            (4, None, "fail", "gamma_3 vs gamma_4: Phi_(j+1) != t Phi_j - 1 for some j in [3, 4)"),
         ]
+        # the sandwiches rest on the same sign change at k = 4
+        for report in (sandwich, weight):
+            assert report.verdict == "fail"
+            assert (4, "Phi_4: coefficients not - then +") in [
+                (w.k, w.detail) for w in report.witnesses]
+
+    def test_sign_change_must_run_minus_then_plus(self, monkeypatch):
+        # -Phi also changes sign once, but is positive below gamma, so
+        # "t < gamma exactly when Phi(t) < 0" fails and so does every law
+        monkeypatch.setattr(lawcheck, "CharPoly", SimpleNamespace(of=lambda params: SimpleNamespace(
+            coefficients=tuple(-c for c in CharPoly.of(params).coefficients))))
+        for report in check_root_laws(CellContext(Grid((3,), (4,), 10), 64)):
+            assert report.verdict == "fail"
+            assert "Phi_4: coefficients not - then +" in [w.detail for w in report.witnesses]
 
     def test_touching_comparison_fails_at_its_rung(self, monkeypatch):
-        # alpha = [gamma_lo - 1, gamma_lo] at gamma's scale touches gamma
-        # from below on every rung, which certifies gamma >= alpha: the
-        # law fails at its first rung rather than climbing to the cap
-        real = lawcheck.quadratic_roots
-
-        def touching(q, bits):
-            gamma = dominant_root(SequenceParams(q, 4), bits).interval
-            alpha = DyadicInterval(gamma.lo_num - 1, gamma.lo_num, gamma.bits)
-            return replace(real(q, bits), alpha=alpha)
-
-        monkeypatch.setattr(lawcheck, "quadratic_roots", touching)
-        sandwich = check_root_laws(CellContext(Grid((3,), (4,), 10), 64))[1]
+        # Phi = (t - 4)(t + 1) at (3, 2) has gamma = q + 1 exactly: the strict
+        # bracket gamma < q+1 meets a zero of Phi, which certifies it false
+        # at once, with no precision to climb
+        monkeypatch.setattr(lawcheck, "CharPoly", SimpleNamespace(
+            of=lambda params: SimpleNamespace(coefficients=(-4, -3, 1))))
+        sandwich = check_root_laws(CellContext(Grid((3,), (2,), 10), 64))[1]
         assert (sandwich.law_id, sandwich.verdict, sandwich.bits_used) == (
-            "lemma1-sandwich", "fail", 64)
-        assert [(w.k, w.n, w.kind, w.detail) for w in sandwich.witnesses] == [
-            (4, None, "fail", "gamma < alpha certified false"),
-        ]
+            "lemma1-sandwich", "fail", 0)
+        assert (2, None, "fail", "bracket gamma < q+1 certified false") in [
+            (w.k, w.n, w.kind, w.detail) for w in sandwich.witnesses]
 
-    def test_each_cell_climbs_on_its_own(self, monkeypatch):
-        # lemma2-sandwich checks a cell once per rung, from the request up,
-        # only until that cell settles: a cell that settles early is not
-        # checked again while another climbs to the report's rung
-        rungs_by_cell, real = {}, lawcheck.g_eval
+    def test_false_claims_fail_as_certified_false(self, monkeypatch):
+        # D(t) - t^2 has its upper root near 3.58, past gamma ~ 3.405 at
+        # (3, 4), so Phi is positive there and "c < gamma" is certified false
+        real = Quadratic.weight_denominator
 
-        def counted(params, x):
-            rungs_by_cell.setdefault((params.q, params.k), []).append(x.bits)
-            return real(params, x)
+        def shifted(q, k):
+            d = real(q, k)
+            return Quadratic(d.a - 1, d.b, d.c)
 
-        monkeypatch.setattr(lawcheck, "g_eval", counted)
-        grid = Grid((3, 10), (2, 39), 10)
-        weight = check_root_laws(CellContext(grid, 8))[2]
-        assert (weight.law_id, weight.verdict) == ("lemma2-sandwich", "pass")
-        assert sorted(rungs_by_cell) == grid.cells
-        ladder = _rungs(8)
-        for rungs in rungs_by_cell.values():
-            assert rungs == ladder[:len(rungs)]
-        climbed = sorted(len(rungs) for rungs in rungs_by_cell.values())
-        assert climbed[0] < climbed[-1] == ladder.index(weight.bits_used) + 1
+        monkeypatch.setattr(Quadratic, "weight_denominator", staticmethod(shifted))
+        weight = check_root_laws(CellContext(Grid((3,), (4,), 10), 64))[2]
+        assert weight.verdict == "fail"
+        assert "c < gamma certified false" in [w.detail for w in weight.witnesses]
 
-    def test_unseparated_witness_text(self):
-        # at q = 10, gamma_39, gamma_40 and alpha lie within about 7e-40
-        # of each other, finer than the 8-bit request's 128-bit cap
+    def test_close_roots_pass_exactly(self):
+        # at q = 10, gamma_39, gamma_40 and alpha lie within about 7e-40 of
+        # each other, finer than the 8-bit request's 128-bit cap that left
+        # interval comparisons inconclusive; the exact laws pass
         reports = check_root_laws(CellContext(Grid((10,), (39, 40), 10), 8))
-        by_id = {r.law_id: r for r in reports}
-        monotone = by_id["lemma1-monotone"]
-        assert (monotone.verdict, monotone.bits_used) == ("inconclusive", 128)
-        assert [w.detail for w in monotone.witnesses] == [
-            "gamma_39 vs gamma_40 not separated at 128 bits",
-        ]
-        sandwich = by_id["lemma1-sandwich"]
-        assert (sandwich.verdict, sandwich.bits_used) == ("inconclusive", 128)
-        assert [w.detail for w in sandwich.witnesses] == [
-            "gamma < alpha not separated at 128 bits",
-            "alpha(1 - q^-k) < gamma not separated at 128 bits",
-            "gamma < alpha not separated at 128 bits",
-        ]
-        assert [(w.k, w.kind) for w in sandwich.witnesses] == [
-            (39, "inconclusive"), (40, "inconclusive"), (40, "inconclusive"),
-        ]
-        weight = by_id["lemma2-sandwich"]
-        assert (weight.verdict, weight.bits_used) == ("pass", 16)
+        assert [(r.verdict, r.witnesses, r.bits_used) for r in reports] == [("pass", (), 0)] * 3
+
+    @pytest.mark.parametrize("grid", [
+        Grid.default(),
+        Grid(range(3, 11), range(2, 65), 5),
+        Grid((10**6,), (2, 3), 20),
+        Grid((10,), range(60, 65), 5),
+    ], ids=["default", "q3-10-k2-64", "q1e6", "q10-k60-64"])
+    def test_verdicts_do_not_depend_on_bits(self, grid):
+        reports = [run_laws(selection, grid, bits)
+                   for bits in (8, 16, 32, 64, 192) for selection in ("lemma1", "lemma2")]
+        for found in reports:
+            assert [(r.verdict, r.witnesses, r.bits_used) for r in found] == [
+                ("pass", (), 0)] * len(found)
+        assert reports[:2] * 5 == reports
+
+    @given(q=st.integers(2, 67).flatmap(
+               lambda b: st.integers(max(3, 1 << (b - 1)), min(10**20, (1 << b) - 1))),
+           k=st.integers(2, 400))
+    @settings(max_examples=25, deadline=None)
+    @example(q=10**20, k=400)
+    def test_log_uniform_cells_pass_in_budget(self, q, k):
+        # q log-uniform by bit length up to 10^20: no reduction here grows
+        # like k^2 log q bits, as one by the alpha(1 - q^-k) quadratic
+        # would, so even (10^20, 400) settles in milliseconds
+        start = perf_counter()
+        reports = run_laws("lemma1", Grid((q,), (k,), 5), 8) + run_laws(
+            "lemma2", Grid((q,), (k,), 5), 8)
+        assert perf_counter() - start < 2.0
+        assert [(r.verdict, r.bits_used) for r in reports] == [("pass", 0)] * 3
 
 
 class TestTermBounds:
@@ -322,6 +358,44 @@ class TestTermBounds:
         # reports the bits the error bound climbed to
         assert by_id["growth-bounds"].verdict == "pass"
         assert by_id["growth-bounds"].bits_used == 128
+
+    def test_each_cell_climbs_on_its_own(self, monkeypatch):
+        # with every rung of the ladder offered, a cell is checked once per
+        # rung from the request up, only until it settles: a cell that
+        # settles early is not checked again while another climbs
+        rungs_by_cell, real = {}, lawcheck.dominant_term_sweep
+
+        def sweep(enclosure, n_lo, n_hi):
+            params = enclosure.params
+            rungs_by_cell.setdefault((params.q, params.k), []).append(enclosure.interval.bits)
+            return real(enclosure, n_lo, n_hi)
+
+        monkeypatch.setattr(lawcheck, "dominant_term_sweep", sweep)
+        monkeypatch.setattr(lawcheck, "_root_ladder", lambda enclosure, n, limit: (
+            dominant_root(enclosure.params, work) for work in _rungs(enclosure.interval.bits)))
+        grid = Grid((3, 10), (2, 39), 10)
+        error, growth = check_term_bounds(CellContext(grid, 8))
+        assert (error.verdict, growth.verdict) == ("pass", "pass")
+        assert sorted(rungs_by_cell) == grid.cells
+        ladder = _rungs(8)
+        for rungs in rungs_by_cell.values():
+            assert rungs == ladder[:len(rungs)]
+        climbed = sorted(len(rungs) for rungs in rungs_by_cell.values())
+        assert climbed[0] < climbed[-1] == ladder.index(error.bits_used) + 1
+
+    def test_one_comparison_per_bound_and_link(self, monkeypatch):
+        # every cell settles at its first rung: two _order calls per |E_n|
+        # for n in [2-k, n_max] and one per growth link for n in [1, n_max]
+        calls, real = [], lawcheck._order
+
+        def counted(a, b):
+            calls.append((a, b))
+            return real(a, b)
+
+        monkeypatch.setattr(lawcheck, "_order", counted)
+        reports = check_term_bounds(CellContext(Grid((3,), tuple(range(2, 9)), 10), 192))
+        assert [(r.verdict, r.bits_used) for r in reports] == [("pass", 192)] * 2
+        assert len(calls) == sum(2 * (10 + k - 1) + 4 * 10 for k in range(2, 9)) == 476
 
     def test_wrong_terms_are_caught(self, monkeypatch):
         real = lawcheck.term_table
@@ -531,7 +605,9 @@ class TestCellContext:
         assert (counts["term_table"], counts["dominant_root"]) == (21, 0)
         counts.clear()
         run_laws("lemma1", Grid.default(), 192)
-        assert (counts["term_table"], counts["dominant_root"]) == (0, 21)
+        assert (counts["term_table"], counts["dominant_root"]) == (0, 0)
+        run_laws("error-bound", Grid.default(), 192)
+        assert (counts["term_table"], counts["dominant_root"]) == (21, 21)
 
     def test_views_share_cells(self, counts):
         # a view cut by up_to reads the cells its parent made, and a table
@@ -570,10 +646,14 @@ class TestCellContext:
         run_laws("identities", Grid((3,), (2,), 800), 192)
         assert built == [(2, 500)]
 
-    def test_single_k_monotone_compares_the_next_k(self, counts):
+    def test_single_k_monotone_compares_the_next_k(self, counts, monkeypatch):
+        built, real = [], lawcheck.CharPoly.of
+        monkeypatch.setattr(lawcheck.CharPoly, "of", lambda params: built.append(
+            (params.q, params.k)) or real(params))
         reports = run_laws("lemma1", Grid((3, 4), (5,), 10), 96)
         assert all(r.verdict == "pass" for r in reports)
-        assert counts["dominant_root"] == 4
+        assert built == [(3, 5), (3, 6), (4, 5), (4, 6)]
+        assert counts["dominant_root"] == 0
 
 
 class TestReports:

@@ -1,9 +1,10 @@
 from fractions import Fraction
+from math import isqrt
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qkbonacci import AuxPoly, CharPoly, SequenceParams, dominant_root
+from qkbonacci import AuxPoly, CharPoly, Quadratic, SequenceParams, dominant_root
 from qkbonacci.numerics.polynomials import _IntPoly
 
 from _oracles import exact_sign
@@ -142,3 +143,109 @@ class TestAuxIdentity:
                 phi = CharPoly.of(params)
                 aux = AuxPoly.of(params)
                 assert poly_times_t_minus_1(phi.coefficients) == aux.coefficients
+
+
+# q 3-10 x k 2-64, the cells the exact Lemma laws are pinned on
+KERNEL_CELLS = [(q, k) for q in range(3, 11) for k in range(2, 65)]
+
+
+def kernel_quadratics(q, k):
+    """Q, D, and the weight bounds' D - (q+1)(t-1) and D - q(t-1)."""
+    d = Quadratic.weight_denominator(q, k)
+    return {"Q": Quadratic.companion(q), "D": d,
+            "D - (q+1)(t-1)": Quadratic(d.a, d.b - q - 1, d.c + q + 1),
+            "D - q(t-1)": Quadratic(d.a, d.b - q, d.c + q)}
+
+
+def enclosure_disagreements(sign_at):
+    """The (q, k, quadratic, upper) of the kernel cells at which
+    sign_at(quad, u, v, upper) on Phi reduced by the quadratic differs from
+    the sign of Phi at both ends of the root's 512-bit enclosure."""
+    found = []
+    for q, k in KERNEL_CELLS:
+        phi = CharPoly.of(SequenceParams(q, k))
+        for name, quad in kernel_quadratics(q, k).items():
+            u, v = quad.reduce(phi.coefficients)
+            for upper in (True, False):
+                root = quad.root(upper, 512)
+                ends = {phi.sign_at_dyadic(root.lo_num, root.bits),
+                        phi.sign_at_dyadic(root.hi_num, root.bits)}
+                # no root of Phi lies within 2^-512 of these roots
+                assert len(ends) == 1 and 0 not in ends, (q, k, name, upper)
+                if sign_at(quad, u, v, upper) not in ends:
+                    found.append((q, k, name, upper))
+    return found
+
+
+def rational_root_quadratics():
+    """a (t - r1)(t - r2) for rationals r1 = n1/d1 and r2 = n2/d2, as
+    Quadratic(d1 d2, -(n1 d2 + n2 d1), n1 n2), with its roots."""
+    return st.tuples(st.integers(-40, 40), st.integers(1, 12),
+                     st.integers(-40, 40), st.integers(1, 12)).map(
+        lambda r: (Quadratic(r[1] * r[3], -(r[0] * r[3] + r[2] * r[1]), r[0] * r[2]),
+                   sorted((Fraction(r[0], r[1]), Fraction(r[2], r[3])))))
+
+
+class TestQuadratic:
+    def test_kernel_signs_match_enclosures(self):
+        assert enclosure_disagreements(Quadratic.sign_at) == []
+
+    def test_wrong_root_branch_is_caught(self):
+        # the mutation reads each sign at the other root; the roots of D and
+        # D - q(t-1) all lie below gamma, so it shows where a root is above
+        wrong = enclosure_disagreements(lambda quad, u, v, upper: quad.sign_at(u, v, not upper))
+        assert len(wrong) == len(KERNEL_CELLS) * 2 * 2
+        assert {name for _, _, name, _ in wrong} == {"Q", "D - (q+1)(t-1)"}
+
+    def test_perfect_square_discriminants_are_covered(self):
+        # D's upper root is rational on 18 of the cells, where u + v c can
+        # only be told from zero by the exact comparison of squares
+        squares = [(q, k) for q, k in KERNEL_CELLS
+                   if isqrt(Quadratic.weight_denominator(q, k).disc) ** 2
+                   == Quadratic.weight_denominator(q, k).disc]
+        assert len(squares) == 18
+        for q, k in squares:
+            d = Quadratic.weight_denominator(q, k)
+            c = Fraction(-d.b + isqrt(d.disc), 2 * d.a)
+            phi = CharPoly.of(SequenceParams(q, k))
+            u, v = d.reduce(phi.coefficients)
+            assert u + v * c == phi.eval(c) * d.a ** k
+            assert d.sign_at(u, v, True) == -1
+
+    @given(case=rational_root_quadratics(),
+           coeffs=st.lists(st.integers(-50, 50), min_size=1, max_size=12))
+    @settings(max_examples=200, deadline=None)
+    @example(case=(Quadratic(1, -5, 6), [Fraction(2), Fraction(3)]), coeffs=[-3, 1])
+    @example(case=(Quadratic(1, -5, 6), [Fraction(2), Fraction(3)]), coeffs=[-2, 1])
+    @example(case=(Quadratic(4, -4, 1), [Fraction(1, 2), Fraction(1, 2)]), coeffs=[-1, 2])
+    def test_reduce_and_sign_at_rational_roots(self, case, coeffs):
+        # at a rational root P times a^deg is u + v rho exactly, and sign_at
+        # is its sign, zero included
+        quad, (lower, upper) = case
+        u, v = quad.reduce(coeffs)
+        for root, is_upper in ((lower, False), (upper, True)):
+            value = sum(c * root**i for i, c in enumerate(coeffs)) * quad.a ** (len(coeffs) - 1)
+            assert u + v * root == value
+            assert quad.sign_at(u, v, is_upper) == (value > 0) - (value < 0)
+
+    def test_false_weight_claim_is_certified_false(self):
+        # 1/(q+1) < g(gamma) holds as gamma lies below the upper root of
+        # D - (q+1)(t-1), where Phi is positive: the reversed claim
+        # g(gamma) < 1/(q+1), which needs Phi < 0 there, is false on every cell
+        for q, k in KERNEL_CELLS:
+            quad = kernel_quadratics(q, k)["D - (q+1)(t-1)"]
+            u, v = quad.reduce(CharPoly.of(SequenceParams(q, k)).coefficients)
+            assert quad.sign_at(u, v, True) == 1, (q, k)
+
+    def test_root_holds_the_root(self):
+        # a root's enclosure at 2^-(bits + 4) is at most two units wide and
+        # holds it: the quadratic changes sign across it, or is zero at an end
+        for q, k in KERNEL_CELLS[::7]:
+            for quad in kernel_quadratics(q, k).values():
+                poly = (quad.c, quad.b, quad.a)
+                for upper in (True, False):
+                    root = quad.root(upper, 64)
+                    assert root.bits == 68 and root.hi_num - root.lo_num <= 2
+                    lo = exact_sign(poly, root.lo_num, root.bits)
+                    hi = exact_sign(poly, root.hi_num, root.bits)
+                    assert lo * hi <= 0, (q, k, quad, upper)

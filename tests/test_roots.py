@@ -11,13 +11,13 @@ from qkbonacci import (
     CompanionKind,
     DomainError,
     DyadicInterval,
+    Quadratic,
     RegimeError,
     RootSolveError,
     SequenceParams,
     all_roots,
     companion_term,
     dominant_root,
-    quadratic_roots,
     u_closed_form,
 )
 from qkbonacci.numerics import RootEnclosure, refine_root, roots
@@ -267,34 +267,42 @@ class TestNewtonRungs:
             assert halved == [min(bits, 48 - (q + 1).bit_length())], (q, k, bits)
 
 
+def alpha_beta(q, bits):
+    companion = Quadratic.companion(q)
+    return companion.root(True, bits), companion.root(False, bits)
+
+
 class TestQuadraticRoots:
     def test_alpha_beta_q3(self):
-        pair = quadratic_roots(3, 128)
+        alpha, beta = alpha_beta(3, 128)
         lo, hi = sqrt_enclosure(2)
-        assert pair.alpha.lo <= 2 + hi and pair.alpha.hi >= 2 + lo
-        assert pair.beta.lo <= 2 - lo and pair.beta.hi >= 2 - hi
-        assert pair.beta.strictly_above(0) and pair.beta.strictly_below(1)
+        assert alpha.lo <= 2 + hi and alpha.hi >= 2 + lo
+        assert beta.lo <= 2 - lo and beta.hi >= 2 - hi
+        assert beta.strictly_above(0) and beta.strictly_below(1)
 
     def test_width(self):
-        pair = quadratic_roots(5, 200)
-        assert pair.alpha.width <= Fraction(1, 2**200)
-        assert pair.beta.width <= Fraction(1, 2**200)
+        for root in alpha_beta(5, 200):
+            assert root.width <= Fraction(1, 2**200)
 
     def test_vieta(self):
         for q in (3, 4, 7):
-            pair = quadratic_roots(q, 128)
-            total = pair.alpha + pair.beta
-            product = pair.alpha * pair.beta
-            assert total.contains(q + 1)
-            assert product.contains(q - 1)
+            alpha, beta = alpha_beta(q, 128)
+            assert (alpha + beta).contains(q + 1)
+            assert (alpha * beta).contains(q - 1)
 
     def test_regime_error(self):
+        # the roots of Q exist for every q; U_n's closed form from them is
+        # stated for q >= 3, and refuses q = 2
+        alpha, beta = alpha_beta(2, 64)
+        lo, hi = sqrt_enclosure(5)
+        assert alpha.lo <= (3 + hi) / 2 and alpha.hi >= (3 + lo) / 2
+        assert beta.lo <= (3 - lo) / 2 and beta.hi >= (3 - hi) / 2
         with pytest.raises(RegimeError):
-            quadratic_roots(2, 64)
+            u_closed_form(2, 5, 64)
 
     def test_wide_enclosures_at_large_q(self):
-        # alpha - q is about 1/(q - 1), so at 8 bits alpha's enclosure
-        # touches q and beta's touches 1; both still hold their root
+        # alpha - q is about 1/(q - 1), so 8 bits cannot tell alpha from q
+        # or beta from 1; both enclosures still hold their root
         # ((q+1) +- sqrt(d)) / 2, and U_5 from them holds the exact term
         q = 10**6
         d = q * q - 2 * q + 5
@@ -303,8 +311,7 @@ class TestQuadraticRoots:
             # lo <= sqrt(d) 2^w <= hi, in integers
             return (lo <= 0 or lo * lo <= d << 2 * w) and 0 <= hi and d << 2 * w <= hi * hi
 
-        pair = quadratic_roots(q, 8)
-        alpha, beta = pair.alpha, pair.beta
+        alpha, beta = alpha_beta(q, 8)
         top = (q + 1) << alpha.bits
         assert holds_root(2 * alpha.lo_num - top, 2 * alpha.hi_num - top, alpha.bits)
         top = (q + 1) << beta.bits
