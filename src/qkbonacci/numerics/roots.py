@@ -248,12 +248,9 @@ def _round_div(a: int, b: int) -> int:
 
 
 def _cmul(a, b, bits):
-    ar, ai = a
-    br, bi = b
-    return (
-        _round_shift(ar * br - ai * bi, bits),
-        _round_shift(ar * bi + ai * br, bits),
-    )
+    # the round-half shift (x + half) >> bits is _round_shift's for bits >= 0
+    (ar, ai), (br, bi), half = a, b, (1 << bits) >> 1
+    return (ar * br - ai * bi + half) >> bits, (ar * bi + ai * br + half) >> bits
 
 
 def _cdiv(a, b, bits):
@@ -267,26 +264,23 @@ def _cdiv(a, b, bits):
 
 
 def _cpow(z, exponent, bits):
-    # square and multiply; exact on Gaussian integers at bits = 0
+    # square and multiply, each product _cmul's inline; the result starts
+    # as z^(2^j), j the lowest set bit, since a product with one is exact;
+    # exact on Gaussian integers at bits = 0
     if exponent < 0:
         z, exponent = _cdiv((1 << bits, 0), z, bits), -exponent
-    result = (1 << bits, 0)
-    while exponent:
-        if exponent & 1:
-            result = _cmul(result, z, bits)
+    if not exponent:
+        return 1 << bits, 0
+    (zr, zi), half = z, (1 << bits) >> 1
+    while not exponent & 1:
+        zr, zi = ((zr + zi) * (zr - zi) + half) >> bits, (2 * zr * zi + half) >> bits
         exponent >>= 1
-        if exponent:
-            z = _cmul(z, z, bits)
-    return result
-
-
-def _cpoly(coeffs, z, bits):
-    # Horner; coeffs are plain ints, ascending
-    acc = (coeffs[-1] << bits, 0)
-    for c in reversed(coeffs[:-1]):
-        acc = _cmul(acc, z, bits)
-        acc = (acc[0] + (c << bits), acc[1])
-    return acc
+    rr, ri = zr, zi
+    while exponent := exponent >> 1:
+        zr, zi = ((zr + zi) * (zr - zi) + half) >> bits, (2 * zr * zi + half) >> bits
+        if exponent & 1:
+            rr, ri = (rr * zr - ri * zi + half) >> bits, (rr * zi + ri * zr + half) >> bits
+    return rr, ri
 
 
 def _cabs2(z):
@@ -339,10 +333,19 @@ def _scaled_phi(params, z, scale):
     z^(k-2) h(z) + 1 and z^(k-2) g(z) - 1 with _cubics' h and g: one power
     and two cubics, not two degree-k Horner passes."""
     h, g = _cubics(params)
-    one, power = 1 << scale, _cpow(z, params.k - 2, scale)
-    num = _cmul(power, _cpoly(h, z, scale), scale)
-    den = _cmul(power, _cpoly(g, z, scale), scale)
-    return (num[0] + one, num[1]), (den[0] - one, den[1])
+    (zr, zi), one = z, 1 << scale
+    half, (pr, pi) = one >> 1, _cpow(z, params.k - 2, scale)
+    # Horner on both cubics at once, each product _cmul's inline; the
+    # first, of an integer, is exact
+    hr, hi = h[3] * zr + (h[2] << scale), h[3] * zi
+    gr, gi = g[3] * zr + (g[2] << scale), g[3] * zi
+    for hc, gc in ((h[1], g[1]), (h[0], g[0])):
+        hr, hi = (((hr * zr - hi * zi + half) >> scale) + (hc << scale),
+                  (hr * zi + hi * zr + half) >> scale)
+        gr, gi = (((gr * zr - gi * zi + half) >> scale) + (gc << scale),
+                  (gr * zi + gi * zr + half) >> scale)
+    return ((((pr * hr - pi * hi + half) >> scale) + one, (pr * hi + pi * hr + half) >> scale),
+            (((pr * gr - pi * gi + half) >> scale) - one, (pr * gi + pi * gr + half) >> scale))
 
 
 def _newton_step(params, z, scale):
@@ -389,7 +392,7 @@ def _inclusion_radius(params, z, scale):
     M^i e_j + M^j e_i + e_i e_j 2^-w + 1/sqrt(2), and not at all when one
     factor is an integer.  By induction _cpow's z^m, m >= 1, errs by at
     most (m-1) M^(m-1), as 2^w > 4 k^2 M^k keeps e_i e_j 2^-w + 1/sqrt(2)
-    below 1 <= M^(i+j-1).  A _cpoly cubic errs by < M + 1 <= 2M, as its
+    below 1 <= M^(i+j-1).  A Horner cubic errs by < M + 1 <= 2M, as its
     first product is exact, and |h(z)| <= H M^3 with H = sum |h_i|, so num
     errs by at most M^(k-2) 2M + H M^3 max(k-3, 0) M^(k-3) + 1 <=
     (H k + 4) M^k = E_num; den by E_den, with G = sum |g_i|.  So |num| +

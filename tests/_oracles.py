@@ -249,6 +249,77 @@ def weight_mantissas(q: int, k: int, lo_num: int, hi_num: int, bits: int):
             -((-hi.numerator << bits) // hi.denominator))
 
 
+# The fixed-point complex kernel in its one-call-per-product form: Gaussian
+# integer mantissas at 2^-bits, each product rounded half up by a shift.
+# The package fuses these into inline shifts, which must give the same
+# integers.
+
+def round_shift(x: int, shift: int) -> int:
+    if shift <= 0:
+        return x << -shift
+    return (x + (1 << (shift - 1))) >> shift
+
+
+def round_div(a: int, b: int) -> int:
+    # nearest integer to a/b for b > 0
+    q, r = divmod(a, b)
+    return q + (1 if 2 * r >= b else 0)
+
+
+def cmul(a, b, bits):
+    ar, ai = a
+    br, bi = b
+    return (
+        round_shift(ar * br - ai * bi, bits),
+        round_shift(ar * bi + ai * br, bits),
+    )
+
+
+def cdiv(a, b, bits):
+    ar, ai = a
+    br, bi = b
+    den = br * br + bi * bi
+    return (
+        round_div((ar * br + ai * bi) << bits, den),
+        round_div((ai * br - ar * bi) << bits, den),
+    )
+
+
+def cpow(z, exponent, bits):
+    # square and multiply; exact on Gaussian integers at bits = 0
+    if exponent < 0:
+        z, exponent = cdiv((1 << bits, 0), z, bits), -exponent
+    result = (1 << bits, 0)
+    while exponent:
+        if exponent & 1:
+            result = cmul(result, z, bits)
+        exponent >>= 1
+        if exponent:
+            z = cmul(z, z, bits)
+    return result
+
+
+def cpoly(coeffs, z, bits):
+    # Horner; coeffs are plain ints, ascending
+    acc = (coeffs[-1] << bits, 0)
+    for c in reversed(coeffs[:-1]):
+        acc = cmul(acc, z, bits)
+        acc = (acc[0] + (c << bits), acc[1])
+    return acc
+
+
+def scaled_phi(q: int, k: int, z, scale: int):
+    """(z-1) Phi(z) and (z-1)^2 Phi'(z) at 2^-scale as z^(k-2) h(z) + 1 and
+    z^(k-2) g(z) - 1: h = t Q, Q(t) = t^2 - (q+1) t + (q-1), and g = (t-1)
+    ((k-2) Q + h') - h, from the derivative of (t-1) Phi = t^(k-2) h + 1."""
+    h = (0, q - 1, -(q + 1), 1)
+    g = (-(k - 1) * (q - 1), 2 * ((k - 1) * q + 1), q - k * (q + 2), k)
+    one, power = 1 << scale, cpow(z, k - 2, scale)
+    num = cmul(power, cpoly(h, z, scale), scale)
+    den = cmul(power, cpoly(g, z, scale), scale)
+    return (num[0] + one, num[1]), (den[0] - one, den[1])
+
+
 def directed_decimal_text(value: Fraction, digits: int, round_up: bool) -> str:
     """value to `digits` decimal places, rounded up or down, by a Fraction
     floor or ceiling and str() with CPython's digit limit lifted."""

@@ -22,6 +22,7 @@ from qkbonacci import (
 )
 from qkbonacci.numerics import RootEnclosure, refine_root, roots
 
+import _oracles
 from _oracles import char_poly_roots, sqrt_enclosure
 
 # (q, k, bits) of every all_roots request in perfbench's certify menu
@@ -602,6 +603,17 @@ class TestSignCertificates:
             assert phi.eval(enc.interval.hi) > 0
 
 
+@st.composite
+def _kernel_cases(draw):
+    """(bits, a, b, exponent, q, k): Gaussian mantissas of modulus up to
+    about 2 at 2^-bits, negative parts included, and a power from -400 to
+    400."""
+    bits = draw(st.integers(0, 1100))
+    part = st.integers(-(2 << bits), 2 << bits)
+    return (bits, draw(st.tuples(part, part)), draw(st.tuples(part, part)),
+            draw(st.integers(-400, 400)), draw(st.integers(1, 10**6)), draw(st.integers(2, 64)))
+
+
 class TestFixedPointComplex:
     """White-box checks of the integer fixed-point complex kernel against
     exact Fraction arithmetic."""
@@ -648,18 +660,48 @@ class TestFixedPointComplex:
             _cdiv(a, (0, 0), bits)
 
     def test_poly_eval_matches_exact_on_small_inputs(self):
-        from qkbonacci.numerics.roots import _cpoly
-
+        # _scaled_phi's (z-1) Phi(z) and (z-1)^2 Phi'(z) against exact
+        # Fractions, each within the bound (H k + 4) M^k ulps that
+        # _inclusion_radius widens by: H sums the cubic's |coefficients|,
+        # and M = 2 >= |z|
         bits = 96
-        coeffs = [-1, -3, 1]  # t^2 - 3t - 1
         z = (Fraction(5, 4), Fraction(-3, 8))
         z_fixed = ((5 << bits) // 4, -(3 << bits) // 8)
-        got = self._exact(_cpoly(coeffs, z_fixed, bits), bits)
-        zr, zi = z
-        want = (
-            zr * zr - zi * zi - 3 * zr - 1,
-            2 * zr * zi - 3 * zi,
-        )
-        slack = Fraction(8, 1 << bits)
-        assert abs(got[0] - want[0]) <= slack
-        assert abs(got[1] - want[1]) <= slack
+
+        def exact(poly, factors):
+            acc = (Fraction(0), Fraction(0))
+            for c in reversed(poly):
+                acc = (acc[0] * z[0] - acc[1] * z[1] + c, acc[0] * z[1] + acc[1] * z[0])
+            for _ in range(factors):
+                acc = (acc[0] * (z[0] - 1) - acc[1] * z[1], acc[0] * z[1] + acc[1] * (z[0] - 1))
+            return acc
+
+        for q, k in ((3, 2), (1, 3), (10, 7), (2, 12)):
+            params = SequenceParams(q, k)
+            coeffs = CharPoly.of(params).coefficients
+            slope = [i * c for i, c in enumerate(coeffs)][1:]
+            for got, want, cubic in zip(roots._scaled_phi(params, z_fixed, bits),
+                                        (exact(coeffs, 1), exact(slope, 2)),
+                                        roots._cubics(params)):
+                slack = Fraction((sum(map(abs, cubic)) * k + 4) << k, 1 << bits)
+                assert abs(Fraction(got[0], 1 << bits) - want[0]) <= slack
+                assert abs(Fraction(got[1], 1 << bits) - want[1]) <= slack
+
+    @given(case=_kernel_cases())
+    @example(case=(0, (-3, 2), (5, -7), -3, 1, 2))
+    @settings(max_examples=80, deadline=None)
+    def test_fused_kernel_matches_one_shift_per_product(self, case):
+        # the inline round-half shifts give, bit for bit, the integers of
+        # the kernel written with one _round_shift per product part; at
+        # bits = 0 both are exact on Gaussian integers
+        from qkbonacci.numerics.roots import _cmul, _cpow
+
+        bits, a, b, exponent, q, k = case
+        assert _cmul(a, b, bits) == _oracles.cmul(a, b, bits)
+        if exponent < 0 and a == (0, 0):
+            with pytest.raises(ZeroDivisionError):
+                _cpow(a, exponent, bits)
+        else:
+            assert _cpow(a, exponent, bits) == _oracles.cpow(a, exponent, bits)
+        assert (roots._scaled_phi(SequenceParams(q, k), a, bits)
+                == _oracles.scaled_phi(q, k, a, bits))
