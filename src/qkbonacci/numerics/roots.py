@@ -7,11 +7,11 @@ Two deliberately different routes:
   unit cell certified by integer sign tests whose answer is exact, and
   halved to where a proposal has no sign pair;
 * the remaining roots with Im >= 0 are seeded one per branch of the
-  AuxPoly identity r^(k-1) = -1/Q(r) in floats, polished by Newton steps
-  in integer fixed-point complex arithmetic whose precision about doubles
-  per step up to the requested one, and certified, with their mirrors, by
-  inclusion discs of radius k|Phi(z)|/|Phi'(z)|, Phi and Phi' evaluated in
-  fixed point and widened by an a-priori rounding bound.
+  AuxPoly identity r^(k-1) = -1/Q(r) in floats, polished by one Newton
+  step per rung in integer fixed-point complex arithmetic, the rungs about
+  doubling up to bits + 64, and certified, with their mirrors, by
+  inclusion discs of radius k|Phi(z)|/|Phi'(z)| <= 2^-(bits + 24), Phi and
+  Phi' evaluated in fixed point and widened by an a-priori rounding bound.
 
 Precision is always an argument; nothing here keeps ambient state.
 """
@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from itertools import chain, repeat
 from math import floor, frexp, isfinite, isqrt, ldexp, sqrt
 
 from ..errors import DomainError, RootSolveError
@@ -355,28 +354,42 @@ def _newton_step(params, z, scale):
     return _cmul((z[0] - (1 << scale), z[1]), _cdiv(num, den, scale), scale)
 
 
-def _polish(params, z, rungs, accuracy_bits):
-    """Newton from a seed at scale 2^-rungs[0]: one step per rung, each
-    about doubling the precision, then steps at the top rung until one
-    lies within 2^-accuracy_bits.  The second top-rung step is the last
-    unless its squared modulus, and each later one's, is at most a
-    quarter of the one before: at a large q the low rungs' steps fall
-    short of doubling, so the top rung can start a rung behind.  A point
-    that reaches the unit circle is refused before it costs a step."""
-    scale, last = rungs[0], None
-    for rung in chain(rungs, repeat(rungs[-1])):
+def _polish(params, z, rungs):
+    """Newton from a seed at scale 2^-rungs[0], exactly one step per rung,
+    each about doubling the precision; _disc decides whether the top rung
+    takes more.  A point that reaches the unit circle is refused before it
+    costs a step."""
+    scale = rungs[0]
+    for rung in rungs:
         z, scale = (z[0] << (rung - scale), z[1] << (rung - scale)), rung
         if _cabs2(z) >= 1 << (2 * scale):
             raise RootSolveError("a secondary seed reached the unit circle")
         step = _newton_step(params, z, scale)
         z = (z[0] - step[0], z[1] - step[1])
-        if rung == rungs[-1]:
-            size = _cabs2(step)
-            if size <= 1 << (2 * (scale - accuracy_bits)):
-                return z
-            if last is not None and 4 * size > last:
-                raise RootSolveError("Newton polishing did not reach the step tolerance")
-            last = size
+    return z
+
+
+def _disc(params, z, bits, work, real):
+    """The disc of radius k|Phi|/|Phi'| at a polished point z * 2^-work,
+    once that radius is at most 2^-(bits + 24), 2^40 ulps at work = bits +
+    64.  Short of it, z takes one more Newton step at 2^-work, and each
+    such step must cut the radius at least 4x: at a large q the low rungs
+    gain less than double, so the ladder can end a rung behind.  Before any
+    step, a disc that reaches the unit circle, or a non-real one that
+    reaches the axis and so overlaps its own mirror, is refused."""
+    last = None
+    while True:
+        disc = SecondaryRoot(z[0], z[1], work, _inclusion_radius(params, z, work))
+        if not real and z[1] <= disc.radius_num:
+            raise RootSolveError("two inclusion discs overlap")
+        if not _inside_unit_circle(disc):
+            raise RootSolveError("an inclusion disc reaches the unit circle")
+        if disc.radius_num <= 1 << (work - bits - 24):
+            return disc
+        if last is not None and 4 * disc.radius_num > last:
+            raise RootSolveError("Newton polishing stalled short of the radius target")
+        step, last = _newton_step(params, z, work), disc.radius_num
+        z = (z[0] - step[0], z[1] - step[1])
 
 
 def _inclusion_radius(params, z, scale):
@@ -424,44 +437,35 @@ def all_roots(params: SequenceParams, bits: int) -> RootSet:
 def _secondary_discs(params: SequenceParams, bits: int) -> tuple:
     """The k-1 certified inclusion discs, sorted by centre.
 
-    _branch_seeds gives one float seed per branch with Im >= 0, and _polish
-    takes each from near 48 bits to bits + 64 by Newton rungs that about
-    double the precision.  The floor(k/2) polished points get discs of
-    radius k|Phi|/|Phi'|, each holding at least one root, as does each
-    non-real one's mirror: the bound is the same at conj(z).  Non-real discs
-    must clear the axis and these discs be pairwise disjoint, so all k-1
-    are, and lie inside the unit circle; with the dominant root certified in
-    (q, q+1), each disc then holds exactly one root.  Anything else, a float
-    failure in seeding included, raises RootSolveError rather than returning
-    a silently bad answer.
+    _branch_seeds gives one float seed per branch with Im >= 0; _polish
+    takes each from near 48 bits to work = bits + 64 (plus a bit per bit of
+    q past 2^16) by one Newton step per rung, and _disc bounds the radius
+    k|Phi|/|Phi'| of each of the floor(k/2) points by 2^-(bits + 24).  Each
+    disc holds at least one root, as does each non-real one's mirror: the
+    bound is the same at conj(z).  Non-real discs must clear the axis and
+    these discs be pairwise disjoint, so all k-1 are, and lie inside the
+    unit circle; with the dominant root certified in (q, q+1), each disc
+    then holds exactly one root.  Anything else, a float failure in seeding
+    included, raises RootSolveError rather than returning a silently bad
+    answer.
     """
     # precision rungs from the top down, each about half the one above
     # plus a slack for Newton's constant, which grows with k
-    work, slack = bits + 64, params.k.bit_length()
-    rungs = [work]
+    work = bits + 64 + max(0, params.q.bit_length() - 16)
+    rungs, slack, upper = [work], params.k.bit_length(), (params.k - 1) // 2
     while rungs[-1] > 48 + slack:
         rungs.append((rungs[-1] + slack) // 2)
     rungs.reverse()
     try:
         seeds = [(_to_fixed(z.real, rungs[0]), _to_fixed(z.imag, rungs[0]))
                  for z in _branch_seeds(params)]
-        refined = [_polish(params, z, rungs, bits + 16) for z in seeds]
+        half = [_disc(params, _polish(params, z, rungs), bits, work, i >= upper)
+                for i, z in enumerate(seeds)]
     except (ZeroDivisionError, OverflowError, ValueError) as exc:
         # a float seed that is not finite, or a vanishing derivative
         raise RootSolveError(f"seeding or polishing failed: {exc}") from None
-
-    half = [SecondaryRoot(z[0], z[1], work, _inclusion_radius(params, z, work)) for z in refined]
-    upper = half[:(params.k - 1) // 2]
-    # a disc that reaches the axis overlaps its own mirror
-    overlap = any(s.im_num <= s.radius_num for s in upper) or any(
-        _cabs2((s.re_num - t.re_num, s.im_num - t.im_num))
-        <= (s.radius_num + t.radius_num) ** 2
-        for i, s in enumerate(half) for t in half[i + 1:]
-    )
-    if overlap or not all(map(_inside_unit_circle, half)):
-        raise RootSolveError(
-            "two inclusion discs overlap" if overlap
-            else "an inclusion disc reaches the unit circle"
-        )
-    secondary = half + [SecondaryRoot(s.re_num, -s.im_num, work, s.radius_num) for s in upper]
+    if any(_cabs2((s.re_num - t.re_num, s.im_num - t.im_num)) <= (s.radius_num + t.radius_num) ** 2
+           for i, s in enumerate(half) for t in half[i + 1:]):
+        raise RootSolveError("two inclusion discs overlap")
+    secondary = half + [SecondaryRoot(s.re_num, -s.im_num, work, s.radius_num) for s in half[:upper]]
     return tuple(sorted(secondary, key=lambda r: (r.re_num, r.im_num)))

@@ -257,10 +257,10 @@ def test_term_sweep_is_spanned_once_per_rung(spans, monkeypatch):
 
 def test_secondary_newton_steps_per_root_set(monkeypatch):
     # all_roots polishes only the floor(k/2) secondary seeds in the closed
-    # upper half-plane, one Newton step per rung of a ladder that about
-    # doubles from near 48 bits and at most two at bits + 64, so no step
-    # polishes the root outside the unit circle or a mirrored root, and
-    # none repeats a full-precision pass
+    # upper half-plane, exactly one Newton step per rung of a ladder that
+    # about doubles from near 48 bits up to bits + 64, so no step polishes
+    # the root outside the unit circle or a mirrored root, and none repeats
+    # a full-precision pass
     steps = []
     real_step = roots._newton_step
 
@@ -273,9 +273,12 @@ def test_secondary_newton_steps_per_root_set(monkeypatch):
                        (10, 64, 64), (3, 128, 256)):
         steps.clear()
         roots.all_roots(SequenceParams(q, k), bits)
-        work = bits + 64
-        rungs = math.ceil(math.log2(work / 48))
-        assert len(steps) <= (k // 2) * (rungs + 2), (q, k, bits)
-        top = [z for z, scale in steps if scale == work]
-        assert len(top) >= k // 2, (q, k, bits)
-        assert all(z[0] ** 2 + z[1] ** 2 < 1 << (2 * work) for z in top), (q, k, bits)
+        slack = k.bit_length()
+        rungs = [bits + 64]
+        while rungs[-1] > 48 + slack:
+            rungs.append((rungs[-1] + slack) // 2)
+        assert len(steps) == (k // 2) * len(rungs), (q, k, bits)
+        assert sorted(scale for _, scale in steps) == sorted(rungs * (k // 2)), (q, k, bits)
+        top = [z for z, scale in steps if scale == bits + 64]
+        assert len(top) == k // 2, (q, k, bits)
+        assert all(z[0] ** 2 + z[1] ** 2 < 1 << (2 * (bits + 64)) for z in top), (q, k, bits)

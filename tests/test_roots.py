@@ -405,8 +405,8 @@ class TestAllRoots:
         # the first (k-1)//2 polished points are the non-real ones
         real_polish, polished = roots._polish, []
 
-        def polish(params, z, rungs, accuracy_bits):
-            polished.append(real_polish(params, z, rungs, accuracy_bits))
+        def polish(params, z, rungs):
+            polished.append(real_polish(params, z, rungs))
             if len(polished) == position + 1:
                 return mislead(polished[-1], polished[0])
             return polished[-1]
@@ -453,21 +453,77 @@ class TestAllRoots:
         _assert_vieta(rs, q, k, 128)
 
     @pytest.mark.parametrize("q, k, bits", [
-        (10**4, 8, 256), (10**4, 16, 256), (10**9, 32, 1024)])
+        (10**4, 8, 256), (10**4, 16, 256), (10**9, 32, 1024), (10**12, 16, 64), (10**12, 32, 64)])
     def test_large_q(self, q, k, bits):
         # at a large q the low rungs' Newton steps fall short of doubling,
-        # so the top rung needs more than two contracting steps; each disc
-        # still holds its bound, checked by exact Horner
+        # so the top rung may need steps past the ladder, and past q = 2^16
+        # it works with a guard bit per bit of q: without them (10^12, 16)
+        # stalled and (10^12, 32) reached the unit circle at 64 bits; each
+        # disc still holds its bound, checked by exact Horner
         rs = all_roots(SequenceParams(q, k), bits)
         assert len(rs.secondary) == k - 1
         assert rs.certified_inside_unit_circle()
         for s in rs.secondary:
+            assert s.bits == bits + 64 + max(0, q.bit_length() - 16)
+            assert s.radius_num <= 1 << (s.bits - bits - 24)
             assert _radius_sq_exact(q, k, s.re_num, s.im_num, s.bits) <= s.radius_num ** 2
         _assert_vieta(rs, q, k, bits)
 
+    def test_ladder_alone_reaches_the_radius_target(self, monkeypatch):
+        # for q <= 10 the ladder's one step per rung leaves every radius
+        # at most 2^40 ulps of 2^-(bits + 64), so no point takes a second
+        # step at the top rung
+        top = []
+        real_step = roots._newton_step
+
+        def counted(params, z, scale):
+            top.append(scale == work)
+            return real_step(params, z, scale)
+
+        monkeypatch.setattr(roots, "_newton_step", counted)
+        for k in (2, 3, 4, 5, 6, 8, 11, 12, 16, 24, 32, 64, 128):
+            for q in range(1, 11):
+                for bits in (8, 64, 128, 256, 512, 1024):
+                    top.clear()
+                    work = bits + 64
+                    secondary = all_roots(SequenceParams(q, k), bits).secondary
+                    assert max(s.radius_num for s in secondary) <= 1 << 40, (q, k, bits)
+                    assert sum(top) == k // 2, (q, k, bits)
+
+    @pytest.mark.parametrize("q, k, bits", [
+        (3, 2, 128), (1, 5, 64), (3, 16, 256), (2, 32, 512), (10**4, 8, 256), (10**12, 16, 64)])
+    def test_polish_a_rung_short_still_meets_the_target(self, monkeypatch, q, k, bits):
+        # a _polish that skips the top rung's step leaves a point about
+        # 2^-(work/2) off; _disc then steps it at the top rung until its
+        # radius meets the target (or refuses, as the stall test shows),
+        # and never returns a wider disc: on these cells every point
+        # certifies, each centre in one disc of the full ladder's
+        params = SequenceParams(q, k)
+        full = all_roots(params, bits).secondary
+        real_polish, extra = roots._polish, []
+        real_step = roots._newton_step
+
+        def short(params, z, rungs):
+            z, shift = real_polish(params, z, rungs[:-1]), rungs[-1] - rungs[-2]
+            return z[0] << shift, z[1] << shift
+
+        def counted(params, z, scale):
+            extra.append(scale)
+            return real_step(params, z, scale)
+
+        monkeypatch.setattr(roots, "_polish", short)
+        monkeypatch.setattr(roots, "_newton_step", counted)
+        secondary = all_roots(params, bits).secondary
+        work = full[0].bits
+        assert extra.count(work) >= k // 2
+        for s in secondary:
+            assert s.bits == work and s.radius_num <= 1 << (work - bits - 24)
+            assert sum((s.re_num - t.re_num) ** 2 + (s.im_num - t.im_num) ** 2 <= t.radius_num ** 2
+                       for t in full) == 1
+
     def test_stalled_top_rung_refuses(self, monkeypatch):
-        # a step that does not shrink stops polishing at the second top-rung
-        # step, as a step that only shrinks stops at the tolerance
+        # a step that does not cut the radius 4x stops polishing at the
+        # second top-rung step, the first past the ladder
         steps = []
 
         def constant(params, z, scale):
@@ -475,7 +531,7 @@ class TestAllRoots:
             return 1 << (scale - 40), 0
 
         monkeypatch.setattr(roots, "_newton_step", constant)
-        with pytest.raises(RootSolveError, match="step tolerance"):
+        with pytest.raises(RootSolveError, match="radius target"):
             all_roots(SequenceParams(3, 2), 128)
         assert steps[-2:] == [128 + 64] * 2 and steps.count(128 + 64) == 2
 
@@ -557,7 +613,7 @@ class TestAllRoots:
             for s in all_roots(SequenceParams(q, k), bits).secondary:
                 digest.update(f"{s.re_num} {s.im_num} {s.bits}\n".encode())
         assert digest.hexdigest() == (
-            "db4993503173987dfb6cd3c3209a29aa3784d46ce6794fe2fb15132ee74b65a4")
+            "4ae54ba416e7df4aa213ac3da6e7d3b394b32a1fa92e07100a722de62eed5d28")
 
     def test_radii_digest(self):
         # every secondary radius of the benchmark's cells and three at
@@ -569,7 +625,7 @@ class TestAllRoots:
             for s in all_roots(SequenceParams(q, k), bits).secondary:
                 digest.update(f"{s.radius_num} {s.bits}\n".encode())
         assert digest.hexdigest() == (
-            "ebb49715526640f0406ffe80faabbb82d591b0c1e64e5babf4d2e3ac6e5ea0d4")
+            "354541c573b9bfab2101148c6860b90377b3d0d08d7015a76bab5181d9daf8b0")
 
     def test_compute_only_regime_allowed(self):
         rs = all_roots(SequenceParams(1, 4), 128)
