@@ -500,7 +500,7 @@ class TestAllRoots:
         # certifies, each centre in one disc of the full ladder's
         params = SequenceParams(q, k)
         full = all_roots(params, bits).secondary
-        real_polish, extra = roots._polish, []
+        real_polish, scales = roots._polish, []
         real_step = roots._newton_step
 
         def short(params, z, rungs):
@@ -508,14 +508,14 @@ class TestAllRoots:
             return z[0] << shift, z[1] << shift
 
         def counted(params, z, scale):
-            extra.append(scale)
+            scales.append(scale)
             return real_step(params, z, scale)
 
         monkeypatch.setattr(roots, "_polish", short)
         monkeypatch.setattr(roots, "_newton_step", counted)
         secondary = all_roots(params, bits).secondary
         work = full[0].bits
-        assert extra.count(work) >= k // 2
+        assert scales.count(work) >= k // 2
         for s in secondary:
             assert s.bits == work and s.radius_num <= 1 << (work - bits - 24)
             assert sum((s.re_num - t.re_num) ** 2 + (s.im_num - t.im_num) ** 2 <= t.radius_num ** 2
