@@ -281,8 +281,8 @@ def check_identities(cells: CellContext) -> list[LawReport]:
         checks = [(
             # order-(k+1) shortcut, stated for n >= 3
             "identity-theorem2", "shortcut gives", 3,
-            ((q + 1) * table[n + k - 3] - (q - 1) * table[n + k - 4] - table[n - 3]
-             for n in range(3, grid.n_max + 1)),
+            [(q + 1) * table[n + k - 3] - (q - 1) * table[n + k - 4] - table[n - 3]
+             for n in range(3, grid.n_max + 1)],
         )]
         if q >= 3:
             checks.append(("identity-theorem3", "companion form gives", 1,
@@ -291,6 +291,9 @@ def check_identities(cells: CellContext) -> list[LawReport]:
         checks.append(("series-oracle", "series coefficient", 0,
                        series_coefficients(params, grid.n_max + 1)))
         for law_id, prefix, first, values in checks:
+            # one list equality with the table's F_first..; per n only on a mismatch
+            if values == table[first + k - 2:grid.n_max + k - 1]:
+                continue
             for n, value in enumerate(values, start=first):
                 exact = table[n + k - 2]
                 if value != exact:
@@ -382,7 +385,13 @@ def check_term_bounds(cells: CellContext) -> list[LawReport]:
 
     Both laws compare integer mantissas at the enclosure's scale 2^-w:
     one dominant_term_sweep per rung, from min(2-k, -1) to n_max, and
-    F_n * 2^w."""
+    F_n * 2^w.  Each n is first decided by strict integer compares, with
+    no division: |E_n| < 1/q as -2^w < q (F_n 2^w - t_hi) and
+    q (F_n 2^w - t_lo) < 2^w, t_lo and t_hi the term's ends; and each link,
+    one of whose members is floor(x/q) or ceil(y/q), x and y gamma^(n-1)'s
+    ends times q-1 or q+2, as floor(x/q) > a iff x >= q(a+1) and
+    ceil(y/q) < b iff y <= q(b-1), a and b the other member's end.  Only
+    an n that misses builds its members and witnesses through _order."""
     grid = cells.grid
     _require_certified_regime(grid)
 
@@ -393,18 +402,15 @@ def check_term_bounds(cells: CellContext) -> list[LawReport]:
         work = enclosure.interval.bits
         power_lo, power_hi, term_lo, term_hi = dominant_term_sweep(
             enclosure, lowest, grid.n_max)
-        errors = []
-        edge = 1 << work
+        errors, growth, edge = [], [], 1 << work
         for n, exact, t_lo, t_hi in zip(range(first, grid.n_max + 1), table,
                                         term_lo[first - lowest:], term_hi[first - lowest:]):
-            # E_n against +-1/q, scaled by q * 2^work
-            scaled = exact << work
-            e_lo, e_hi = scaled - t_hi, scaled - t_lo
-            sign = _inside(q * e_lo, q * e_hi, edge)
-            if sign > 0:
+            # E_n = F_n - term against +-1/q, scaled by q * 2^work
+            scaled = q * exact << work
+            if scaled - edge < q * t_lo and q * t_hi < scaled + edge:
                 continue
-            e = DyadicInterval(e_lo, e_hi, work)
-            if sign < 0:
+            e = DyadicInterval((exact << work) - t_hi, (exact << work) - t_lo, work)
+            if _inside(q * e.lo_num, q * e.hi_num, edge) < 0:
                 errors.append(Witness(
                     q, k, n, "fail",
                     f"|E_{n}| certified above 1/q: "
@@ -417,16 +423,21 @@ def check_term_bounds(cells: CellContext) -> list[LawReport]:
                     f"E_{n} enclosure width {_float_text(e.width, '.3g')} "
                     f"not inside [-1/q, 1/q] at {work} bits",
                 ))
-        growth = []
-        for n in range(1, grid.n_max + 1):
-            i = n - 1 - lowest  # the index of gamma^(n-1)
-            lo, hi = power_lo[i], power_hi[i]
+        # gamma^(n-2)'s upper end, gamma^(n-1)'s ends and gamma^n's lower end
+        for n, exact, below, lo, hi, above in zip(
+                range(1, grid.n_max + 1), table[1 - first:], power_hi[-1 - lowest:],
+                power_lo[-lowest:], power_hi[-lowest:], power_lo[1 - lowest:]):
+            scaled = q * exact << work
+            if (lo * (q - 1) >= q * (below + 1) and hi * (q - 1) <= scaled - q
+                    and lo * (q + 2) >= scaled + q and hi * (q + 2) <= q * (above - 1)):
+                continue
+            i = n - 1 - lowest
             # times (q-1)/q and (q+2)/q, floored and ceiled
             low = ((lo * (q - 1)) // q, -((-hi * (q - 1)) // q))
             high = ((lo * (q + 2)) // q, -((-hi * (q + 2)) // q))
-            exact = table[n - first] << work
-            members = ((power_lo[i - 1], power_hi[i - 1]), low, (exact, exact),
-                       high, (power_lo[i + 1], power_hi[i + 1]))
+            exact <<= work
+            members = ((power_lo[i - 1], below), low, (exact, exact),
+                       high, (above, power_hi[i + 1]))
             growth += _chain(zip(_GROWTH_LINKS, members, members[1:]), q, k, n, work)
         return errors, growth
 

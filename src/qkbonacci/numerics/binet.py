@@ -25,7 +25,6 @@ from .roots import (
     RootEnclosure,
     _cabs2,
     _cdiv,
-    _cmul,
     _cpow,
     _round_shift,
     _secondary_discs,
@@ -288,6 +287,9 @@ def reconstruction_sweep(enclosure: RootEnclosure, n_lo: int, n_hi: int, bits: i
     centres, whose precision `bits` sets, and add one radius
     (_secondary_term's) for the whole sweep.  A mirror disc's term is the
     conjugate of its upper disc's: a pair adds twice a real part and radius.
+    Each disc runs one loop over local integers, p_(n+1) = p_n z and
+    Re(g p_n), every product rounded as (x + 2^(u-1)) >> u at 2^-u: the
+    integers that _cmul(p_n, z, u) and _round_shift(Re(g p_n), u) give.
     """
     params = enclosure.params
     _check_index(params, n_lo)
@@ -302,19 +304,22 @@ def reconstruction_sweep(enclosure: RootEnclosure, n_lo: int, n_hi: int, bits: i
     _, _, term_lo, term_hi = dominant_term_sweep(enclosure, n_lo, n_hi)
     w = enclosure.interval.bits
     weights, radii = zip(*(_secondary_term(params, s, n_lo, n_hi) for s in discs))
-    points = [(s.re_num, s.im_num) for s in discs]
-    powers = [_cpow(z, n_lo, work) for z in points]
     copies = [2 if s.im_num else 1 for s in discs]
     # centre and radius at 2^-scale: a midpoint needs one more bit
-    scale = max(w, work) + 1
+    scale, size = max(w, work) + 1, n_hi - n_lo + 1
     secondary = sum(c * r for c, r in zip(copies, radii)) << (scale - work)
-    for n, lo, hi in zip(range(n_lo, n_hi + 1), term_lo, term_hi):
-        if n > n_lo:
-            powers = [_cmul(p, z, work) for p, z in zip(powers, points)]
-        centre = (lo + hi) << (scale - w - 1)
-        # only the real part of each weight * power reaches the sum
-        centre += sum(c * _round_shift(g[0] * p[0] - g[1] * p[1], work)
-                      for c, g, p in zip(copies, weights, powers)) << (scale - work)
+    # only the real part of each weight * power reaches the sum
+    sums, rounding = [0] * size, (1 << work) >> 1
+    for s, (gr, gi), c in zip(discs, weights, copies):
+        zr, zi = s.re_num, s.im_num
+        pr, pi = _cpow((zr, zi), n_lo, work)
+        for i in range(size):
+            if i:
+                pr, pi = ((pr * zr - pi * zi + rounding) >> work,
+                          (pr * zi + pi * zr + rounding) >> work)
+            sums[i] += c * ((gr * pr - gi * pi + rounding) >> work)
+    for n, lo, hi, total in zip(range(n_lo, n_hi + 1), term_lo, term_hi, sums):
+        centre = ((lo + hi) << (scale - w - 1)) + (total << (scale - work))
         half = ((hi - lo) << (scale - w - 1)) + secondary
         value = _round_shift(centre, scale) if 2 * half < 1 << scale else None
         yield n, value, (half, scale)

@@ -1,12 +1,13 @@
 """Independent oracles shared by the tests.
 
 Everything here is deliberately written against the standard library
-only (fractions + isqrt + itertools + json + sys + complex floats + plain loops), never against the
-package's own interval or root machinery, so cross-checks stay
-independent.
+only (fractions + decimal + isqrt + itertools + json + sys + complex
+floats + plain loops), never against the package's own interval or root
+machinery, so cross-checks stay independent.
 """
 import json
 import sys
+from decimal import ROUND_FLOOR
 from fractions import Fraction
 from itertools import compress, count, pairwise, product
 from math import isqrt
@@ -318,6 +319,111 @@ def scaled_phi(q: int, k: int, z, scale: int):
     num = cmul(power, cpoly(h, z, scale), scale)
     den = cmul(power, cpoly(g, z, scale), scale)
     return (num[0] + one, num[1]), (den[0] - one, den[1])
+
+
+# The term-bound laws and the full-roots sum in their per-n form: every
+# E_n and growth link through the tri-state order on (lo, hi) mantissa
+# pairs, the growth members floored and ceiled by a division by q, and
+# every secondary product and real part through cmul and round_shift.
+# The package decides each n by strict integer compares first, which must
+# give the same witnesses and the same triples.
+
+def order(a, b) -> int:
+    # +1 when a < b is certified, -1 when a >= b is, else 0
+    if a[1] < b[0]:
+        return 1
+    return -1 if a[0] >= b[1] else 0
+
+
+def inside(lo, hi, edge) -> int:
+    return min(order((-edge, -edge), (lo, hi)), order((lo, hi), (edge, edge)))
+
+
+def chain(checks, q, k, n, work) -> list:
+    fails, unsettled = [], []
+    for label, a, b in checks:
+        sign = order(a, b)
+        if sign < 0:
+            fails.append((q, k, n, "fail", f"{label} certified false"))
+        elif sign == 0:
+            unsettled.append((q, k, n, "inconclusive", f"{label} not separated at {work} bits"))
+    return fails + unsettled
+
+
+GROWTH_LINKS = (
+    "gamma^(n-2) < gamma^(n-1)(q-1)/q",
+    "gamma^(n-1)(q-1)/q < F_n",
+    "F_n < gamma^(n-1)(q+2)/q",
+    "gamma^(n-1)(q+2)/q < gamma^n",
+)
+
+
+def term_bound_witnesses(q, k, n_max, table, rows, work, float_text):
+    """The error-bound and growth-bounds witnesses of one cell at one rung,
+    as (q, k, n, kind, detail) tuples, from the term table F_(2-k).. and
+    the four rows of a sweep from min(2-k, -1) to n_max at 2^-work.
+    float_text formats an exact number as the package does."""
+    first, lowest = 2 - k, min(2 - k, -1)
+    power_lo, power_hi, term_lo, term_hi = rows
+    errors = []
+    edge = 1 << work
+    for n, exact, t_lo, t_hi in zip(range(first, n_max + 1), table,
+                                    term_lo[first - lowest:], term_hi[first - lowest:]):
+        scaled = exact << work
+        e_lo, e_hi = scaled - t_hi, scaled - t_lo
+        sign = inside(q * e_lo, q * e_hi, edge)
+        if sign > 0:
+            continue
+        if sign < 0:
+            errors.append((
+                q, k, n, "fail",
+                f"|E_{n}| certified above 1/q: "
+                f"[{float_text(Fraction(e_lo, edge), '.6g', ROUND_FLOOR)}, "
+                f"{float_text(Fraction(e_hi, edge), '.6g')}]",
+            ))
+        else:
+            errors.append((
+                q, k, n, "inconclusive",
+                f"E_{n} enclosure width {float_text(Fraction(e_hi - e_lo, edge), '.3g')} "
+                f"not inside [-1/q, 1/q] at {work} bits",
+            ))
+    growth = []
+    for n in range(1, n_max + 1):
+        i = n - 1 - lowest
+        lo, hi = power_lo[i], power_hi[i]
+        low = ((lo * (q - 1)) // q, -((-hi * (q - 1)) // q))
+        high = ((lo * (q + 2)) // q, -((-hi * (q + 2)) // q))
+        exact = table[n - first] << work
+        members = ((power_lo[i - 1], power_hi[i - 1]), low, (exact, exact),
+                   high, (power_lo[i + 1], power_hi[i + 1]))
+        growth += chain(zip(GROWTH_LINKS, members, members[1:]), q, k, n, work)
+    return errors, growth
+
+
+def reconstruction_triples(n_lo, n_hi, term_lo, term_hi, w, discs, terms):
+    """(n, value, (half, scale)) for n in [n_lo, n_hi] from the dominant
+    rows at 2^-w, the upper discs as (re, im, work) mantissas and each
+    disc's (weight, radius) at 2^-work; and the centre, the computed sum
+    at 2^-scale, that each value rounds."""
+    work = discs[0][2]
+    weights, radii = zip(*terms)
+    points = [(re, im) for re, im, _ in discs]
+    powers = [cpow(z, n_lo, work) for z in points]
+    copies = [2 if im else 1 for _, im, _ in discs]
+    scale = max(w, work) + 1
+    secondary = sum(c * r for c, r in zip(copies, radii)) << (scale - work)
+    triples, centres = [], []
+    for n, lo, hi in zip(range(n_lo, n_hi + 1), term_lo, term_hi):
+        if n > n_lo:
+            powers = [cmul(p, z, work) for p, z in zip(powers, points)]
+        centre = (lo + hi) << (scale - w - 1)
+        centre += sum(c * round_shift(g[0] * p[0] - g[1] * p[1], work)
+                      for c, g, p in zip(copies, weights, powers)) << (scale - work)
+        half = ((hi - lo) << (scale - w - 1)) + secondary
+        value = round_shift(centre, scale) if 2 * half < 1 << scale else None
+        triples.append((n, value, (half, scale)))
+        centres.append(centre)
+    return triples, centres
 
 
 def directed_decimal_text(value: Fraction, digits: int, round_up: bool) -> str:

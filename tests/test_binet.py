@@ -37,6 +37,7 @@ from qkbonacci.numerics.binet import _root_ladder, _rungs
 from qkbonacci.numerics.dyadic import _float_text
 from qkbonacci.numerics.roots import _cmul, _cpow
 
+import _oracles
 from _oracles import sqrt_enclosure, weight_mantissas
 
 
@@ -592,6 +593,48 @@ class TestReconstruction:
             assert (q, k, n, bits) not in _MUST_CERTIFY
             return
         assert value == term_definition(p, n)
+
+    @given(q=st.integers(3, 11), k=st.integers(2, 20), n_max=st.integers(1, 300),
+           n_lo=st.integers(-18, 300), single=st.booleans(),
+           bits=st.sampled_from((8, 16, 64, 192)))
+    @settings(max_examples=100, deadline=None)
+    @example(q=3, k=7, n_max=40, n_lo=-5, single=False, bits=64)
+    @example(q=5, k=4, n_max=300, n_lo=-2, single=True, bits=192)
+    @example(q=4, k=12, n_max=60, n_lo=0, single=False, bits=16)
+    @example(q=11, k=20, n_max=300, n_lo=-18, single=False, bits=8)
+    def test_sweep_matches_the_per_n_oracle(self, q, k, n_max, n_lo, single, bits):
+        # the sum's one loop over local integers against the per-n cmul and
+        # round_shift loop it replaced, on the same dominant rows, discs and
+        # weights; n_lo < 0, a single n and even k (a real disc) included.
+        # A value is a rounding, so the centre each value rounds is compared too
+        p = SequenceParams(q, k)
+        n_lo = min(max(n_lo, p.min_index), n_max)
+        n_hi = n_lo if single else n_max
+        rows, terms, centres = [], [], []
+        real_sweep, real_term, real_round = (
+            binet.dominant_term_sweep, binet._secondary_term, binet._round_shift)
+
+        def sweep(enclosure, lo, hi):
+            rows.append((enclosure.interval.bits, real_sweep(enclosure, lo, hi)))
+            return rows[-1][1]
+
+        def term(params, disc, lo, hi):
+            terms.append(((disc.re_num, disc.im_num, disc.bits), real_term(params, disc, lo, hi)))
+            return terms[-1][1]
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(binet, "dominant_term_sweep", sweep)
+            patch.setattr(binet, "_secondary_term", term)
+            patch.setattr(binet, "_round_shift",
+                          lambda x, shift: centres.append(x) or real_round(x, shift))
+            fused = list(reconstruction_sweep(dominant_root(p, bits), n_lo, n_hi, bits))
+        ((w, (_, _, term_lo, term_hi)),) = rows
+        discs, weights = zip(*terms)
+        assert any(im == 0 for _, im, _ in discs) == (k % 2 == 0)
+        triples, sums = _oracles.reconstruction_triples(
+            n_lo, n_hi, term_lo, term_hi, w, discs, weights)
+        assert fused == triples
+        assert centres == [c for c, (_, value, _) in zip(sums, triples) if value is not None]
 
     def test_negative_indices(self):
         p = SequenceParams(3, 6)

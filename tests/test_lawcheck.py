@@ -26,8 +26,10 @@ from qkbonacci import lawcheck
 from qkbonacci.lawcheck import LAW_IDS, CellContext
 from qkbonacci.numerics import binet, roots
 from qkbonacci.numerics.binet import _rungs
+from qkbonacci.numerics.dyadic import _float_text
 from qkbonacci.numerics.polynomials import CharPoly, Quadratic, _IntPoly
 
+import _oracles
 from _oracles import (
     ERRATUM_CELL,
     ERRATUM_CORRECT_VALUE,
@@ -130,6 +132,25 @@ class TestIdentities:
             assert (r.witnesses[0].n, r.witnesses[0].detail) == (40, first)
             details = "\n".join(w.detail for w in r.witnesses)
             assert hashlib.sha256(details.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("n_bad", (0, 1, 3, 30))
+    def test_wrong_end_terms_are_caught(self, monkeypatch, n_bad):
+        # each identity's values are compared with its slice of the table
+        # as one list: a wrong F_n at the first n of a slice (0, 1 or 3) or
+        # at n_max still gives a witness at that n
+        real = lawcheck.term_table
+
+        def off_by_one(params, n_max):
+            table = real(params, n_max)
+            table[n_bad - params.min_index] += 1
+            return table
+
+        monkeypatch.setattr(lawcheck, "term_table", off_by_one)
+        first = {"identity-theorem2": 3, "identity-theorem3": 1, "series-oracle": 0}
+        for r in check_identities(CellContext(Grid((3,), (2, 4), 30), 192)):
+            for k in (2, 4):
+                ns = {w.n for w in r.witnesses if w.k == k}
+                assert (n_bad in ns) == (n_bad >= first[r.law_id])
 
     def test_grid_preconditions(self):
         with pytest.raises(DomainError):
@@ -384,18 +405,139 @@ class TestTermBounds:
         assert climbed[0] < climbed[-1] == ladder.index(error.bits_used) + 1
 
     def test_one_comparison_per_bound_and_link(self, monkeypatch):
-        # every cell settles at its first rung: two _order calls per |E_n|
-        # for n in [2-k, n_max] and one per growth link for n in [1, n_max]
-        calls, real = [], lawcheck._order
+        # nothing is decided twice: the integer compares settle every |E_n|
+        # and growth link of a passing grid with no _order call, and an n
+        # they miss takes two _order calls for E_n, four for its links
+        calls, real_order, real_sweep = [], lawcheck._order, lawcheck.dominant_term_sweep
 
         def counted(a, b):
             calls.append((a, b))
-            return real(a, b)
+            return real_order(a, b)
 
         monkeypatch.setattr(lawcheck, "_order", counted)
-        reports = check_term_bounds(CellContext(Grid((3,), tuple(range(2, 9)), 10), 192))
+        grid = Grid((3,), tuple(range(2, 9)), 10)
+        reports = check_term_bounds(CellContext(grid, 192))
         assert [(r.verdict, r.bits_used) for r in reports] == [("pass", 192)] * 2
-        assert len(calls) == sum(2 * (10 + k - 1) + 4 * 10 for k in range(2, 9)) == 476
+        assert calls == []
+
+        # at (3, 5)'s first rung, E_6's term enclosure ends one unit lower,
+        # so E_6 reaches past 1/q from inside, and gamma^10's lower end is
+        # put on the ceiling of gamma^9 (q+2)/q, so the last link touches;
+        # no other n reads either entry
+        expected, forged = [], []
+
+        def sweep(enclosure, n_lo, n_hi):
+            rows = real_sweep(enclosure, n_lo, n_hi)
+            if (enclosure.params.k, forged) == (5, []):
+                power_lo, power_hi, term_lo, term_hi = rows
+                q, work = 3, enclosure.interval.bits
+                forged.append(work)
+                term_lo[6 - n_lo] -= 1 << work
+                power_lo[-1] = -((-power_hi[-2] * (q + 2)) // q)
+                exact = term_table(SequenceParams(3, 5), 10)
+                scaled = exact[6 + 5 - 2] << work
+                e = (q * (scaled - term_hi[6 - n_lo]), q * (scaled - term_lo[6 - n_lo]))
+                lo, hi, f_n = power_lo[-2], power_hi[-2], exact[-1] << work
+                members = ((power_lo[-3], power_hi[-3]),
+                           ((lo * (q - 1)) // q, -((-hi * (q - 1)) // q)), (f_n, f_n),
+                           ((lo * (q + 2)) // q, -((-hi * (q + 2)) // q)),
+                           (power_lo[-1], power_hi[-1]))
+                expected.extend([((-(1 << work),) * 2, e), (e, ((1 << work),) * 2)]
+                                + list(zip(members, members[1:])))
+            return rows
+
+        monkeypatch.setattr(lawcheck, "dominant_term_sweep", sweep)
+        error, growth = check_term_bounds(CellContext(grid, 192))
+        assert forged == [192]
+        # the forged cell climbs one rung, where nothing misses
+        assert [(r.verdict, r.bits_used) for r in (error, growth)] == [("pass", 384)] * 2
+        assert len(calls) == 6 and calls == expected
+
+    @pytest.mark.parametrize("miss", (0, 1))
+    @pytest.mark.parametrize("link", range(4))
+    @pytest.mark.parametrize("q", (3, 4, 7))
+    def test_growth_links_on_their_boundary(self, monkeypatch, q, link, miss):
+        # each link's free power end is forged so that its multiplied form
+        # holds with no slack, x = q(a+1) for floor(x/q) > a or y = q(b-1)
+        # for ceil(y/q) < b (miss 0), or misses by one unit of x or y (miss
+        # 1).  Links 1 and 4 set a or b, a power end, and put x or y on the
+        # needed residue mod q through the other end; y = hi (q+2) is even
+        # at even q, so link 4 misses by two there.  Links 2 and 3 meet
+        # F_n 2^w, so w is the first from 192 at which x or y lands on it
+        # exactly, where one does (at odd q, q(F_n 2^w - 1) is odd and
+        # link 2 can only miss).  With no slack the fused compares certify
+        # the link with no _order call; past it, the link gives the
+        # floor/ceiling rule's witness through four _order calls
+        n_max, real_sweep = 6, lawcheck.dominant_term_sweep
+        table = term_table(SequenceParams(q, 3), n_max)
+        n = 1 if link in (0, 2) else n_max
+        on_f_n = {1: lambda w: (q * ((table[n + 1] << w) - 1) + miss) % (q - 1) == 0,
+                  2: lambda w: (q * ((table[n + 1] << w) + 1) - miss) % (q + 2) == 0}
+        bits = next((w for w in range(192, 204) if on_f_n[link](w)), 192) if link in on_f_n else 192
+        seen, calls, real_order = [], [], lawcheck._order
+
+        def sweep(enclosure, n_lo, n_hi):
+            rows = real_sweep(enclosure, n_lo, n_hi)
+            power_lo, power_hi = rows[:2]
+            f_n = table[n + 1] << bits
+            if link == 0:  # n = 1: gamma^(-1) below gamma^0 (q-1)/q
+                lo = power_lo[-n_lo] = power_lo[-n_lo] - (power_lo[-n_lo] - miss) % q
+                power_hi[-1 - n_lo] = (lo * (q - 1) + miss) // q - 1
+            elif link == 1:  # n = n_max: gamma^(n-1) (q-1)/q below F_n
+                power_hi[-2] = q * (f_n - 1) // (q - 1) + miss
+            elif link == 2:  # n = 1: F_1 below gamma^0 (q+2)/q
+                power_lo[-n_lo] = -(-q * (f_n + 1) // (q + 2)) - miss
+            else:  # n = n_max: gamma^(n-1) (q+2)/q below gamma^n
+                slack = miss * (2 - q % 2)
+                hi = next(h for h in range(power_hi[-2], power_hi[-2] + q)
+                          if (h * (q + 2) - slack) % q == 0)
+                power_hi[-2], power_lo[-1] = hi, (hi * (q + 2) - slack) // q + 1
+            seen.append((enclosure.interval.bits, rows))
+            return rows
+
+        def counted(a, b):
+            calls.append((a, b))
+            return real_order(a, b)
+
+        monkeypatch.setattr(lawcheck, "dominant_term_sweep", sweep)
+        monkeypatch.setattr(lawcheck, "_order", counted)
+        monkeypatch.setattr(lawcheck, "_root_ladder", lambda enclosure, n, limit: [enclosure])
+        error, growth = check_term_bounds(CellContext(Grid((q,), (3,), n_max), bits))
+        ((work, rows),) = seen
+        _, expected = _oracles.term_bound_witnesses(q, 3, n_max, table, rows, work, _float_text)
+        assert work == bits and error.verdict == "pass"
+        assert [(w.q, w.k, w.n, w.kind, w.detail) for w in growth.witnesses] == expected
+        if miss:
+            label = _oracles.GROWTH_LINKS[link]
+            assert expected == [(q, 3, n, "inconclusive", f"{label} not separated at {bits} bits")]
+            assert len(calls) == 4
+        else:
+            assert (growth.verdict, expected, calls) == ("pass", [], [])
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(3, 11), st.integers(2, 20), st.integers(1, 300),
+           st.sampled_from((8, 16, 64, 192)))
+    @example(3, 2, 300, 8)
+    @example(7, 20, 1, 16)
+    def test_reports_match_the_per_n_oracle(self, q, k, n_max, bits):
+        # the fused pass against the per-n floor/ceiling loops it replaced,
+        # on every rung each cell climbs; starved bits fill both laws with
+        # inconclusive witnesses
+        grid, real_climb = Grid((q,), (k,), n_max), lawcheck._climb
+
+        def oracle_climb(cells, todo, attempt, n, limit):
+            def oracle(q, k, enclosure):
+                rows = lawcheck.dominant_term_sweep(enclosure, min(2 - k, -1), n_max)
+                found = _oracles.term_bound_witnesses(
+                    q, k, n_max, cells.table(q, k), rows, enclosure.interval.bits, _float_text)
+                return [[lawcheck.Witness(*w) for w in witnesses] for witnesses in found]
+            return real_climb(cells, todo, oracle, n, limit)
+
+        fused = check_term_bounds(CellContext(grid, bits))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(lawcheck, "_climb", oracle_climb)
+            per_n = check_term_bounds(CellContext(grid, bits))
+        assert fused == per_n
 
     def test_wrong_terms_are_caught(self, monkeypatch):
         real = lawcheck.term_table
@@ -452,6 +594,31 @@ class TestTermBounds:
             (3, 4, 70, "gamma^(n-1)(q-1)/q < F_n certified false")]
         assert error.verdict == "fail"
         assert [w.n for w in error.witnesses] == [50, 70]
+
+    def test_enclosure_just_inside_the_bound_settles(self, monkeypatch):
+        # at q = 3 and even w, 2^w - 1 is a multiple of q, so the E_20
+        # enclosure can end one unit of q 2^w inside -1/q and 1/q: the
+        # fused compares settle it at its rung, with no _order call
+        real_sweep, real_order = lawcheck.dominant_term_sweep, lawcheck._order
+        exact = term_table(SequenceParams(3, 3), 20)[-1]
+        rungs, calls = [], []
+
+        def sweep(enclosure, n_lo, n_hi):
+            rows = real_sweep(enclosure, n_lo, n_hi)
+            work = enclosure.interval.bits
+            rungs.append(work)
+            # q (F_n 2^w - t) = 2^w - 1 at t_lo and -(2^w - 1) at t_hi
+            scaled, edge = 3 * exact << work, 1 << work
+            rows[2][20 - n_lo] = (scaled - edge + 1) // 3
+            rows[3][20 - n_lo] = (scaled + edge - 1) // 3
+            return rows
+
+        monkeypatch.setattr(lawcheck, "dominant_term_sweep", sweep)
+        monkeypatch.setattr(lawcheck, "_order", lambda a, b: calls.append((a, b)) or real_order(a, b))
+        error, growth = check_term_bounds(CellContext(Grid((3,), (3,), 40), 64))
+        assert len(rungs) == 1 and rungs[0] % 2 == 0
+        assert [(r.verdict, r.bits_used) for r in (error, growth)] == [("pass", rungs[0])] * 2
+        assert calls == []
 
     @pytest.mark.parametrize("side", (-1, 1))
     def test_enclosure_on_the_bound_climbs(self, monkeypatch, side):
