@@ -15,13 +15,11 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, replace
 from decimal import ROUND_FLOOR
 from fractions import Fraction
-from itertools import chain
 
 from .errors import DomainError, ReconstructionError, RegimeError, RootSolveError
 from .numerics import (
     AuxPoly,
     CharPoly,
-    DyadicInterval,
     Quadratic,
     dominant_root,
     dominant_term_sweep,
@@ -194,54 +192,10 @@ def _report(law_id, grid, witnesses, bits_used) -> LawReport:
     return LawReport(law_id, grid, _verdict(witnesses), witnesses, bits_used)
 
 
-def _order(a, b) -> int:
-    """+1 when a < b is certified, -1 when a >= b is, which falsifies
-    a < b, else 0, for (lo, hi) integer mantissa pairs at one scale."""
-    if a[1] < b[0]:
-        return 1
-    return -1 if a[0] >= b[1] else 0
-
-
 def _inside(lo, hi, edge) -> int:
     """+1 when [lo, hi] lies strictly inside (-edge, edge), -1 when it
     lies on or past an end, which certifies |x| < edge false, else 0."""
-    return min(_order((-edge, -edge), (lo, hi)), _order((lo, hi), (edge, edge)))
-
-
-def _chain(checks, q, k, n, work) -> list:
-    """Certify each (label, a, b) in checks, a and b mantissa pairs at
-    one scale, as a < b; returns a witness for each certified a >= b,
-    then one for each unseparated pair."""
-    fails, unsettled = [], []
-    for label, a, b in checks:
-        sign = _order(a, b)
-        if sign < 0:
-            fails.append(Witness(q, k, n, "fail", f"{label} certified false"))
-        elif sign == 0:
-            unsettled.append(Witness(
-                q, k, n, "inconclusive", f"{label} not separated at {work} bits"))
-    return fails + unsettled
-
-
-def _climb(cells, todo, attempt, n, limit):
-    """Climb each (q, k) of todo on _root_ladder(cells.root(q, k), n,
-    limit(q)) until attempt(q, k, enclosure) returns witness lists with
-    no inconclusive witness; returns the lists each cell ended with,
-    summed over the cells, and the finest rung any cell reached.
-
-    Every enclosure an attempt compares lies inside its coarser rung's,
-    so a check settled or failed at a rung stays so above it: a cell stops
-    at its own rung, with the witnesses the finest rung would give, and is
-    not checked again while another cell climbs."""
-    found_by_cell, finest = [], cells.bits
-    for q, k in todo:
-        for enclosure in _root_ladder(cells.root(q, k), n, limit(q)):
-            found = attempt(q, k, enclosure)
-            if all(w.kind == "fail" for witnesses in found for w in witnesses):
-                break
-        found_by_cell.append(found)
-        finest = max(finest, enclosure.interval.bits)
-    return [list(chain.from_iterable(lists)) for lists in zip(*found_by_cell)], finest
+    return 1 if -edge < lo and hi < edge else -1 if lo >= edge or hi <= -edge else 0
 
 
 def _require_identities_grid(grid: Grid) -> None:
@@ -383,67 +337,74 @@ def check_term_bounds(cells: CellContext) -> list[LawReport]:
     strict forms the proofs conclude: an E_n enclosure that reaches +-1/q
     from within climbs, and one that lies on or past it fails.
 
-    Both laws compare integer mantissas at the enclosure's scale 2^-w:
-    one dominant_term_sweep per rung, from min(2-k, -1) to n_max, and
-    F_n * 2^w.  Each n is first decided by strict integer compares, with
-    no division: |E_n| < 1/q as -2^w < q (F_n 2^w - t_hi) and
-    q (F_n 2^w - t_lo) < 2^w, t_lo and t_hi the term's ends; and each link,
-    one of whose members is floor(x/q) or ceil(y/q), x and y gamma^(n-1)'s
-    ends times q-1 or q+2, as floor(x/q) > a iff x >= q(a+1) and
-    ceil(y/q) < b iff y <= q(b-1), a and b the other member's end.  Only
-    an n that misses builds its members and witnesses through _order."""
+    Each rung makes one dominant_term_sweep, from min(2-k, -1) to n_max at
+    scale 2^-w, and decides each comparison once by integer compares, with
+    S = q F_n 2^w: E_n passes when -2^w < S - q t_hi and S - q t_lo < 2^w,
+    t the term's ends.  Let [lo, hi], [a_lo, a_hi] and [b_lo, b_hi] be the
+    ends of gamma^(n-1), gamma^(n-2) and gamma^n, x1, y1 = lo (q-1), hi (q-1)
+    and x2, y2 = lo (q+2), hi (q+2); each link is settled or refuted by
+
+        link 1: x1 >= q (a_hi + 1)  or  q a_lo >= y1
+        link 2: y1 <= S - q         or  x1 >= S
+        link 3: x2 >= S + q         or  S >= y2
+        link 4: y2 <= q (b_lo - 1)  or  x2 >= q b_hi
+
+    the separations of floor(x/q) and ceil(y/q) from the other members."""
     grid = cells.grid
     _require_certified_regime(grid)
-
-    def attempt(q, k, enclosure):
+    errors, growth, used = [], [], cells.bits
+    for q, k in grid.cells:
         table = cells.table(q, k)
         # the growth chain reaches gamma^(n-2) at n = 1, so rows go to -1
         first, lowest = 2 - k, min(2 - k, -1)
-        work = enclosure.interval.bits
-        power_lo, power_hi, term_lo, term_hi = dominant_term_sweep(
-            enclosure, lowest, grid.n_max)
-        errors, growth, edge = [], [], 1 << work
-        for n, exact, t_lo, t_hi in zip(range(first, grid.n_max + 1), table,
-                                        term_lo[first - lowest:], term_hi[first - lowest:]):
-            # E_n = F_n - term against +-1/q, scaled by q * 2^work
-            scaled = q * exact << work
-            if scaled - edge < q * t_lo and q * t_hi < scaled + edge:
-                continue
-            e = DyadicInterval((exact << work) - t_hi, (exact << work) - t_lo, work)
-            if _inside(q * e.lo_num, q * e.hi_num, edge) < 0:
-                errors.append(Witness(
-                    q, k, n, "fail",
-                    f"|E_{n}| certified above 1/q: "
-                    f"[{_float_text(e.lo, '.6g', ROUND_FLOOR)}, "
-                    f"{_float_text(e.hi, '.6g')}]",
-                ))
-            else:
-                errors.append(Witness(
-                    q, k, n, "inconclusive",
-                    f"E_{n} enclosure width {_float_text(e.width, '.3g')} "
-                    f"not inside [-1/q, 1/q] at {work} bits",
-                ))
-        # gamma^(n-2)'s upper end, gamma^(n-1)'s ends and gamma^n's lower end
-        for n, exact, below, lo, hi, above in zip(
-                range(1, grid.n_max + 1), table[1 - first:], power_hi[-1 - lowest:],
-                power_lo[-lowest:], power_hi[-lowest:], power_lo[1 - lowest:]):
-            scaled = q * exact << work
-            if (lo * (q - 1) >= q * (below + 1) and hi * (q - 1) <= scaled - q
-                    and lo * (q + 2) >= scaled + q and hi * (q + 2) <= q * (above - 1)):
-                continue
-            i = n - 1 - lowest
-            # times (q-1)/q and (q+2)/q, floored and ceiled
-            low = ((lo * (q - 1)) // q, -((-hi * (q - 1)) // q))
-            high = ((lo * (q + 2)) // q, -((-hi * (q + 2)) // q))
-            exact <<= work
-            members = ((power_lo[i - 1], below), low, (exact, exact),
-                       high, (above, power_hi[i + 1]))
-            growth += _chain(zip(_GROWTH_LINKS, members, members[1:]), q, k, n, work)
-        return errors, growth
-
-    # a rung whose E_{n_max} enclosure is wider than 2/q cannot settle
-    # that n, so it could only climb on
-    (errors, growth), used = _climb(cells, grid.cells, attempt, grid.n_max, lambda q: (2, q))
+        # every enclosure a rung compares lies inside its coarser rung's, so
+        # a comparison settled or refuted at a rung stays so above it: the
+        # cell stops at its first rung with no inconclusive witness, with the
+        # witnesses the finest rung would give, and is not checked again
+        # while another cell climbs.  A rung whose E_{n_max} enclosure is
+        # wider than 2/q cannot settle that n, so the ladder skips it
+        for enclosure in _root_ladder(cells.root(q, k), grid.n_max, (2, q)):
+            work = enclosure.interval.bits
+            power_lo, power_hi, term_lo, term_hi = dominant_term_sweep(
+                enclosure, lowest, grid.n_max)
+            cell_errors, cell_growth, edge = [], [], 1 << work
+            for n, exact, t_lo, t_hi in zip(range(first, grid.n_max + 1), table,
+                                            term_lo[first - lowest:], term_hi[first - lowest:]):
+                scaled = q * exact << work
+                if scaled - edge < q * t_lo and q * t_hi < scaled + edge:
+                    continue
+                e_lo, e_hi = scaled - q * t_hi, scaled - q * t_lo
+                lo, hi = Fraction(e_lo, q << work), Fraction(e_hi, q << work)
+                if _inside(e_lo, e_hi, edge) < 0:
+                    cell_errors.append(Witness(q, k, n, "fail", f"|E_{n}| certified above 1/q: "
+                        f"[{_float_text(lo, '.6g', ROUND_FLOOR)}, {_float_text(hi, '.6g')}]"))
+                else:
+                    cell_errors.append(Witness(q, k, n, "inconclusive", f"E_{n} enclosure width "
+                        f"{_float_text(hi - lo, '.3g')} not inside [-1/q, 1/q] at {work} bits"))
+            for n, exact, a_lo, a_hi, lo, hi, b_lo, b_hi in zip(
+                    range(1, grid.n_max + 1), table[1 - first:],
+                    power_lo[-1 - lowest:], power_hi[-1 - lowest:], power_lo[-lowest:],
+                    power_hi[-lowest:], power_lo[1 - lowest:], power_hi[1 - lowest:]):
+                scaled = q * exact << work
+                if (lo * (q - 1) >= q * (a_hi + 1) and hi * (q - 1) <= scaled - q
+                        and lo * (q + 2) >= scaled + q and hi * (q + 2) <= q * (b_lo - 1)):
+                    continue
+                x1, y1, x2, y2 = lo * (q - 1), hi * (q - 1), lo * (q + 2), hi * (q + 2)
+                settled = (x1 >= q * (a_hi + 1), y1 <= scaled - q,
+                           x2 >= scaled + q, y2 <= q * (b_lo - 1))
+                refuted = (q * a_lo >= y1, x1 >= scaled, scaled >= y2, x2 >= q * b_hi)
+                links = [(r, label) for label, s, r in zip(_GROWTH_LINKS, settled, refuted)
+                         if not s]
+                # refuted links first, then unsettled ones, each in link order
+                cell_growth += [Witness(q, k, n, "fail", f"{label} certified false")
+                                for r, label in links if r] + [
+                    Witness(q, k, n, "inconclusive", f"{label} not separated at {work} bits")
+                    for r, label in links if not r]
+            if all(w.kind == "fail" for w in cell_errors + cell_growth):
+                break
+        errors += cell_errors
+        growth += cell_growth
+        used = max(used, work)
     return [
         _report("error-bound", grid, errors, used),
         _report("growth-bounds", grid, growth, used),

@@ -130,6 +130,8 @@ def u_closed_form(q: int, n: int, bits: int) -> DyadicInterval:
         raise RegimeError(f"u_closed_form requires q >= 3, got q={q}")
     if n < 1:
         raise DomainError(f"u_closed_form requires n >= 1, got n={n}")
+    if bits < 1:
+        raise DomainError(f"u_closed_form requires bits >= 1, got bits={bits}")
     # alpha < q + 1, so alpha^n's enclosure is about n alpha^(n-1) ulps wide
     work = bits + 8 + n * (q + 1).bit_length() + n.bit_length()
     companion = Quadratic.companion(q)

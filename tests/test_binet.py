@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from qkbonacci import (
     CompanionKind,
+    DomainError,
     DyadicInterval,
     Grid,
     PoleInIntervalError,
@@ -237,6 +238,12 @@ class TestClosedFormU:
     def test_regime_error(self):
         with pytest.raises(RegimeError):
             u_closed_form(2, 5, 64)
+
+    @pytest.mark.parametrize("bits", (0, -3))
+    def test_nonpositive_bits_is_domain_error(self, bits):
+        with pytest.raises(DomainError, match="bits >= 1"):
+            u_closed_form(3, 5, bits)
+        assert u_closed_form(3, 5, 1).contains(companion_term(3, CompanionKind.U, 5))
 
 
 class TestDominantTerm:

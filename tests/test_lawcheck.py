@@ -1,4 +1,5 @@
 import hashlib
+import json
 from collections import Counter
 from fractions import Fraction
 from time import perf_counter
@@ -222,7 +223,8 @@ class TestRootLaws:
         calls = Counter()
         for module, name in ((lawcheck, "dominant_root"), (binet, "dominant_root"),
                              (roots, "dominant_root"), (binet, "refine_root"),
-                             (roots, "refine_root"), (binet, "g_eval"), (lawcheck, "_climb")):
+                             (roots, "refine_root"), (binet, "g_eval"),
+                             (lawcheck, "_root_ladder")):
             def counted(*args, real=getattr(module, name), name=name):
                 calls[name] += 1
                 return real(*args)
@@ -233,7 +235,7 @@ class TestRootLaws:
         assert calls == Counter()
         # the count is live: a term law makes each of these calls
         check_term_bounds(CellContext(Grid((3,), (2,), 10), 192))
-        assert set(calls) == {"dominant_root", "refine_root", "g_eval", "_climb"}
+        assert set(calls) == {"dominant_root", "refine_root", "g_eval", "_root_ladder"}
 
     def test_single_k_monotone_is_never_vacuous(self, monkeypatch):
         # one k compares gamma_k with gamma_(k+1): at q = 10 those lie about
@@ -406,19 +408,26 @@ class TestTermBounds:
 
     def test_one_comparison_per_bound_and_link(self, monkeypatch):
         # nothing is decided twice: the integer compares settle every |E_n|
-        # and growth link of a passing grid with no _order call, and an n
-        # they miss takes two _order calls for E_n, four for its links
-        calls, real_order, real_sweep = [], lawcheck._order, lawcheck.dominant_term_sweep
+        # and growth link of a passing grid with no _inside call and no
+        # Fraction built, and an E_n they miss takes one _inside call
+        calls, fractions = [], []
+        real_inside, real_fraction, real_sweep = (
+            lawcheck._inside, lawcheck.Fraction, lawcheck.dominant_term_sweep)
 
-        def counted(a, b):
-            calls.append((a, b))
-            return real_order(a, b)
+        def counted(lo, hi, edge):
+            calls.append((lo, hi, edge))
+            return real_inside(lo, hi, edge)
 
-        monkeypatch.setattr(lawcheck, "_order", counted)
+        def built(*args):
+            fractions.append(args)
+            return real_fraction(*args)
+
+        monkeypatch.setattr(lawcheck, "_inside", counted)
+        monkeypatch.setattr(lawcheck, "Fraction", built)
         grid = Grid((3,), tuple(range(2, 9)), 10)
         reports = check_term_bounds(CellContext(grid, 192))
         assert [(r.verdict, r.bits_used) for r in reports] == [("pass", 192)] * 2
-        assert calls == []
+        assert (calls, fractions) == ([], [])
 
         # at (3, 5)'s first rung, E_6's term enclosure ends one unit lower,
         # so E_6 reaches past 1/q from inside, and gamma^10's lower end is
@@ -436,14 +445,8 @@ class TestTermBounds:
                 power_lo[-1] = -((-power_hi[-2] * (q + 2)) // q)
                 exact = term_table(SequenceParams(3, 5), 10)
                 scaled = exact[6 + 5 - 2] << work
-                e = (q * (scaled - term_hi[6 - n_lo]), q * (scaled - term_lo[6 - n_lo]))
-                lo, hi, f_n = power_lo[-2], power_hi[-2], exact[-1] << work
-                members = ((power_lo[-3], power_hi[-3]),
-                           ((lo * (q - 1)) // q, -((-hi * (q - 1)) // q)), (f_n, f_n),
-                           ((lo * (q + 2)) // q, -((-hi * (q + 2)) // q)),
-                           (power_lo[-1], power_hi[-1]))
-                expected.extend([((-(1 << work),) * 2, e), (e, ((1 << work),) * 2)]
-                                + list(zip(members, members[1:])))
+                expected.append((q * (scaled - term_hi[6 - n_lo]),
+                                 q * (scaled - term_lo[6 - n_lo]), 1 << work))
             return rows
 
         monkeypatch.setattr(lawcheck, "dominant_term_sweep", sweep)
@@ -451,7 +454,7 @@ class TestTermBounds:
         assert forged == [192]
         # the forged cell climbs one rung, where nothing misses
         assert [(r.verdict, r.bits_used) for r in (error, growth)] == [("pass", 384)] * 2
-        assert len(calls) == 6 and calls == expected
+        assert len(calls) == 1 and calls == expected
 
     @pytest.mark.parametrize("miss", (0, 1))
     @pytest.mark.parametrize("link", range(4))
@@ -465,16 +468,15 @@ class TestTermBounds:
         # at even q, so link 4 misses by two there.  Links 2 and 3 meet
         # F_n 2^w, so w is the first from 192 at which x or y lands on it
         # exactly, where one does (at odd q, q(F_n 2^w - 1) is odd and
-        # link 2 can only miss).  With no slack the fused compares certify
-        # the link with no _order call; past it, the link gives the
-        # floor/ceiling rule's witness through four _order calls
+        # link 2 can only miss).  With no slack the integer compares certify
+        # the link; past it, the link gives the floor/ceiling rule's witness
         n_max, real_sweep = 6, lawcheck.dominant_term_sweep
         table = term_table(SequenceParams(q, 3), n_max)
         n = 1 if link in (0, 2) else n_max
         on_f_n = {1: lambda w: (q * ((table[n + 1] << w) - 1) + miss) % (q - 1) == 0,
                   2: lambda w: (q * ((table[n + 1] << w) + 1) - miss) % (q + 2) == 0}
         bits = next((w for w in range(192, 204) if on_f_n[link](w)), 192) if link in on_f_n else 192
-        seen, calls, real_order = [], [], lawcheck._order
+        seen = []
 
         def sweep(enclosure, n_lo, n_hi):
             rows = real_sweep(enclosure, n_lo, n_hi)
@@ -495,12 +497,7 @@ class TestTermBounds:
             seen.append((enclosure.interval.bits, rows))
             return rows
 
-        def counted(a, b):
-            calls.append((a, b))
-            return real_order(a, b)
-
         monkeypatch.setattr(lawcheck, "dominant_term_sweep", sweep)
-        monkeypatch.setattr(lawcheck, "_order", counted)
         monkeypatch.setattr(lawcheck, "_root_ladder", lambda enclosure, n, limit: [enclosure])
         error, growth = check_term_bounds(CellContext(Grid((q,), (3,), n_max), bits))
         ((work, rows),) = seen
@@ -510,9 +507,63 @@ class TestTermBounds:
         if miss:
             label = _oracles.GROWTH_LINKS[link]
             assert expected == [(q, 3, n, "inconclusive", f"{label} not separated at {bits} bits")]
-            assert len(calls) == 4
         else:
-            assert (growth.verdict, expected, calls) == ("pass", [], [])
+            assert (growth.verdict, expected) == ("pass", [])
+
+    @pytest.mark.parametrize("miss", (0, 1))
+    @pytest.mark.parametrize("link", range(4))
+    @pytest.mark.parametrize("q", (3, 4, 7))
+    def test_growth_links_on_their_refute_form(self, monkeypatch, q, link, miss):
+        # each link is forged onto its refute form with no slack, q a_lo =
+        # y1, x1 = S, S = y2 or x2 = q b_hi (miss 0), which certifies it
+        # false, or one unit of the forged end short of it (miss 1), which
+        # leaves it unseparated.  Links 1 and 4 compare two power rows, so
+        # only a forged sweep refutes them: gamma^(-1) at n = 1 and
+        # gamma^(n_max) at n = n_max, which no other link reads, go on
+        # gamma^0 (q-1)/q and gamma^(n_max-1) (q+2)/q, that end first put
+        # on a multiple of q.  Links 2 and 3 put gamma^(n-1) on S/(q-1) or
+        # S/(q+2), at the first n where that is an integer
+        n_max, bits, real_sweep = 12, 192, lawcheck.dominant_term_sweep
+        table = term_table(SequenceParams(q, 3), n_max)
+        scaled = [q * f_n << bits for f_n in table[2:]]  # S at n = 1..n_max
+        divisor = {1: q - 1, 2: q + 2}.get(link)
+        n = {0: 1, 3: n_max}.get(link) or next(
+            m for m in range(2, n_max) if scaled[m - 1] % divisor == 0)
+        seen = []
+
+        def sweep(enclosure, n_lo, n_hi):
+            rows = real_sweep(enclosure, n_lo, n_hi)
+            power_lo, power_hi = rows[:2]
+            i = n - 1 - n_lo  # gamma^(n-1)
+            if link == 0:
+                power_hi[i] += -power_hi[i] % q
+                end = power_hi[i] * (q - 1) // q
+                power_lo[i - 1], power_hi[i - 1] = end - miss, end
+            elif link == 1:
+                end = scaled[n - 1] // (q - 1)
+                power_lo[i], power_hi[i] = end - miss, end
+            elif link == 2:
+                end = scaled[n - 1] // (q + 2)
+                power_lo[i], power_hi[i] = end, end + miss
+            else:
+                power_lo[i] = next(lo for lo in range(power_lo[i], power_lo[i] + q)
+                                   if lo * (q + 2) % q == 0)
+                power_hi[i] = max(power_hi[i], power_lo[i])
+                end = power_lo[i] * (q + 2) // q
+                power_lo[i + 1], power_hi[i + 1] = end, end + miss
+            seen.append((enclosure.interval.bits, rows))
+            return rows
+
+        monkeypatch.setattr(lawcheck, "dominant_term_sweep", sweep)
+        monkeypatch.setattr(lawcheck, "_root_ladder", lambda enclosure, n, limit: [enclosure])
+        error, growth = check_term_bounds(CellContext(Grid((q,), (3,), n_max), bits))
+        ((work, rows),) = seen
+        _, expected = _oracles.term_bound_witnesses(q, 3, n_max, table, rows, work, _float_text)
+        label = _oracles.GROWTH_LINKS[link]
+        assert expected == [(q, 3, n, "inconclusive", f"{label} not separated at {bits} bits")
+                            if miss else (q, 3, n, "fail", f"{label} certified false")]
+        assert [(w.q, w.k, w.n, w.kind, w.detail) for w in growth.witnesses] == expected
+        assert (error.verdict, growth.verdict) == ("pass", "inconclusive" if miss else "fail")
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(3, 11), st.integers(2, 20), st.integers(1, 300),
@@ -520,24 +571,24 @@ class TestTermBounds:
     @example(3, 2, 300, 8)
     @example(7, 20, 1, 16)
     def test_reports_match_the_per_n_oracle(self, q, k, n_max, bits):
-        # the fused pass against the per-n floor/ceiling loops it replaced,
-        # on every rung each cell climbs; starved bits fill both laws with
+        # the integer pass against the per-n floor/ceiling oracle, on every
+        # rung the cell climbs; starved bits fill both laws with
         # inconclusive witnesses
-        grid, real_climb = Grid((q,), (k,), n_max), lawcheck._climb
-
-        def oracle_climb(cells, todo, attempt, n, limit):
-            def oracle(q, k, enclosure):
-                rows = lawcheck.dominant_term_sweep(enclosure, min(2 - k, -1), n_max)
-                found = _oracles.term_bound_witnesses(
-                    q, k, n_max, cells.table(q, k), rows, enclosure.interval.bits, _float_text)
-                return [[lawcheck.Witness(*w) for w in witnesses] for witnesses in found]
-            return real_climb(cells, todo, oracle, n, limit)
-
-        fused = check_term_bounds(CellContext(grid, bits))
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(lawcheck, "_climb", oracle_climb)
-            per_n = check_term_bounds(CellContext(grid, bits))
-        assert fused == per_n
+        grid = Grid((q,), (k,), n_max)
+        cells = CellContext(grid, bits)
+        # each rung's witnesses by the oracle, up to the first rung with no
+        # inconclusive one, and the bits of the rung the cell stopped at
+        for enclosure in lawcheck._root_ladder(cells.root(q, k), n_max, (2, q)):
+            work = enclosure.interval.bits
+            rows = lawcheck.dominant_term_sweep(enclosure, min(2 - k, -1), n_max)
+            found = _oracles.term_bound_witnesses(
+                q, k, n_max, cells.table(q, k), rows, work, _float_text)
+            if all(w[3] == "fail" for witnesses in found for w in witnesses):
+                break
+        per_n = [lawcheck._report(law_id, grid, [lawcheck.Witness(*w) for w in witnesses],
+                                  max(bits, work))
+                 for law_id, witnesses in zip(("error-bound", "growth-bounds"), found)]
+        assert check_term_bounds(CellContext(grid, bits)) == per_n
 
     def test_wrong_terms_are_caught(self, monkeypatch):
         real = lawcheck.term_table
@@ -598,8 +649,8 @@ class TestTermBounds:
     def test_enclosure_just_inside_the_bound_settles(self, monkeypatch):
         # at q = 3 and even w, 2^w - 1 is a multiple of q, so the E_20
         # enclosure can end one unit of q 2^w inside -1/q and 1/q: the
-        # fused compares settle it at its rung, with no _order call
-        real_sweep, real_order = lawcheck.dominant_term_sweep, lawcheck._order
+        # integer compares settle it at its rung, with no _inside call
+        real_sweep, real_inside = lawcheck.dominant_term_sweep, lawcheck._inside
         exact = term_table(SequenceParams(3, 3), 20)[-1]
         rungs, calls = [], []
 
@@ -614,7 +665,7 @@ class TestTermBounds:
             return rows
 
         monkeypatch.setattr(lawcheck, "dominant_term_sweep", sweep)
-        monkeypatch.setattr(lawcheck, "_order", lambda a, b: calls.append((a, b)) or real_order(a, b))
+        monkeypatch.setattr(lawcheck, "_inside", lambda *args: calls.append(args) or real_inside(*args))
         error, growth = check_term_bounds(CellContext(Grid((3,), (3,), 40), 64))
         assert len(rungs) == 1 and rungs[0] % 2 == 0
         assert [(r.verdict, r.bits_used) for r in (error, growth)] == [("pass", rungs[0])] * 2
@@ -684,6 +735,28 @@ class TestTermBounds:
         assert (witness.n, witness.kind) == (20, "fail")
         assert witness.detail.startswith("|E_20| certified above 1/q: ")
         assert growth.verdict == "pass"
+
+    def test_report_digest(self, monkeypatch):
+        # report JSON over passing, starved and forged grids, pinned when
+        # each comparison had two paths; any moved verdict, witness, text
+        # or bits_used changes it
+        def forged(params, n_max):
+            table, first = term_table(params, n_max), params.min_index
+            table[40 - first] += 1
+            table[60 - first] *= 2
+            table[80 - first] = table[80 - first] * 3 // 4
+            return table
+
+        runs = [(Grid.default(), bits) for bits in (8, 16, 192)]
+        runs.append((Grid((3, 7, 11), (2, 3, 10, 20), 200), 64))
+        payload = [[r.to_json() for r in check_term_bounds(CellContext(grid, bits))]
+                   for grid, bits in runs]
+        monkeypatch.setattr(lawcheck, "term_table", forged)
+        payload += [[r.to_json() for r in check_term_bounds(
+            CellContext(Grid((3, 4, 7), (2, 4, 9), 130), bits))] for bits in (8, 192)]
+        text = json.dumps(payload, sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "e350aa6783b116b886799c6b2b0d73f60568c51d5c3d93d85ec026ae4138df2c")
 
     @pytest.mark.parametrize("grid, bits", [
         (Grid((3, 4), (2, 3), 60), 128),
