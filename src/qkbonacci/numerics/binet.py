@@ -2,14 +2,15 @@
 
 The dominant route is fully certified: interval weight times interval
 root power, contained by construction.  dominant_term_sweep is the one
-chain of g(gamma) * gamma^n over a range of n, which the term-bound laws
-and the full reconstruction both read.  The reconstruction takes one
-secondary term per conjugate pair (or real root) as one power at the first
-n and one product per later n, in fixed point at the inclusion-disc
-centres; a certified radius covers the discs and every rounding, and the
-sum is rounded only when that radius is below 1/2.  reconstruction_sweep
-yields (n, value, radius) triples, the radius an integer mantissa pair
-(half, scale) for half * 2^-scale, and binet_reconstruct reads one item.
+chain of g(gamma) * gamma^n over a range of n, anchored at its n nearest
+0, which binet_dominant, the term-bound laws, the decay probe and the
+full reconstruction all read.  The reconstruction takes one secondary
+term per conjugate pair (or real root) as one power at the first n and
+one product per later n, in fixed point at the inclusion-disc centres;
+a certified radius covers the discs and every rounding, and the sum is
+rounded only when that radius is below 1/2.  reconstruction_sweep yields
+(n, value, radius) triples, the radius an integer mantissa pair (half,
+scale) for half * 2^-scale, and binet_reconstruct reads one item.
 """
 from __future__ import annotations
 
@@ -46,7 +47,7 @@ __all__ = [
 ]
 
 # output-width target for the dominant term, and the cap of the precision
-# ladder that it and the law checker climb
+# ladder that it, the law checker and the decay probe climb
 WIDTH_TARGET_BITS = 32
 ESCALATION_CAP_FACTOR = 16
 
@@ -158,23 +159,18 @@ def binet_dominant(params: SequenceParams, n: int, bits: int) -> DominantTerm:
     Working precision climbs _root_ladder from `bits`, doubling, until the
     output is narrower than 2^-32 or the cap of 16x the request is
     reached; a capped result is flagged, never silently degraded.  The
-    rungs the ladder skips could not have met that width.
-
-    The term is one gamma**n, not a one-row dominant_term_sweep. At n >= 0
-    the two are the same, but below 0 the sweep steps down from 1 by the
-    reciprocal, which came out one unit wider at 44 of 7,755 points (q 3-7,
-    k 2-12, bits 8/64/192, n from 2-k to 39, 100 and 300) and lifted
-    bits_used from 32 to 64 at 14 of the 8-bit requests.
+    rungs the ladder skips could not have met that width.  Each rung's
+    term is a one-row dominant_term_sweep.
     """
     if params.q < 3:
         raise RegimeError(f"binet_dominant requires q >= 3, got q={params.q}")
     _check_index(params, n)
     for enclosure in _root_ladder(dominant_root(params, bits), n, (1, 1 << WIDTH_TARGET_BITS)):
-        gamma = enclosure.interval
-        term = g_eval(params, gamma) * gamma**n
-        if (term.hi_num - term.lo_num) << WIDTH_TARGET_BITS <= 1 << term.bits:
-            return DominantTerm(term, gamma.bits, False)
-    return DominantTerm(term, gamma.bits, True)
+        w = enclosure.interval.bits
+        _, _, (lo,), (hi,) = dominant_term_sweep(enclosure, n, n)
+        if (hi - lo) << WIDTH_TARGET_BITS <= 1 << w:
+            return DominantTerm(DyadicInterval(lo, hi, w), w, False)
+    return DominantTerm(DyadicInterval(lo, hi, w), w, True)
 
 
 @dataclass(frozen=True)
@@ -195,28 +191,29 @@ def error_term(params: SequenceParams, n: int, bits: int) -> ErrorEnclosure:
 
 def dominant_term_sweep(enclosure: RootEnclosure, n_lo: int, n_hi: int):
     """Integer mantissas, at the 2^-w scale of the given gamma enclosure,
-    of gamma^n and g(gamma) * gamma^n for n in [n_lo, n_hi].
+    of gamma^n and g(gamma) * gamma^n for n in [n_lo, n_hi], n_lo <= n_hi.
 
     Returns (power_lo, power_hi, term_lo, term_hi), entry i of each row
-    for n = n_lo + i. The rows are the DyadicInterval chain from
-    gamma**max(n_lo, 0) up by gamma^n = gamma^(n-1) * gamma, from the
-    exact gamma^0 = 1 down by gamma^n = gamma^(n+1) * gamma.reciprocal(),
-    and g(gamma) * gamma^n, rounded outward just as it rounds, so past one
-    power and one reciprocal a whole row costs only integer products.
+    for n = n_lo + i. The rows are the DyadicInterval chain from gamma**a,
+    a the n of the range nearest 0, up by gamma^n = gamma^(n-1) * gamma,
+    down by gamma^n = gamma^(n+1) * gamma.reciprocal(), and g(gamma) *
+    gamma^n, rounded outward just as it rounds, so past one power and one
+    reciprocal a whole row costs only integer products; one row is g_eval's
+    image times gamma**n, exactly.
     """
     gamma = enclosure.interval
-    w, start = gamma.bits, max(n_lo, 0)
+    w, anchor = gamma.bits, min(max(n_lo, 0), n_hi)
     # gamma lies in its bracket (q, q+1), so every power is positive,
     # and so is the weight (see g_eval): ends multiply ends
-    first = gamma**start
-    up, down = ([first.lo_num], [first.hi_num]), ([1 << w], [1 << w])
-    for (lows, highs), step, count in ((up, gamma, n_hi - start),
-                                       (down, gamma.reciprocal(), -n_lo)):
+    first = gamma**anchor
+    up, down = ([first.lo_num], [first.hi_num]), ([first.lo_num], [first.hi_num])
+    # the reciprocal is made only when a row lies below the anchor
+    for (lows, highs), step, count in ((up, gamma, n_hi - anchor), (
+            down, n_lo < anchor and gamma.reciprocal(), anchor - n_lo)):
         for _ in range(count):
             lows.append((lows[-1] * step.lo_num) >> w)
             highs.append(-((-highs[-1] * step.hi_num) >> w))
-    size = max(n_hi - n_lo + 1, 0)
-    power_lo, power_hi = ((d[:0:-1] + u)[:size] for d, u in zip(down, up))
+    power_lo, power_hi = (d[:0:-1] + u for d, u in zip(down, up))
     weight = g_eval(enclosure.params, gamma)
     return (power_lo, power_hi, [(weight.lo_num * p) >> w for p in power_lo],
             [-((-weight.hi_num * p) >> w) for p in power_hi])

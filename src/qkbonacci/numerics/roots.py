@@ -227,8 +227,7 @@ def refine_root(enclosure: RootEnclosure, bits: int) -> RootEnclosure:
 # ----------------------------------------------------------------------
 
 def _round_shift(x: int, shift: int) -> int:
-    if shift <= 0:
-        return x << -shift
+    # nearest integer to x / 2^shift for shift >= 1
     return (x + (1 << (shift - 1))) >> shift
 
 
@@ -247,7 +246,7 @@ def _round_div(a: int, b: int) -> int:
 
 
 def _cmul(a, b, bits):
-    # the round-half shift (x + half) >> bits is _round_shift's for bits >= 0
+    # the round-half shift (x + half) >> bits is _round_shift's for bits >= 1
     (ar, ai), (br, bi), half = a, b, (1 << bits) >> 1
     return (ar * br - ai * bi + half) >> bits, (ar * bi + ai * br + half) >> bits
 

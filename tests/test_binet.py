@@ -239,6 +239,10 @@ class TestClosedFormU:
         with pytest.raises(RegimeError):
             u_closed_form(2, 5, 64)
 
+    def test_index_below_one_is_domain_error(self):
+        with pytest.raises(DomainError, match="n >= 1"):
+            u_closed_form(3, 0, 64)
+
     @pytest.mark.parametrize("bits", (0, -3))
     def test_nonpositive_bits_is_domain_error(self, bits):
         with pytest.raises(DomainError, match="bits >= 1"):
@@ -274,6 +278,28 @@ class TestDominantTerm:
         assert term.capped
         assert term.bits_used == 16 * 32
         assert term.interval.width > Fraction(1, 2**32)
+
+    def test_regime_error(self):
+        with pytest.raises(RegimeError, match="q >= 3"):
+            binet_dominant(SequenceParams(2, 3), 5, 64)
+
+    def test_results_digest(self):
+        # (interval, bits_used, capped) over q 3-8, eight k and four
+        # requests, at every n from 2-k to 40 and at 100 and 300
+        digest, count = hashlib.sha256(), 0
+        for q in range(3, 9):
+            for k in (2, 3, 4, 5, 7, 9, 12, 16):
+                p = SequenceParams(q, k)
+                for bits in (8, 16, 64, 192):
+                    for n in (*range(2 - k, 41), 100, 300):
+                        term = binet_dominant(p, n, bits)
+                        i = term.interval
+                        digest.update(f"{q} {k} {bits} {n} {i.lo_num} {i.hi_num} {i.bits} "
+                                      f"{term.bits_used} {term.capped}\n".encode())
+                        count += 1
+        assert count == 9264
+        assert digest.hexdigest() == (
+            "ea29af898ab08ed213746266718038797b1df4ee38775203aba91f8d69488616")
 
 
 def full_climb(params, n, bits):
@@ -411,13 +437,13 @@ class TestDominantTermSweep:
         terms = [weight * powers[n] for n in span]
         assert list(zip(term_lo, term_hi)) == [(t.lo_num, t.hi_num) for t in terms]
 
-    def test_one_row_is_binet_dominant_at_nonnegative_n(self):
-        # binet_dominant keeps its own gamma**n (its docstring says why);
-        # at n >= 0 a one-row sweep at its final enclosure is the same
+    def test_one_row_is_binet_dominant(self):
+        # a one-row sweep anchors at its own n, so at every n, below 0 too,
+        # it is gamma**n times the weight, as binet_dominant returns it
         for q, k in ((3, 2), (4, 7), (7, 12)):
             p = SequenceParams(q, k)
             for bits in (8, 64, 192):
-                for n in (0, 1, 2, 17, 39, 100, 300):
+                for n in (*range(2 - k, 40), 100, 300):
                     term = binet_dominant(p, n, bits)
                     *_, term_lo, term_hi = dominant_term_sweep(
                         dominant_root(p, term.bits_used), n, n)

@@ -493,6 +493,18 @@ class TestVerify:
         assert report["verdict"] == "inconclusive"
         assert all(w["kind"] == "inconclusive" for w in report["witnesses"])
 
+    def test_root_solve_refusal_is_inconclusive(self, capsys):
+        # the solver's refusal at q = 10^20 proves nothing about F_n
+        code, out, _ = run_cli(
+            capsys, "verify", "--law", "reconstruction", "--q", str(10**20),
+            "--k-min", "17", "--k-max", "17", "--n-max", "20", "--bits", "64",
+        )
+        assert code == 1
+        (report,) = json.loads(out)
+        assert report["verdict"] == "inconclusive"
+        assert report["witnesses"] == [{"q": 10**20, "k": 17, "n": None, "kind": "inconclusive",
+                                        "detail": "two inclusion discs overlap"}]
+
     def test_widths_past_float_range_are_reported(self, capsys):
         code, out, _ = run_cli(
             capsys, "verify", "--law", "error-bound", "--q", "6",

@@ -1,6 +1,7 @@
 import hashlib
 import json
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from time import perf_counter
 from types import SimpleNamespace
@@ -789,6 +790,22 @@ class TestReconstructionLaw:
         (report,) = check_reconstruction(CellContext(Grid((3,), (8,), 5), 256))
         assert report.verdict == "pass"
 
+    def test_disc_wider_than_its_centre_is_inconclusive(self, monkeypatch):
+        # a disc that reaches 0 bounds no term: the sum is refused, which
+        # proves nothing about F_n
+        real_discs = binet._secondary_discs
+
+        def wide_discs(params, bits):
+            return tuple(replace(s, radius_num=abs(s.re_num) + abs(s.im_num) + 1)
+                         for s in real_discs(params, bits))
+
+        monkeypatch.setattr(binet, "_secondary_discs", wide_discs)
+        (report,) = check_reconstruction(CellContext(Grid((3,), (2, 3), 10), 256))
+        assert report.verdict == "inconclusive"
+        assert [(w.k, w.n, w.kind) for w in report.witnesses] == [
+            (2, None, "inconclusive"), (3, None, "inconclusive")]
+        assert all("too wide to bound its term" in w.detail for w in report.witnesses)
+
 
 class TestDecayProbe:
     def test_small_k_passes(self):
@@ -802,6 +819,22 @@ class TestDecayProbe:
         (witness,) = probe.failures
         assert witness.kind == "fail"
         assert witness.n == 40
+
+    @pytest.mark.parametrize("bits", [16, 64])
+    def test_decided_below_the_cap(self, bits):
+        # E_40 is about -5.3e-14 at (4, 3) and far smaller at (4, 2): each
+        # is decided against 1e-15 past a 2^-32 wide enclosure, below the cap
+        probe = error_decay_probe(Grid((4,), (2, 3), 40), bits, threshold=Fraction(1, 10**15))
+        assert [(w.q, w.k, w.kind, w.detail) for w in probe.failures] == [
+            (4, 3, "fail", "|E_40| certified >= 1.0e-15: [-5.32128e-14, -5.32128e-14]")]
+
+    def test_inconclusive_only_at_the_cap(self):
+        # at 8 bits no rung up to the 16x cap pins E_300 below 1e-6
+        grid = Grid.default()
+        probe = error_decay_probe(grid, 8, n_probe=300)
+        assert [(w.q, w.k) for w in probe.failures] == grid.cells
+        assert {(w.kind, w.detail) for w in probe.failures} == {
+            ("inconclusive", "E_300 enclosure too wide at 128 bits")}
 
 
 class TestCellContext:

@@ -210,6 +210,10 @@ class TestTheorem3:
         with pytest.raises(RegimeError):
             theorem3_term(SequenceParams(1, 2), 5)
 
+    def test_index_below_one_is_domain_error(self):
+        with pytest.raises(DomainError, match="n >= 1"):
+            theorem3_term(SequenceParams(3, 2), 0)
+
     # n = k+1 is the last index with an empty sum; k+2 and k+3 the first
     # with one and two terms
     @given(q=st.integers(3, 10), k=st.integers(2, 16), n=st.integers(1, 500))
